@@ -50,7 +50,6 @@ from .perturbation import (
     PerturbedMetric,
     audit_metric_correction,
     perturbed_metric_analytic,
-    perturbed_metric_numeric,
 )
 from .entanglement import (
     concurrence,

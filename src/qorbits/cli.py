@@ -59,6 +59,7 @@ from .entanglement import (
     CASE_FORMULA_STATUS,
     concurrence,
     concurrence_analytic,
+    concurrences,
     scan_concurrence,
     verify_max_entangled_tables,
 )
@@ -629,9 +630,9 @@ def _suite_tables(args, rng, checks):
         eta = parse_eta(eta_text, None)
         f = family_for_case(classify(eta), eta)
         status = CASE_FORMULA_STATUS[label]
-        worst = 0.0
-        for _ in range(200):
-            xi = rng.uniform(-3, 3, size=f.dim)
+        xs = np.empty((200, f.dim))
+        for xi in xs:
+            xi[:] = rng.uniform(-3, 3, size=f.dim)
             if "phi" in f.chart and "cos_phi_pos" in status or label == "C5":
                 k = f.chart.index("phi")
                 xi[k] = rng.uniform(-1.4, 1.4)
@@ -640,10 +641,8 @@ def _suite_tables(args, rng, checks):
                 # the printed sin(omega) equals the oracle's sin(2 omega)
                 # nowhere generic; sample the locus where both vanish
                 xi[k] = 0.0
-            worst = max(
-                worst,
-                abs(concurrence_analytic(f.case, eta, xi) - concurrence(f.state(xi))),
-            )
+        closed = np.array([concurrence_analytic(f.case, eta, xi) for xi in xs])
+        worst = float(np.max(np.abs(closed - concurrences(f.states(xs)))))
         checks.append(
             {
                 "name": f"concurrence-closed-form-{label}-on-domain",

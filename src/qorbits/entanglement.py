@@ -20,16 +20,27 @@ from .model import InitialCoefficients
 NORM_TOL = 1e-9
 
 
+def concurrences(states) -> np.ndarray:
+    """C = 2|ad - bc| of each normalized row (a, b, c, d) of an (N, 4) array."""
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2 or states.shape[1] != 4:
+        raise ValueError("states must have 4 amplitudes per row")
+    mag2 = np.abs(states)
+    mag2 *= mag2
+    norms = np.sqrt(mag2.sum(axis=1))
+    bad = np.abs(norms - 1.0) > NORM_TOL
+    if bad.any():
+        raise ValueError(f"state not normalized: |psi| = {norms[np.argmax(bad)]!r}")
+    a, b, c, d = states.T
+    return 2.0 * np.abs(a * d - b * c)
+
+
 def concurrence(state) -> float:
     """C = 2|ad - bc| of a normalized state (a, b, c, d)."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (4,):
         raise ValueError("state must have 4 amplitudes")
-    norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError(f"state not normalized: |psi| = {norm!r}")
-    a, b, c, d = state
-    return float(2.0 * abs(a * d - b * c))
+    return float(concurrences(state[None])[0])
 
 
 def _chi(eta: InitialCoefficients, first: int, second: int) -> float:
@@ -229,55 +240,39 @@ def verify_max_entangled_tables(
     """
     case = f.case
     label = case.label
-    results = []
     free_vals = np.linspace(0.2, 2.6, free_samples)
-    def _worst(samples):
-        worst_val, worst_n = None, None
-        for n, val in samples:
-            if worst_val is None or abs(val - 1) > abs(worst_val - 1):
-                worst_val, worst_n = val, n
-        return worst_val, worst_n
-
+    # (row name, reported coordinates, [(n, chart point), ...]) per table row
+    rows = []
     if label == "C5":
-        parity = case.j % 2
         for name, phi, omega, jpar, c_fn in _c5_rows(chi):
-            if jpar != parity:
+            if jpar != case.j % 2:
                 continue
-            samples = [
-                (n, concurrence(f.state(np.array([w, phi, c_fn(n)]))))
-                for n in n_range
-                for w in ([omega] if omega is not None else free_vals)
-            ]
-            val, n = _worst(samples)
-            results.append(
-                MaxEntangledCondition(label, name, {"phi": phi, "omega": omega}, chi, n, val)
-            )
+            ws = [omega] if omega is not None else free_vals
+            samples = [(n, [w, phi, c_fn(n)]) for n in n_range for w in ws]
+            rows.append((name, {"phi": phi, "omega": omega}, samples))
     elif label == "C6":
-        parity = case.l % 2
         for name, phi, lpar, c_fn, cp_fn in _c6_rows(chi):
-            if lpar != parity:
+            if lpar != case.l % 2:
                 continue
-            samples = [
-                (n, concurrence(f.state(np.array([phi, c_fn(n), cp_fn(n)]))))
-                for n in n_range
-            ]
-            val, n = _worst(samples)
-            results.append(
-                MaxEntangledCondition(label, name, {"phi": phi}, chi, n, val)
-            )
+            samples = [(n, [phi, c_fn(n), cp_fn(n)]) for n in n_range]
+            rows.append((name, {"phi": phi}, samples))
     elif label == "C7":
         for name, phi, omega, cp_fn, c3_fn in _c7_rows(chi):
-            samples = [
-                (n, concurrence(f.state(np.array([w, phi, c3_fn(n), cp_fn(n)]))))
-                for n in n_range
-                for w in ([omega] if omega is not None else free_vals)
-            ]
-            val, n = _worst(samples)
-            results.append(
-                MaxEntangledCondition(label, name, {"phi": phi, "omega": omega}, chi, n, val)
-            )
+            ws = [omega] if omega is not None else free_vals
+            samples = [(n, [w, phi, c3_fn(n), cp_fn(n)]) for n in n_range for w in ws]
+            rows.append((name, {"phi": phi, "omega": omega}, samples))
     else:
         raise ValueError("condition tables exist for C5, C6 and C7 only")
+    points = np.array([xi for _, _, samples in rows for _, xi in samples], dtype=float)
+    values = iter(concurrences(f.states(points)).tolist())
+    results = []
+    for name, coords, samples in rows:
+        worst_val, worst_n = None, None
+        for n, _ in samples:
+            val = next(values)
+            if worst_val is None or abs(val - 1) > abs(worst_val - 1):
+                worst_val, worst_n = val, n
+        results.append(MaxEntangledCondition(label, name, coords, chi, worst_n, worst_val))
     return results
 
 
@@ -308,7 +303,6 @@ def scan_concurrence(f: StateFamily, grid: dict) -> ConcurrenceScan:
             axes.append(np.linspace(a, b, int(n)))
         else:
             axes.append(np.array([0.0]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
-    values = np.array([concurrence(f.state(xi)) for xi in coords])
+    coords = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    values = concurrences(f.states(coords))
     return ConcurrenceScan(f.case.label, f.eta, dict(grid), coords, values)

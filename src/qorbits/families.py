@@ -9,25 +9,25 @@ frozen at reference values stored on the family.  For C4/C5/C6 the combined
 phase c = 2 c3 + (-1)^j c_plus [+ (-1)^(l+1) omega] is itself the chart
 coordinate: varying c moves only the bracket phase e^{ic}, never the frozen
 references.
+
+Evaluation.  Every case is the general state sum_k eta_k e^{i theta_k} psi_k
+with the phases theta_k affine in the chart coordinates (PHASE_FORMS), so one
+batched path, StateFamily.states, serves all seven cases; state is its
+one-row case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CaseMismatchError
-from .hamiltonian import (
-    PSI3,
-    PSI4,
-    eigvec_pair,
-    perturbed_eigenstates,
-)
+from .hamiltonian import PSI3, PSI4, eigvec_pair, first_order_bases
 from .model import (
     CaseClass,
-    HamiltonianParams,
     InitialCoefficients,
     classify,
 )
@@ -36,35 +36,42 @@ from .model import (
 # the perturbative resonances 2 c3 +- omega - c_plus = 0.
 DEFAULT_FROZEN = {"omega": 0.9, "phi": 0.3, "c3": 0.35, "c_plus": 0.55}
 
+# Long batches are evaluated in blocks of this many rows, which bounds the
+# size of the stacked (rows, 4, 4) eigenbasis.
+BLOCK_ROWS = 512
 
-def _phases(omega: float, c3: float, c_plus: float) -> np.ndarray:
-    """Total evolution phases theta_k of the four eigenvector amplitudes
-    (the global e^{-i c3} prefactor is already folded in)."""
-    return np.array(
-        [-c3 - omega, -c3 + omega, c3 - c_plus, c3 + c_plus]
-    )
+# Coordinates the eigenbasis is evaluated at, in this order.
+BASIS_COORDS = ("omega", "phi", "c3", "c_plus")
 
-
-def _basis(phi: float, beta: float, omega: float, c3: float, c_plus: float):
-    """Eigenvectors (rows), perturbed to first order when beta != 0."""
-    if beta == 0.0:
-        psi1, psi2 = eigvec_pair(phi)
-        return np.array([psi1, psi2, PSI3, PSI4])
-    # reconstruct couplings on the branch cos(phi) >= 0 is not needed here:
-    # perturbed_eigenstates only consumes (omega, phi, c3, c_plus), which we
-    # realize via b = omega sin(phi)/2 and c1 - c2 = omega cos(phi).
-    b = 0.5 * omega * math.sin(phi)
-    c_minus = omega * math.cos(phi)
-    c1 = 0.5 * (c_plus + c_minus)
-    c2 = 0.5 * (c_plus - c_minus)
-    return perturbed_eigenstates(HamiltonianParams(b, c1, c2, c3), beta).states
+# Phases theta_1..theta_4 of the eigenvector amplitudes, per (case label, l),
+# as coefficients over PHASE_SYMBOLS.  The general orbit (C1, C3, C7) has the
+# global e^{-i c3} prefactor folded in.  C4 and C6 carry the constant gauge
+# phase -(c3 + s omega), s = (-1)^l for C4 and (-1)^(l+1) for C6, and the
+# combined phase c on their eta3/eta4 rows; C5 carries c on those rows.
+# Rows whose eta_k vanishes are never weighted, so one entry serves both j.
+PHASE_SYMBOLS = ("omega", "c3", "c_plus", "c")
+_GENERAL = ((-1, -1, 0, 0), (1, -1, 0, 0), (0, 1, -1, 0), (0, 1, 1, 0))
+_ZERO = ((0, 0, 0, 0),) * 4
+PHASE_FORMS = {
+    ("C1", None): _GENERAL,
+    ("C2", 1): _ZERO,
+    ("C2", 2): _ZERO,
+    ("C3", None): _GENERAL,
+    ("C4", 1): ((1, -1, 0, 0),) * 2 + ((1, -1, 0, 1),) * 2,
+    ("C4", 2): ((-1, -1, 0, 0),) * 2 + ((-1, -1, 0, 1),) * 2,
+    ("C5", None): _GENERAL[:2] + ((0, -1, 0, 1),) * 2,
+    ("C6", 1): ((-1, -1, 0, 0),) * 2 + ((-1, -1, -1, 1), (-1, -1, 1, 1)),
+    ("C6", 2): ((1, -1, 0, 0),) * 2 + ((1, -1, -1, 1), (1, -1, 1, 1)),
+    ("C7", None): _GENERAL,
+}
 
 
 def evolved_state(eta: InitialCoefficients, coords) -> np.ndarray:
-    """General evolved state at chart point (omega, phi, c3, c_plus)."""
+    """General evolved state at chart point (omega, phi, c3, c_plus): a
+    scalar reference, independent of StateFamily.states."""
     omega, phi, c3, c_plus = coords
-    basis = _basis(phi, 0.0, omega, c3, c_plus)
-    theta = _phases(omega, c3, c_plus)
+    basis = np.array([*eigvec_pair(phi), PSI3, PSI4])
+    theta = np.array([-c3 - omega, -c3 + omega, c3 - c_plus, c3 + c_plus])
     amps = eta.as_array() * np.exp(1j * theta)
     return amps @ basis
 
@@ -83,78 +90,63 @@ class StateFamily:
     def dim(self) -> int:
         return len(self.chart)
 
-    def _coord(self, xi, name: str) -> float:
-        if name in self.chart:
-            return float(xi[self.chart.index(name)])
-        return float(self.frozen.get(name, DEFAULT_FROZEN[name]))
+    @cached_property
+    def _table(self):
+        """The case's affine maps from chart points x: the phases
+        theta = x @ lin.T + offset, and the BASIS_COORDS, read from chart
+        column cols[k] or, where cols[k] < 0, from the frozen refs[k]."""
+        def ref(name):
+            return float(self.frozen.get(name, DEFAULT_FROZEN[name]))
+
+        forms = np.array(PHASE_FORMS[self.case.label, self.case.l], dtype=float)
+        lin = np.zeros((4, self.dim))
+        offset = np.zeros(4)
+        for k, name in enumerate(PHASE_SYMBOLS):
+            if name in self.chart:
+                lin[:, self.chart.index(name)] = forms[:, k]
+            elif forms[:, k].any():
+                offset += forms[:, k] * ref(name)
+        cols = np.array(
+            [self.chart.index(n) if n in self.chart else -1 for n in BASIS_COORDS]
+        )
+        refs = np.array([ref(n) for n in BASIS_COORDS])
+        return lin, offset, cols, refs
+
+    def states(self, xs) -> np.ndarray:
+        """Normalized states at the rows of an (N, dim) batch, shape (N, 4)."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValueError(f"expected (N, {self.dim}) coordinates, got {xs.shape}")
+        out = np.empty((len(xs), 4), dtype=complex)
+        for start in range(0, len(xs), BLOCK_ROWS):
+            out[start:start + BLOCK_ROWS] = self._block(xs[start:start + BLOCK_ROWS])
+        return out
+
+    def _block(self, xs) -> np.ndarray:
+        lin, offset, cols, refs = self._table
+        coords = np.where(cols >= 0, xs[:, cols], refs)
+        basis = first_order_bases(*coords.T, self.beta)
+        amps = self.eta.as_array() * np.exp(1j * (xs @ lin.T + offset))
+        # stacked matmul keeps the summation order of a single amps @ basis
+        out = np.matmul(amps[:, None, :], basis)[:, 0]
+        if self.beta != 0.0:
+            out /= np.linalg.norm(out, axis=1, keepdims=True)
+        return out
 
     def state(self, xi) -> np.ndarray:
         """Normalized state at chart point xi."""
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} coordinates, got {xi.shape}")
-        e1, e2, e3, e4 = self.eta.as_tuple()
-        label = self.case.label
-        phi = self._coord(xi, "phi")
-        omega = self._coord(xi, "omega")
-        c3 = self._coord(xi, "c3")
-        c_plus = self._coord(xi, "c_plus")
-        basis = _basis(phi, self.beta, omega, c3, c_plus)
-        psi1, psi2, psi3, psi4 = basis
+        return self.states(xi[None])[0]
 
-        if label == "C7":
-            theta = _phases(omega, c3, c_plus)
-            amps = self.eta.as_array() * np.exp(1j * theta)
-            out = amps @ basis
-        elif label == "C1":
-            c = float(xi[0])
-            out = np.exp(1j * c3) * (
-                e3 * np.exp(-1j * c) * psi3 + e4 * np.exp(1j * c) * psi4
-            )
-        elif label == "C2":
-            el = e1 if self.case.l == 1 else e2
-            out = el * (psi1 if self.case.l == 1 else psi2)
-        elif label == "C3":
-            out = np.exp(-1j * c3) * (
-                e1 * np.exp(-1j * omega) * psi1 + e2 * np.exp(1j * omega) * psi2
-            )
-        elif label == "C4":
-            c = self._coord(xi, "c")
-            el = e1 if self.case.l == 1 else e2
-            ej = e3 if self.case.j == 3 else e4
-            psl = psi1 if self.case.l == 1 else psi2
-            psj = psi3 if self.case.j == 3 else psi4
-            pref = np.exp(-1j * (c3 + (-1) ** self.case.l * omega))
-            out = pref * (el * psl + ej * np.exp(1j * c) * psj)
-        elif label == "C5":
-            c = self._coord(xi, "c")
-            ej = e3 if self.case.j == 3 else e4
-            psj = psi3 if self.case.j == 3 else psi4
-            out = np.exp(-1j * c3) * (
-                e1 * np.exp(-1j * omega) * psi1
-                + e2 * np.exp(1j * omega) * psi2
-                + ej * np.exp(1j * c) * psj
-            )
-        elif label == "C6":
-            c = self._coord(xi, "c")
-            el = e1 if self.case.l == 1 else e2
-            psl = psi1 if self.case.l == 1 else psi2
-            pref = np.exp(-1j * (c3 + (-1) ** (self.case.l + 1) * omega))
-            out = pref * (
-                el * psl
-                + e3 * np.exp(1j * (c - c_plus)) * psi3
-                + e4 * np.exp(1j * (c + c_plus)) * psi4
-            )
-        else:  # pragma: no cover
-            raise AssertionError(label)
-        if self.beta != 0.0:
-            out = out / np.linalg.norm(out)
-        return out
 
-    # alias matching the "evaluator" field name used in interface docs
-    @property
-    def evaluator(self):
-        return self.state
+def states_of(family, xs) -> np.ndarray:
+    """Rows of family.states(xs), or of per-point family.state calls for
+    objects that expose only .state."""
+    if hasattr(family, "states"):
+        return family.states(xs)
+    return np.array([family.state(x) for x in np.asarray(xs, dtype=float)])
 
 
 def family_for_case(
@@ -167,10 +159,9 @@ def family_for_case(
 
     Raises CaseMismatchError if `case` does not match classify(eta).
     """
-    if classify(eta) != case:
-        raise CaseMismatchError(
-            f"eta classifies as {classify(eta)}, not {case}"
-        )
+    found = classify(eta)
+    if found != case:
+        raise CaseMismatchError(f"eta classifies as {found}, not {case}")
     return StateFamily(case, eta, case.chart, beta, dict(frozen or {}))
 
 
@@ -241,28 +232,24 @@ def check_periodicity(
     if f.beta != 0.0:
         raise ValueError("periodicity conditions are defined for beta = 0")
     rng = rng or np.random.default_rng(20240617)
+    # base phi in [-1.4, 1.4], every other coordinate in [-3, 3]
+    lo = np.array([-1.4 if name == "phi" else -3.0 for name in f.chart])
     checks = []
     for shift, phase in PERIODICITY_SHIFTS[f.case.label]:
-        fidelities = []
-        phase_errors = []
-        for _ in range(n_points):
-            xi = np.empty(f.dim)
-            for i, name in enumerate(f.chart):
-                if name == "phi":
-                    xi[i] = rng.uniform(-1.4, 1.4)
-                else:
-                    xi[i] = rng.uniform(-3.0, 3.0)
-            xi_shift = xi.copy()
-            for name, inc in shift.items():
-                xi_shift[f.chart.index(name)] += inc
-            # <psi(xi)|psi(xi+P)> equals the quoted phase when
-            # psi(xi+P) = phase * psi(xi)
-            overlap = np.vdot(f.state(xi), f.state(xi_shift))
-            fidelities.append(abs(overlap))
-            phase_errors.append(abs(overlap - phase))
+        xs = rng.uniform(lo, -lo, size=(n_points, f.dim))
+        xs_shift = xs.copy()
+        for name, inc in shift.items():
+            xs_shift[:, f.chart.index(name)] += inc
+        psi = f.states(np.concatenate([xs, xs_shift]))
+        # <psi(xi)|psi(xi+P)> equals the quoted phase when
+        # psi(xi+P) = phase * psi(xi)
+        overlaps = np.sum(psi[:n_points].conj() * psi[n_points:], axis=1)
         checks.append(
             PeriodicityCheck(
-                shift, phase, float(min(fidelities)), float(max(phase_errors))
+                shift,
+                phase,
+                float(np.min(np.abs(overlaps))),
+                float(np.max(np.abs(overlaps - phase))),
             )
         )
     return PeriodicityReport(f.case.label, tuple(checks))

@@ -5,7 +5,7 @@ The numeric route computes
 
     g_mn = gamma^2 Re( <d_m psi|d_n psi> - <d_m psi|psi><psi|d_n psi> )
 
-from 4th-order central differences of the family evaluator and is the
+from 4th-order central differences of the family states and is the
 gauge-invariant ground truth.  Closed forms are transcribed from the
 reference catalog as printed; where a printed form disagrees with the
 numeric route the disagreement is surfaced by the comparison utilities,
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ChartSingularityError, SingularTransformError
 from .hamiltonian import branch_sign
 from .model import CaseClass, InitialCoefficients
-from .families import StateFamily
+from .families import StateFamily, states_of
 
 DEFAULT_METRIC_STEP = 1e-5
 
@@ -52,24 +52,23 @@ class MetricTensor:
 
 
 def _state_derivatives(family, xi, h):
-    """State and its 4th-order central-difference partials along the chart."""
+    """State and its 4th-order central-difference partials along the chart,
+    from one batch of the 4*dim + 1 stencil points."""
     xi = np.asarray(xi, dtype=float)
     dim = xi.size
-    psi = family.state(xi)
-    dpsi = np.empty((dim, psi.size), dtype=complex)
-    for mu in range(dim):
-        step = np.zeros(dim)
-        step[mu] = h
-        fp1 = family.state(xi + step)
-        fm1 = family.state(xi - step)
-        fp2 = family.state(xi + 2 * step)
-        fm2 = family.state(xi - 2 * step)
-        dpsi[mu] = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-        if not np.all(np.isfinite(dpsi[mu])):
-            name = family.chart[mu] if hasattr(family, "chart") else str(mu)
-            raise ChartSingularityError(
-                f"non-finite derivative along coordinate {name!r} at xi={xi}"
-            )
+    # rows: xi, then xi + s h e_mu for s = 1, -1, 2, -2 and every mu
+    steps = np.multiply.outer((1.0, -1.0, 2.0, -2.0), h * np.eye(dim)).reshape(-1, dim)
+    psi_all = states_of(family, np.concatenate([xi[None], xi + steps]))
+    psi = psi_all[0]
+    fp1, fm1, fp2, fm2 = psi_all[1:].reshape(4, dim, -1)
+    dpsi = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+    bad = ~np.all(np.isfinite(dpsi), axis=1)
+    if bad.any():
+        mu = int(np.argmax(bad))
+        name = family.chart[mu] if hasattr(family, "chart") else str(mu)
+        raise ChartSingularityError(
+            f"non-finite derivative along coordinate {name!r} at xi={xi}"
+        )
     return psi, dpsi
 
 
@@ -80,7 +79,8 @@ def numeric_fs_metric(
     h: float = DEFAULT_METRIC_STEP,
     degeneracy_tol: float = 1e-12,
 ) -> MetricTensor:
-    """Fubini-Study metric of any object exposing .state(xi) and .chart."""
+    """Fubini-Study metric of any object exposing .states(xs) or .state(xi),
+    and .chart."""
     if not (1e-7 <= h <= 1e-3):
         raise ValueError("finite-difference step h must lie in [1e-7, 1e-3]")
     psi, dpsi = _state_derivatives(family, xi, h)
@@ -355,8 +355,11 @@ class _MappedFamily:
     chart: tuple[str, ...]
     mapping: object  # callable xi' -> xi of the base chart
 
+    def states(self, xs):
+        return states_of(self.base, [self.mapping(x) for x in np.asarray(xs, dtype=float)])
+
     def state(self, xi):
-        return self.base.state(self.mapping(np.asarray(xi, dtype=float)))
+        return self.states(np.asarray(xi, dtype=float)[None])[0]
 
 
 def sliced_family(f: StateFamily, fixed: dict) -> _MappedFamily:
@@ -387,8 +390,13 @@ class _PhaseTwistedFamily:
     def chart(self):
         return self.base.chart
 
+    def states(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        lam = np.array([self.lam(x) for x in xs])
+        return np.exp(1j * lam)[:, None] * states_of(self.base, xs)
+
     def state(self, xi):
-        return np.exp(1j * self.lam(np.asarray(xi, dtype=float))) * self.base.state(xi)
+        return self.states(np.asarray(xi, dtype=float)[None])[0]
 
 
 def phase_twisted(family, lam) -> _PhaseTwistedFamily:
@@ -396,7 +404,7 @@ def phase_twisted(family, lam) -> _PhaseTwistedFamily:
 
 
 def constrained_two_param_family(
-    alpha: float, eta: InitialCoefficients, frozen_omega_unused=None
+    alpha: float, eta: InitialCoefficients
 ) -> _MappedFamily:
     """The (omega, c_plus) family with phi = pi/2 and c3 = alpha c_plus/2."""
     f = StateFamily(CaseClass("C7"), eta, ("omega", "phi", "c3", "c_plus"))

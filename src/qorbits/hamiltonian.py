@@ -24,6 +24,9 @@ ID2 = np.eye(2, dtype=complex)
 PSI3 = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
 PSI4 = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 
+_BELL_ROWS = np.array([PSI3, PSI4])
+_INV_SQRT2 = 1.0 / math.sqrt(2)
+
 HERMITICITY_TOL = 1e-14
 
 # Default resonance threshold on the perturbation denominators 2c3 +- omega - c_plus
@@ -58,26 +61,45 @@ class Spectrum:
         )
 
 
-def branch_sign(phi: float) -> float:
-    # +1 on the closed principal branch cos(phi) >= 0; a tiny band below 0
-    # is snapped to +1 so that float pi/2-multiples land on the declared
-    # branch rather than on rounding noise of cos.
-    return 1.0 if math.cos(phi) >= -1e-12 else -1.0
+# cos(phi) values down to this are snapped onto the principal branch, so that
+# float pi/2-multiples land on the declared branch rather than on rounding
+# noise of cos.
+BRANCH_SNAP = -1e-12
 
 
-def eigvec_pair(phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors psi1, psi2 living in span(|uu>, |dd>).
+def branch_sign(phi):
+    """+1 on the closed principal branch cos(phi) >= 0, -1 elsewhere; phi may
+    be a float or an array."""
+    return 1.0 - 2.0 * (np.cos(phi) < BRANCH_SNAP)
 
-    Evaluated in the form  psi1 = (s*sqrt(1+sin phi), 0, 0, sqrt(1-sin phi))/sqrt(2)
-    with s = sign(cos phi), which equals the cos(phi)/sqrt(1 -+ sin phi)
+
+def eigenbases(phi) -> np.ndarray:
+    """Eigenvector rows psi1..psi4 at each of an (N,) array of angles, shape
+    (N, 4, 4).
+
+    psi1, psi2 live in span(|uu>, |dd>) and are evaluated in the form
+    psi1 = (s*sqrt(1+sin phi), 0, 0, sqrt(1-sin phi))/sqrt(2) with
+    s = sign(cos phi), which equals the cos(phi)/sqrt(1 -+ sin phi)
     representation wherever the latter is defined and stays finite at the
     pure-field limit |sin phi| -> 1.
     """
-    s = branch_sign(phi)
-    sp = math.sqrt(max(0.0, 1.0 + math.sin(phi)))
-    sm = math.sqrt(max(0.0, 1.0 - math.sin(phi)))
-    psi1 = np.array([s * sp, 0, 0, sm], dtype=complex) / math.sqrt(2)
-    psi2 = np.array([s * sm, 0, 0, -sp], dtype=complex) / math.sqrt(2)
+    phi = np.asarray(phi, dtype=float)
+    sin = np.sin(phi)
+    s = branch_sign(phi) * _INV_SQRT2
+    sp = np.sqrt(1.0 + sin)
+    sm = np.sqrt(1.0 - sin)
+    bases = np.zeros(phi.shape + (4, 4), dtype=complex)
+    bases[..., 0, 0] = s * sp
+    bases[..., 0, 3] = sm * _INV_SQRT2
+    bases[..., 1, 0] = s * sm
+    bases[..., 1, 3] = sp * -_INV_SQRT2
+    bases[..., 2:, :] = _BELL_ROWS
+    return bases
+
+
+def eigvec_pair(phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors psi1, psi2 living in span(|uu>, |dd>); see eigenbases."""
+    psi1, psi2 = eigenbases(np.array([phi]))[0, :2]
     return psi1, psi2
 
 
@@ -196,30 +218,50 @@ def perturbation_denominators(omega: float, c3: float, c_plus: float):
     return 2.0 * c3 + omega - c_plus, 2.0 * c3 - omega - c_plus
 
 
+def first_order_bases(
+    omega, phi, c3, c_plus, beta: float, rho: float = RESONANCE_THRESHOLD
+) -> np.ndarray:
+    """Eigenvector rows psi1..psi4 at chart points given as (N,) arrays,
+    shape (N, 4, 4), corrected to first order in the x-field
+    beta(s1 x 1 + 1 x s1).
+
+    The perturbation couples psi1, psi2 to psi3 only; psi4 is annihilated by
+    it and stays exact.  Each corrected row is normalized.  Raises
+    ResonanceError if any point has a denominator 2c3 +- omega - c_plus
+    within rho.
+    """
+    bases = eigenbases(phi)
+    if beta == 0.0:
+        return bases
+    den1, den2 = perturbation_denominators(omega, c3, c_plus)
+    near = np.minimum(np.abs(den1), np.abs(den2))
+    if np.any(near < rho):
+        k = int(np.argmin(near))
+        raise ResonanceError(
+            f"perturbation-theory breakdown: denominators ({den1[k]:.3e}, "
+            f"{den2[k]:.3e}) below threshold {rho:.1e}"
+        )
+    psi1, psi2 = bases[..., 0, :].copy(), bases[..., 1, :].copy()
+    # <psi3|V|psi_l> = sqrt(2) (a_l + d_l) for the x-field perturbation V
+    k1 = (math.sqrt(2) * (psi1[..., 0] + psi1[..., 3]).real / den1)[..., None]
+    k2 = (math.sqrt(2) * (psi2[..., 0] + psi2[..., 3]).real / den2)[..., None]
+    bases[..., 0, :] = psi1 + beta * k1 * PSI3
+    bases[..., 1, :] = psi2 + beta * k2 * PSI3
+    bases[..., 2, :] = PSI3 - beta * (k1 * psi1 + k2 * psi2)
+    bases /= np.linalg.norm(bases, axis=-1, keepdims=True)
+    return bases
+
+
 def perturbed_eigenstates(
     p: HamiltonianParams, beta: float, rho: float = RESONANCE_THRESHOLD
 ) -> Spectrum:
-    """First-order eigenvectors of H + beta(s1 x 1 + 1 x s1), energies unchanged.
-
-    The perturbation couples psi1, psi2 to psi3 only; psi4 is annihilated by
-    it and stays exact.  Each corrected vector is normalized before return.
-    """
+    """First-order eigenvectors of H + beta(s1 x 1 + 1 x s1), energies unchanged."""
     spec = analytic_spectrum(p)
-    d = derive_params(p)
     if beta == 0.0:
         return spec
-    den1, den2 = perturbation_denominators(d.omega, p.c3, d.c_plus)
-    if abs(den1) < rho or abs(den2) < rho:
-        raise ResonanceError(
-            f"perturbation-theory breakdown: denominators ({den1:.3e}, {den2:.3e}) "
-            f"below threshold {rho:.1e}"
-        )
-    psi1, psi2 = spec.states[0], spec.states[1]
-    # <psi3|V|psi_l> = sqrt(2) (a_l + d_l) for the x-field perturbation V
-    m13 = math.sqrt(2) * float((psi1[0] + psi1[3]).real)
-    m23 = math.sqrt(2) * float((psi2[0] + psi2[3]).real)
-    v1 = psi1 + beta * (m13 / den1) * PSI3
-    v2 = psi2 + beta * (m23 / den2) * PSI3
-    v3 = PSI3 - beta * ((m13 / den1) * psi1 + (m23 / den2) * psi2)
-    states = np.array([v / np.linalg.norm(v) for v in (v1, v2, v3, PSI4)])
+    d = derive_params(p)
+    states = first_order_bases(
+        np.array([d.omega]), np.array([d.phi]), np.array([p.c3]),
+        np.array([d.c_plus]), beta, rho,
+    )[0]
     return Spectrum(spec.energies.copy(), states)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CaseMismatchError,
     ClassificationToleranceError,
     StationaryStateError,
 )
@@ -230,10 +229,3 @@ def classify(eta: InitialCoefficients, tol: float = 1e-12) -> CaseClass:
     if len(nz12) == 2 and len(nz34) == 2:
         return CaseClass("C7")
     raise StationaryStateError("all coefficients vanish below tol")
-
-
-def require_case(case: CaseClass, eta: InitialCoefficients, tol: float = 1e-12):
-    """Raise CaseMismatchError unless classify(eta) reproduces `case`."""
-    found = classify(eta, tol)
-    if found != case:
-        raise CaseMismatchError(f"eta classifies as {found}, not {case}")

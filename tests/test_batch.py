@@ -1,0 +1,119 @@
+"""Edges of the batched state path: StateFamily.states, the stacked
+eigenbasis and the batched concurrence."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qorbits.entanglement import concurrence, concurrences
+from qorbits.errors import ResonanceError
+from qorbits.families import BLOCK_ROWS, evolved_state, family_for_case
+from qorbits.hamiltonian import BRANCH_SNAP, branch_sign
+from qorbits.model import InitialCoefficients, classify
+
+from conftest import random_eta
+
+CASES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
+
+
+def family(rng, pattern, beta=0.0):
+    eta = random_eta(rng, pattern)
+    return family_for_case(classify(eta), eta, beta=beta)
+
+
+def test_branch_rows_match_branch_sign():
+    # cos(phi) = 0 and its snap band: every row takes branch_sign's branch,
+    # including the first angle past the snap, which takes the other one
+    phis = [
+        math.pi / 2,
+        -math.pi / 2,
+        -math.pi / 2 + 1e-13,
+        -math.pi / 2 - 1e-13,
+        math.pi,
+        math.pi / 2 - 0.5 * BRANCH_SNAP,
+        math.pi / 2 - 2 * BRANCH_SNAP,
+    ]
+    signs = branch_sign(np.array(phis))
+    assert signs.tolist() == [1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -1.0]
+    assert [branch_sign(p) for p in phis] == signs.tolist()
+    eta = InitialCoefficients(1, 0, 0, 0)
+    states = family_for_case(classify(eta), eta).states(np.array(phis)[:, None])
+    for phi, s, psi in zip(phis, signs, states):
+        sp = math.sqrt(max(0.0, 1 + math.sin(phi)))
+        sm = math.sqrt(max(0.0, 1 - math.sin(phi)))
+        want = np.array([s * sp, 0, 0, sm]) / math.sqrt(2)
+        assert np.max(np.abs(psi - want)) < 1e-15, phi
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_row_permutation_is_bitwise(rng, beta):
+    f = family(rng, "C7", beta)
+    xs = rng.uniform(-2, 2, size=(2 * BLOCK_ROWS + 37, 4))
+    xs[:, 0] = rng.uniform(0.4, 1.6, size=len(xs))
+    perm = rng.permutation(len(xs))
+    # the permutation moves rows between blocks
+    assert np.any(perm[:BLOCK_ROWS] >= BLOCK_ROWS)
+    assert np.array_equal(f.states(xs[perm]), f.states(xs)[perm])
+
+
+def test_unnormalized_row_raises():
+    states = np.tile([0.5, 0.5, 0.5, 0.5], (8, 1)).astype(complex)
+    assert np.allclose(concurrences(states), 0.0)
+    states[5] *= 1 + 1e-6
+    with pytest.raises(ValueError, match="not normalized"):
+        concurrences(states)
+    with pytest.raises(ValueError, match="not normalized"):
+        concurrence(states[5])
+
+
+def test_resonant_row_raises(rng):
+    f = family(rng, "C7", beta=1e-3)
+    xs = np.array([[0.9, 0.3, 0.2 * k, 0.1] for k in range(6)])
+    f.states(xs)
+    omega, c3 = 0.9, 0.4
+    xs[3] = [omega, 0.3, c3, 2 * c3 + omega]  # 2c3 + omega - c_plus = 0
+    with pytest.raises(ResonanceError):
+        f.states(xs)
+
+
+def test_c7_rows_equal_evolved_state_bitwise(rng):
+    eta = random_eta(rng, "C7")
+    f = family_for_case(classify(eta), eta)
+    xs = rng.uniform(-3, 3, size=(BLOCK_ROWS + 5, 4))
+    rows = f.states(xs)
+    for k in range(0, len(xs), 7):
+        assert np.array_equal(rows[k], evolved_state(eta, xs[k]))
+
+
+def test_states_rejects_bad_shape(rng):
+    f = family(rng, "C5")
+    with pytest.raises(ValueError):
+        f.states(np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        f.states(np.zeros(3))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(CASES),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    beta=st.sampled_from([0.0, 1e-3]),
+)
+def test_batch_properties(case, seed, n, beta):
+    rng = np.random.default_rng(seed)
+    eta = random_eta(rng, case)
+    f = family_for_case(classify(eta), eta, beta=beta)
+    xs = rng.uniform(-3, 3, size=(n, f.dim))
+    try:
+        rows = f.states(xs)
+    except ResonanceError:
+        return
+    assert np.all(np.abs(np.linalg.norm(rows, axis=1) - 1) < 1e-12)
+    c = concurrences(rows)
+    assert np.all((c >= 0) & (c <= 1 + 1e-12))
+    k = int(rng.integers(n))
+    assert np.array_equal(f.state(xs[k]), rows[k])

@@ -151,6 +151,11 @@ def test_verify_all_soft_flags_only(capsys):
     assert any("perturbed-metric-c3-c_plus" in n for n in flagged)
 
 
+def test_verify_all_seed_68_passes(tmp_path):
+    # this seed draws a perturbation-audit point 0.0125 from a resonance
+    assert main(["verify", "--suite", "all", "--seed", "68", "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_deterministic_output(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--suite", "metric", "--seed", "7", "--out", str(p1)]) == 0

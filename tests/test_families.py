@@ -155,3 +155,15 @@ def test_reduced_family_uses_frozen_references():
     f2 = family_for_case(case, eta, beta=1e-2, frozen={"c3": 0.8, "omega": 0.9})
     xi = np.array([0.4])
     assert np.max(np.abs(f1.state(xi) - f2.state(xi))) > 1e-5
+
+
+def test_perturbed_family_continuous_at_negative_omega():
+    # the first-order basis attaches each correction to the eigenvector whose
+    # phase it multiplies for either sign of the chart omega, so the
+    # perturbed family tends to the unperturbed one as beta -> 0
+    eta = InitialCoefficients.normalized(0.6, 0.3 + 0.2j, 0.5, 0.4j)
+    f0 = family_for_case(classify(eta), eta)
+    fb = family_for_case(classify(eta), eta, beta=1e-7)
+    for omega in (-0.7, 0.7):
+        xi = np.array([omega, 0.3, 0.2, 0.4])
+        assert np.max(np.abs(f0.state(xi) - fb.state(xi))) < 1e-6, omega

@@ -9,9 +9,9 @@ from qorbits.model import (
     InitialCoefficients,
     classify,
     derive_params,
-    require_case,
 )
 from qorbits.errors import CaseMismatchError
+from qorbits.families import family_for_case
 
 from conftest import random_eta
 
@@ -135,4 +135,4 @@ def test_classify_total_on_random_patterns(rng):
 def test_require_case_mismatch():
     eta = InitialCoefficients.normalized(1, 0, 0, 0)
     with pytest.raises(CaseMismatchError):
-        require_case(CaseClass("C3"), eta)
+        family_for_case(CaseClass("C3"), eta)

@@ -13,7 +13,6 @@ from qorbits.perturbation import (
     numeric_beta_derivative,
     perturbation_aux,
     perturbed_metric_analytic,
-    perturbed_metric_numeric,
 )
 
 from conftest import random_eta
@@ -141,8 +140,25 @@ def test_numeric_perturbed_metric_beta_zero(rng):
     f0 = family_for_case(classify(eta), eta, beta=0.0)
     xi = resonance_free_point(rng)
     g0 = numeric_fs_metric(f0, xi).entries
-    g0b = perturbed_metric_numeric(f0, xi).entries
+    g0b = numeric_fs_metric(StateFamily(CaseClass("C7"), eta, CHART, 0.0), xi).entries
     assert np.max(np.abs(g0 - g0b)) < 1e-10
+
+
+def test_beta_derivative_near_resonance():
+    # 2c3 - omega - c_plus = -0.0125 (the point that made `verify --suite all
+    # --seed 68` hard-fail): a plain central difference in beta is off the
+    # correct closed-form g_omega,omega by 0.17%, Richardson by 1e-8
+    eta = InitialCoefficients(
+        -0.19921656723445336 - 0.04498278202091074j,
+        0.6603840077896056 + 0.33283768447991124j,
+        0.05756827823717798 - 0.45445766680076827j,
+        0.3036429343026948 - 0.3306908489535613j,
+    )
+    xi = np.array([0.4593013011353539, 0.45023762966413217, 0.730963418557312, 1.0151208814081656])
+    numeric = numeric_beta_derivative(eta, xi)
+    closed = metric_correction_closed_form(eta, xi)
+    for a, b in ((0, 0), (0, 2), (2, 2)):
+        assert abs(numeric[a, b] - closed[a, b]) < 1e-6 * abs(closed[a, b]), (a, b)
 
 
 def test_linearity_in_beta(rng):
