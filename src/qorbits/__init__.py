@@ -36,6 +36,7 @@ from .fubini_study import (
     analytic_metric_case,
     diagonalize_metric,
     numeric_fs_metric,
+    numeric_fs_metrics,
     pushforward_c7,
     two_param_metric,
 )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,12 +32,14 @@ class MetricField:
 
     evaluator maps a coordinate vector to a (dim, dim) array; domain, when
     given, is a per-coordinate (lo, hi) box inside which finite differences
-    are trusted.
+    are trusted; batch_evaluator, when given, maps an (N, dim) batch of
+    coordinate vectors to an (N, dim, dim) array in one call.
     """
 
     dim: int
     evaluator: object
     domain: tuple[tuple[float, float], ...] | None = None
+    batch_evaluator: object = None
 
     def __call__(self, xi) -> np.ndarray:
         g = self.evaluator(np.asarray(xi, dtype=float))
@@ -45,16 +48,27 @@ class MetricField:
             raise ValueError(f"evaluator returned shape {g.shape}")
         return g
 
+    def metrics(self, xs) -> np.ndarray:
+        """Metrics at the N rows of xs, shape (N, dim, dim): one call of
+        batch_evaluator, or one evaluator call per row without it."""
+        xs = np.asarray(xs, dtype=float)
+        if self.batch_evaluator is None:
+            return np.array([self(x) for x in xs]).reshape(len(xs), self.dim, self.dim)
+        g = np.asarray(self.batch_evaluator(xs), dtype=float)
+        if g.shape != (len(xs), self.dim, self.dim):
+            raise ValueError(f"batch evaluator returned shape {g.shape}")
+        return g
+
     @classmethod
     def from_family(cls, family, gamma: float = 1.0, h: float = 1e-5,
                     domain=None) -> "MetricField":
-        from .fubini_study import numeric_fs_metric
+        from .fubini_study import numeric_fs_metric, numeric_fs_metrics
 
-        dim = len(family.chart)
         return cls(
-            dim,
+            len(family.chart),
             lambda xi: numeric_fs_metric(family, xi, gamma=gamma, h=h).entries,
             domain,
+            lambda xs: numeric_fs_metrics(family, xs, gamma=gamma, h=h),
         )
 
     def check_interior(self, xi, margin: float):
@@ -79,41 +93,66 @@ class CurvatureReport:
     note: str = ""
 
 
-def _metric_partials(mf: MetricField, xi, h: float) -> np.ndarray:
-    dim = mf.dim
-    dg = np.empty((dim, dim, dim))
-    for mu in range(dim):
-        step = np.zeros(dim)
-        step[mu] = h
-        dg[mu] = (mf(xi + step) - mf(xi - step)) / (2.0 * h)
-    return dg
-
-
-def christoffel_at(mf: MetricField, xi, h: float) -> np.ndarray:
-    """Gamma^r_{mn} = 1/2 g^{rl} (d_m g_{ln} + d_n g_{lm} - d_l g_{mn})."""
-    g = mf(xi)
+def _condition_number(g, points) -> float:
+    """Condition number of g[0]; raises SingularMetricError at the first of
+    the stacked metrics g with an eigenvalue below SINGULARITY_TOL in
+    magnitude."""
     evals = np.linalg.eigvalsh(g)
-    if np.min(np.abs(evals)) < SINGULARITY_TOL:
+    singular = np.min(np.abs(evals), axis=1) < SINGULARITY_TOL
+    if singular.any():
+        k = int(np.argmax(singular))
         raise SingularMetricError(
-            f"metric singular at {np.asarray(xi)}: eigenvalues {evals}"
+            f"metric singular at {points[k]}: eigenvalues {evals[k]}"
         )
-    ginv = np.linalg.inv(g)
-    dg = _metric_partials(mf, xi, h)
-    t1 = np.einsum("rl,mln->rmn", ginv, dg)
-    t3 = np.einsum("rl,lmn->rmn", ginv, dg)
-    return 0.5 * (t1 + t1.transpose(0, 2, 1) - t3)
+    return float(np.max(np.abs(evals[0])) / np.min(np.abs(evals[0])))
 
 
-def _curvature_tensors(mf: MetricField, xi, h: float):
-    dim = mf.dim
-    gamma = christoffel_at(mf, xi, h)
-    dgamma = np.empty((dim, dim, dim, dim))
-    for mu in range(dim):
-        step = np.zeros(dim)
-        step[mu] = h
-        dgamma[mu] = (
-            christoffel_at(mf, xi + step, h) - christoffel_at(mf, xi - step, h)
-        ) / (2.0 * h)
+@lru_cache(maxsize=None)
+def _curvature_stencil(dim: int, richardson: bool):
+    """The distinct metric points of the curvature stencil and where each
+    step reads them.
+
+    A step of k half-units (k = 1 is h/2, k = 2 is h) forms Christoffel
+    symbols at the 2 dim + 1 centres 0, +k e_mu, -k e_mu, and reads the
+    metrics at centre c at c, c + k e_nu, c - k e_nu, in that order.  One
+    step has 2 dim^2 + 2 dim + 1 distinct points, steps 1 and 2 together
+    4 dim^2 + 2 dim + 1.
+
+    Returns ks, the steps (1 then 2 with Richardson, else 2); each distinct
+    point as a centre plus a step from it, both integer offsets in units of
+    h/2; and rows, for each k, the (2 dim + 1, 2 dim + 1) indices of the
+    metrics read.  A point both steps read takes the h/2 step's centre and
+    step, so it is evaluated at the same float as when each step had its own
+    stencil: the rounding noise of a finite-difference metric at the h/2
+    step dominates the result, and moving its points by an ulp moves a
+    curvature by up to 1e-4 relative.
+    """
+    unit = np.concatenate([np.zeros((1, dim), int), np.eye(dim, dtype=int),
+                           -np.eye(dim, dtype=int)])
+    n = 2 * dim + 1
+    ks = (1, 2) if richardson else (2,)
+    centre = np.concatenate([np.repeat(k * unit, n, axis=0) for k in ks])
+    step = np.concatenate([np.tile(k * unit, (n, 1)) for k in ks])
+    _, first, rows = np.unique(centre + step, axis=0, return_index=True,
+                               return_inverse=True)
+    return ks, centre[first], step[first], rows.reshape(len(ks), n, n)
+
+
+def _stencil_tensors(g_all, rows, ginv, step):
+    """Christoffel, Riemann, Ricci and scalar from the metrics g_all read
+    through rows (see _curvature_stencil) with central differences of the
+    given step; ginv is the inverse metric at the point."""
+    dim = g_all.shape[1]
+    gc = g_all[rows]  # (centre, neighbour, dim, dim)
+    # dg[c, m, l, n] = d_m g_{ln} at centre c
+    dg = (gc[:, 1:dim + 1] - gc[:, dim + 1:]) / (2.0 * step)
+    ginv_c = np.linalg.inv(gc[:, 0])
+    # Gamma^r_{mn} = 1/2 g^{rl} (d_m g_{ln} + d_n g_{lm} - d_l g_{mn})
+    t1 = np.einsum("crl,cmln->crmn", ginv_c, dg)
+    t3 = np.einsum("crl,clmn->crmn", ginv_c, dg)
+    christoffel = 0.5 * (t1 + t1.transpose(0, 1, 3, 2) - t3)
+    gamma = christoffel[0]
+    dgamma = (christoffel[1:dim + 1] - christoffel[dim + 1:]) / (2.0 * step)
     # R^r_{smn}
     riemann = (
         np.einsum("mrns->rsmn", dgamma)
@@ -122,8 +161,6 @@ def _curvature_tensors(mf: MetricField, xi, h: float):
         - np.einsum("rnl,lms->rsmn", gamma, gamma)
     )
     ricci = np.einsum("rsrn->sn", riemann)
-    g = mf(xi)
-    ginv = np.linalg.inv(g)
     scalar = float(np.einsum("sn,sn->", ginv, ricci))
     return gamma, riemann, ricci, scalar
 
@@ -136,27 +173,33 @@ def curvature_at(
 ) -> CurvatureReport:
     """Curvature tensors at a point by nested central differences.
 
-    With richardson=True the h and h/2 evaluations are combined as
-    (4 T(h/2) - T(h))/3, removing the leading O(h^2) error.
+    Every distinct metric of the stencil is evaluated once, in one
+    mf.metrics call.  With richardson=True the h and h/2 evaluations are
+    combined as (4 T(h/2) - T(h))/3, removing the leading O(h^2) error.
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"curvature step h must be finite and positive, got {h}")
     xi = np.asarray(xi, dtype=float)
     mf.check_interior(xi, 2.0 * h)
-    g = mf(xi)
-    evals = np.linalg.eigvalsh(g)
-    if np.min(np.abs(evals)) < SINGULARITY_TOL:
-        raise SingularMetricError(
-            f"metric singular at {xi}: eigenvalues {evals}"
-        )
-    cond = float(np.max(np.abs(evals)) / np.min(np.abs(evals)))
     if mf.dim == 1:
+        cond = _condition_number(mf.metrics(xi[None]), xi[None])
         z = np.zeros((1,) * 4)
         return CurvatureReport(
             xi, np.zeros((1, 1, 1)), z, np.zeros((1, 1)), 0.0, h, cond,
             note="dim-1 manifolds are intrinsically flat",
         )
-    gam, rie, ric, sca = _curvature_tensors(mf, xi, h)
+    ks, centre, step, rows = _curvature_stencil(mf.dim, richardson)
+    points = (xi + centre * (0.5 * h)) + step * (0.5 * h)
+    g_all = mf.metrics(points)
+    # every Christoffel centre, the point itself first
+    centres = rows[:, :, 0].ravel()
+    cond = _condition_number(g_all[centres], points[centres])
+    ginv = np.linalg.inv(g_all[centres[0]])
+    # T(h) is the last step's; with Richardson the first is T(h/2)
+    tensors = [_stencil_tensors(g_all, r, ginv, k * (0.5 * h)) for k, r in zip(ks, rows)]
+    gam, rie, ric, sca = tensors[-1]
     if richardson:
-        gam2, rie2, ric2, sca2 = _curvature_tensors(mf, xi, h / 2.0)
+        gam2, rie2, ric2, sca2 = tensors[0]
         gam = (4.0 * gam2 - gam) / 3.0
         rie = (4.0 * rie2 - rie) / 3.0
         ric = (4.0 * ric2 - ric) / 3.0

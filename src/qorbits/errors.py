@@ -39,3 +39,7 @@ class SingularTransformError(QOrbitsError):
 
 class FormulaDomainError(QOrbitsError):
     """A closed-form expression is evaluated at a pole of one of its factors."""
+
+
+class NoAdmissiblePointsError(QOrbitsError):
+    """Every sample point of an audit was skipped by its admissibility rules."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,25 +52,55 @@ class MetricTensor:
         return self
 
 
-def _state_derivatives(family, xi, h):
-    """State and its 4th-order central-difference partials along the chart,
-    from one batch of the 4*dim + 1 stencil points."""
-    xi = np.asarray(xi, dtype=float)
-    dim = xi.size
-    # rows: xi, then xi + s h e_mu for s = 1, -1, 2, -2 and every mu
-    steps = np.multiply.outer((1.0, -1.0, 2.0, -2.0), h * np.eye(dim)).reshape(-1, dim)
-    psi_all = states_of(family, np.concatenate([xi[None], xi + steps]))
-    psi = psi_all[0]
-    fp1, fm1, fp2, fm2 = psi_all[1:].reshape(4, dim, -1)
+@lru_cache(maxsize=None)
+def _stencil_offsets(dim: int) -> np.ndarray:
+    """Offsets of the 4*dim + 1 metric stencil points in units of h: 0, then
+    s e_mu for s = 1, -1, 2, -2 and every mu."""
+    steps = np.multiply.outer((1.0, -1.0, 2.0, -2.0), np.eye(dim)).reshape(-1, dim)
+    return np.concatenate([np.zeros((1, dim)), steps])
+
+
+_lower_triangle = lru_cache(maxsize=None)(np.tril_indices)
+
+
+def _state_derivatives(family, xs, h):
+    """States at the rows of xs and their 4th-order central-difference
+    partials along the chart, from one batch of all N*(4*dim + 1) stencil
+    points: psi has shape (N, 4), dpsi (N, dim, 4)."""
+    n, dim = xs.shape
+    pts = (xs[:, None] + h * _stencil_offsets(dim)).reshape(-1, dim)
+    psi_all = states_of(family, pts).reshape(n, 1 + 4 * dim, -1)
+    fp1, fm1, fp2, fm2 = (psi_all[:, 1 + k * dim:1 + (k + 1) * dim] for k in range(4))
     dpsi = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-    bad = ~np.all(np.isfinite(dpsi), axis=1)
+    bad = ~np.all(np.isfinite(dpsi), axis=2)
     if bad.any():
-        mu = int(np.argmax(bad))
+        row, mu = np.unravel_index(int(np.argmax(bad)), bad.shape)
         name = family.chart[mu] if hasattr(family, "chart") else str(mu)
         raise ChartSingularityError(
-            f"non-finite derivative along coordinate {name!r} at xi={xi}"
+            f"non-finite derivative along coordinate {name!r} at xi={xs[row]}"
         )
-    return psi, dpsi
+    return psi_all[:, 0], dpsi
+
+
+def numeric_fs_metrics(
+    family, xs, gamma: float = 1.0, h: float = DEFAULT_METRIC_STEP
+) -> np.ndarray:
+    """Fubini-Study metrics, shape (N, dim, dim), at the N rows of xs, from
+    one evaluation of every stencil state.  family is any object exposing
+    .states(xs) or .state(xi), and .chart."""
+    if not (1e-7 <= h <= 1e-3):
+        raise ValueError("finite-difference step h must lie in [1e-7, 1e-3]")
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2:
+        raise ValueError(f"points must have shape (N, dim), got {xs.shape}")
+    psi, dpsi = _state_derivatives(family, xs, h)
+    overlaps = dpsi @ psi[:, :, None].conj()  # <d_m psi|psi>^*, shape (N, dim, 1)
+    qgt = dpsi.conj() @ dpsi.transpose(0, 2, 1) - overlaps.conj() * overlaps.transpose(0, 2, 1)
+    g = gamma * gamma * qgt.real
+    # the upper triangle is mirrored, so every metric is exactly symmetric
+    lower = _lower_triangle(xs.shape[1], -1)
+    g[:, lower[0], lower[1]] = g[:, lower[1], lower[0]]
+    return g
 
 
 def numeric_fs_metric(
@@ -79,18 +110,10 @@ def numeric_fs_metric(
     h: float = DEFAULT_METRIC_STEP,
     degeneracy_tol: float = 1e-12,
 ) -> MetricTensor:
-    """Fubini-Study metric of any object exposing .states(xs) or .state(xi),
-    and .chart."""
-    if not (1e-7 <= h <= 1e-3):
-        raise ValueError("finite-difference step h must lie in [1e-7, 1e-3]")
-    psi, dpsi = _state_derivatives(family, xi, h)
-    dim = dpsi.shape[0]
-    overlaps = dpsi @ psi.conj()  # <d_m psi|psi> conjugated below
-    g = np.empty((dim, dim))
-    for m in range(dim):
-        for n in range(m, dim):
-            val = np.vdot(dpsi[m], dpsi[n]) - overlaps[m].conj() * overlaps[n]
-            g[m, n] = g[n, m] = gamma * gamma * val.real
+    """Fubini-Study metric at one point: the one-row case of
+    numeric_fs_metrics, with the coordinate names and degenerate axes."""
+    g = numeric_fs_metrics(family, np.asarray(xi, dtype=float)[None], gamma, h)[0]
+    dim = g.shape[0]
     chart = tuple(getattr(family, "chart", ()) or (f"x{i}" for i in range(dim)))
     scale = max(np.max(np.abs(g)), 1.0)
     degenerate = tuple(

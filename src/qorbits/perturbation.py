@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResonanceError
+from .errors import NoAdmissiblePointsError, ResonanceError
 from .families import StateFamily
-from .fubini_study import MetricTensor, analytic_metric_c7, numeric_fs_metric
+from .fubini_study import MetricTensor, analytic_metric_c7, numeric_fs_metrics
 from .hamiltonian import RESONANCE_THRESHOLD, perturbation_denominators
 from .model import CaseClass, InitialCoefficients
 
@@ -180,23 +180,28 @@ def numeric_beta_derivative(
     h: float = 1e-5,
     frozen: dict | None = None,
 ) -> np.ndarray:
-    """d g / d beta at beta = 0 of the perturbed family: central differences
-    at beta_step and beta_step/2, combined by Richardson extrapolation as
-    (4 D(beta_step/2) - D(beta_step))/3 to cancel the O(beta_step^2) error,
-    which grows large near a resonance."""
+    """d g / d beta at beta = 0 of the perturbed family, at one point (shape
+    (4, 4)) or at each row of an (N, 4) batch (shape (N, 4, 4)): central
+    differences at beta_step and beta_step/2, combined by Richardson
+    extrapolation as (4 D(beta_step/2) - D(beta_step))/3 to cancel the
+    O(beta_step^2) error, which grows large near a resonance.  Each of the
+    four +-beta families is evaluated once over the whole batch."""
+    xi = np.asarray(xi, dtype=float)
+    xs = np.atleast_2d(xi)
     chart = ("omega", "phi", "c3", "c_plus")
 
     def central(step):
         g = [
-            numeric_fs_metric(
+            numeric_fs_metrics(
                 StateFamily(CaseClass("C7"), eta, chart, b, dict(frozen or {})),
-                xi, gamma=gamma, h=h,
-            ).entries
+                xs, gamma=gamma, h=h,
+            )
             for b in (step, -step)
         ]
         return (g[0] - g[1]) / (2.0 * step)
 
-    return (4.0 * central(0.5 * beta_step) - central(beta_step)) / 3.0
+    d = (4.0 * central(0.5 * beta_step) - central(beta_step)) / 3.0
+    return d if xi.ndim == 2 else d[0]
 
 
 @dataclass(frozen=True)
@@ -236,25 +241,27 @@ def audit_metric_correction(
     """Compare closed-form h_mn with numeric dg/dbeta on resonance-free points.
 
     Points whose denominators 2c3 - c_plus +- omega fall within
-    resonance_margin are skipped, as are points off the principal branch
-    cos(phi) > 0 where the closed forms' square roots are taken.
+    resonance_margin are skipped, as are points with cos(phi) <= 0.05, at or
+    off the edge of the principal branch cos(phi) > 0 where the closed
+    forms' square roots are taken.  NoAdmissiblePointsError is raised when
+    no point is left.
     """
-    diffs = np.zeros((0, 4, 4))
-    closed_all = []
-    numeric_all = []
-    used = 0
+    used = []
     for xi in points:
         omega, phi, c3, c_plus = (float(x) for x in xi)
         den1, den2 = perturbation_denominators(omega, c3, c_plus)
         if min(abs(den1), abs(den2)) < resonance_margin or math.cos(phi) <= 0.05:
             continue
-        closed = metric_correction_closed_form(eta, xi, gamma)
-        numeric = numeric_beta_derivative(eta, xi, gamma, beta_step=beta_step)
-        closed_all.append(closed)
-        numeric_all.append(numeric)
-        used += 1
-    closed_all = np.array(closed_all)
-    numeric_all = np.array(numeric_all)
+        used.append(xi)
+    if not used:
+        raise NoAdmissiblePointsError(
+            "every audit point was skipped: each lies within resonance_margin "
+            f"{resonance_margin:g} of a resonance 2c3 - c_plus +- omega = 0 or "
+            "has cos(phi) <= 0.05"
+        )
+    used = np.array(used, dtype=float)
+    closed_all = np.array([metric_correction_closed_form(eta, xi, gamma) for xi in used])
+    numeric_all = numeric_beta_derivative(eta, used, gamma, beta_step=beta_step)
     verdicts = []
     names = COMPONENT_ORDER
     for a in range(4):
@@ -274,4 +281,4 @@ def audit_metric_correction(
                     rel < rel_tol,
                 )
             )
-    return CorrectionAudit(tuple(verdicts), used, rel_tol)
+    return CorrectionAudit(tuple(verdicts), len(used), rel_tol)

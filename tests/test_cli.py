@@ -170,6 +170,13 @@ def test_invalid_config_exit_code(capsys):
     assert main(["classify", "--eta", "0,0,1,0"]) == 2  # stationary
 
 
+@pytest.mark.parametrize("h_curv", ["0", "nan"])
+def test_curvature_step_rejected(h_curv, capsys):
+    argv = ["curvature", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,0.2,0.4"]
+    assert main(argv + ["--h-curv", h_curv]) == 2
+    assert "curvature step" in capsys.readouterr().err
+
+
 def test_case_flag_mismatch(capsys):
     assert main(["metric", "--case", "C7", "--eta", "1,0,0,0", "--point", "0"]) == 2
 

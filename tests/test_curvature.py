@@ -90,6 +90,98 @@ def test_singular_metric_rejected():
         curvature_at(mf, np.array([0.1, 0.2]))
 
 
+def test_singular_metric_at_stencil_centre_rejected():
+    # singular only at xi + h e_0, a Christoffel centre of the stencil
+    h = 1e-3
+    xi = np.array([0.3, 0.2])
+
+    def ev(x):
+        return np.diag([1.0, 0.0 if abs(x[0] - (xi[0] + h)) < h / 4 else 1.0])
+
+    mf = MetricField(2, ev)
+    assert np.all(np.linalg.eigvalsh(mf(xi)) > 0.5)
+    with pytest.raises(SingularMetricError, match=r"singular at \[0\.301"):
+        curvature_at(mf, xi, h=h, richardson=False)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+def test_curvature_step_validated(h):
+    with pytest.raises(ValueError, match="step"):
+        curvature_at(sphere_metric_field(1.0), np.array([1.1, 0.7]), h=h)
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stencil_evaluates_each_point_once(dim, richardson):
+    # 4 d^2 + 2 d + 1 distinct points with Richardson, 2 d^2 + 2 d + 1 without
+    seen = []
+
+    def ev(x):
+        seen.append(tuple(x))
+        return np.diag(1.0 + 0.1 * np.cos(x))
+
+    curvature_at(MetricField(dim, ev), np.full(dim, 0.3), richardson=richardson)
+    expected = {2: (21, 13), 3: (43, 25), 4: (73, 41)}[dim][0 if richardson else 1]
+    assert len(seen) == len(set(seen)) == expected
+
+
+# scalar curvatures from evaluating every Christoffel centre's metrics
+# separately; sharing the stencil's points may change only their rounding
+PINNED_SCALARS = (
+    (sphere_metric_field(0.5), (1.1, 0.7), True, 8.000000002368251),
+    (sphere_metric_field(0.5), (1.1, 0.7), False, 7.999995674458549),
+    (sphere_metric_field(1.3), (0.9, 0.4), True, 1.1834319524349168),
+    (sphere_metric_field(1.3), (0.9, 0.4), False, 1.1834319463357406),
+    (g0_uniform_field(0.0), (0.35, 0.3, 0.2, 0.4), True, 14.000000000060075),
+    (g0_uniform_field(0.0), (0.35, 0.3, 0.2, 0.4), False, 14.000029169078932),
+    (g0_uniform_field(0.8), (0.5, 0.3, 0.2, 0.4), True, 13.999999779040499),
+    (g0_uniform_field(0.8), (0.5, 0.3, 0.2, 0.4), False, 14.011804049527175),
+)
+
+
+@pytest.mark.parametrize("mf, xi, richardson, scalar", PINNED_SCALARS)
+def test_scalar_matches_pinned_values(mf, xi, richardson, scalar):
+    rep = curvature_at(mf, np.array(xi), richardson=richardson)
+    assert rep.scalar == pytest.approx(scalar, rel=1e-9)
+
+
+def _reference_scalar(mf, xi, h):
+    """Richardson scalar curvature with every Christoffel centre's metrics
+    evaluated separately, at the points (xi + s e_mu) + s e_nu."""
+
+    def christoffel(c, s):
+        ginv = np.linalg.inv(mf(c))
+        dg = np.array([(mf(c + s * e) - mf(c - s * e)) / (2 * s) for e in np.eye(mf.dim)])
+        t1 = np.einsum("rl,mln->rmn", ginv, dg)
+        return 0.5 * (t1 + t1.transpose(0, 2, 1) - np.einsum("rl,lmn->rmn", ginv, dg))
+
+    def scalar(s):
+        gam = christoffel(xi, s)
+        dgam = np.array(
+            [(christoffel(xi + s * e, s) - christoffel(xi - s * e, s)) / (2 * s)
+             for e in np.eye(mf.dim)]
+        )
+        riemann = (
+            np.einsum("mrns->rsmn", dgam) - np.einsum("nrms->rsmn", dgam)
+            + np.einsum("rml,lns->rsmn", gam, gam) - np.einsum("rnl,lms->rsmn", gam, gam)
+        )
+        return np.einsum("sn,sn->", np.linalg.inv(mf(xi)), np.einsum("rsrn->sn", riemann))
+
+    return (4 * scalar(h / 2) - scalar(h)) / 3
+
+
+def test_numeric_field_scalar_matches_per_centre_reference():
+    # the numeric family field carries finite-difference rounding noise that
+    # moves the curvature by up to 1e-4 relative when the stencil points move
+    # by an ulp; sharing points must leave the h/2 step's points where they were
+    eta = InitialCoefficients(0.5, 0.5, 0.5, 0.5)
+    mf = MetricField.from_family(family_for_case(classify(eta), eta))
+    for xi in ([0.7, 0.3, 0.2, 0.4], [-0.4, 1.1, 0.9, -1.3]):
+        xi = np.array(xi)
+        ref = _reference_scalar(mf, xi, 1e-3)
+        assert curvature_at(mf, xi).scalar == pytest.approx(ref, rel=1e-7)
+
+
 def test_domain_margin_enforced():
     mf = MetricField(
         2, lambda xi: np.diag([1.0, 1.0]), domain=((0.0, 1.0), (0.0, 1.0))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qorbits.errors import SingularTransformError
+from qorbits.errors import ChartSingularityError, SingularTransformError
 from qorbits.families import family_for_case
 from qorbits.fubini_study import (
     analytic_metric_c7,
@@ -11,6 +11,7 @@ from qorbits.fubini_study import (
     constrained_two_param_family,
     diagonalize_metric,
     numeric_fs_metric,
+    numeric_fs_metrics,
     phase_twisted,
     pushforward_c7,
     sliced_family,
@@ -283,8 +284,6 @@ def test_step_size_guard():
 
 
 def test_chart_singularity_error_names_coordinate():
-    from qorbits.errors import ChartSingularityError
-
     class Bad:
         chart = ("good", "bad")
 
@@ -297,3 +296,37 @@ def test_chart_singularity_error_names_coordinate():
 
     with pytest.raises(ChartSingularityError, match="bad"):
         numeric_fs_metric(Bad(), np.array([0.0, 0.049999]), h=1e-3)
+
+
+def _assert_rows_match_single_point(f, xs):
+    batch = numeric_fs_metrics(f, xs)
+    assert batch.shape == (len(xs), len(f.chart), len(f.chart))
+    for x, g in zip(xs, batch):
+        assert np.array_equal(g, numeric_fs_metric(f, x).entries)
+        assert np.array_equal(g, g.T)
+
+
+def test_batched_metrics_equal_single_point(rng):
+    for pattern in ("C1", "C2", "C3", "C4", "C5", "C6", "C7"):
+        eta = random_eta(rng, pattern)
+        f = family_for_case(classify(eta), eta)
+        _assert_rows_match_single_point(f, rng.uniform(-1.2, 1.2, size=(5, f.dim)))
+    f = family_for_case(classify(eta), eta)  # C7
+    _assert_rows_match_single_point(
+        sliced_family(f, {"phi": 0.3}), rng.uniform(-1.2, 1.2, size=(4, 3))
+    )
+    _assert_rows_match_single_point(
+        phase_twisted(f, lambda xi: float(np.sum(xi))), rng.uniform(-1.2, 1.2, size=(4, 4))
+    )
+
+
+def test_batched_metrics_reject_bad_input():
+    eta = InitialCoefficients(0.5, 0.5, 0.5, 0.5)
+    f = family_for_case(classify(eta), eta)
+    with pytest.raises(ValueError):
+        numeric_fs_metrics(f, np.zeros((2, 4)), h=1e-2)
+    with pytest.raises(ValueError):
+        numeric_fs_metrics(f, np.zeros(4))
+    xs = np.array([[0.7, 0.3, 0.2, 0.4], [0.7, np.nan, 0.2, 0.4]])
+    with pytest.raises(ChartSingularityError, match="omega"):
+        numeric_fs_metrics(f, xs)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qorbits.errors import ResonanceError
+from qorbits.errors import NoAdmissiblePointsError, ResonanceError
 from qorbits.families import StateFamily, family_for_case
 from qorbits.fubini_study import numeric_fs_metric
 from qorbits.model import CaseClass, InitialCoefficients, classify
@@ -246,3 +246,19 @@ def test_perturbed_metric_assembles_symmetric(rng):
     g = pm.entries
     assert np.max(np.abs(g - g.T)) < 1e-14
     assert np.allclose(pm.assembled().entries, g)
+
+
+def test_batched_beta_derivative_equals_single_point(rng):
+    eta = random_eta(rng, "C7")
+    xs = np.array([resonance_free_point(rng) for _ in range(3)])
+    batch = numeric_beta_derivative(eta, xs)
+    assert batch.shape == (3, 4, 4)
+    for x, d in zip(xs, batch):
+        assert np.array_equal(d, numeric_beta_derivative(eta, x))
+
+
+def test_audit_with_no_admissible_point_raises():
+    # cos(2.0) < 0.05: the only point is off the principal branch
+    eta = InitialCoefficients.normalized(0.3 + 0.2j, 0.5, 0.1 - 0.4j, 0.6)
+    with pytest.raises(NoAdmissiblePointsError, match="resonance.*cos"):
+        audit_metric_correction(eta, [np.array([0.5, 2.0, 0.1, 0.2])])
