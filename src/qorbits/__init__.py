@@ -38,6 +38,7 @@ from .fubini_study import (
     numeric_fs_metric,
     numeric_fs_metrics,
     pushforward_c7,
+    tangent_fs_metrics,
     two_param_metric,
 )
 from .curvature import (

@@ -196,7 +196,10 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--gamma", type=float, default=1.0, help="metric scale factor")
     p.add_argument("--point", default=None, help="chart point, comma separated")
     p.add_argument("--grid", default=None, help="grid spec name=a:b:n[,...]")
-    p.add_argument("--h-metric", dest="h_metric", type=float, default=1e-5)
+    p.add_argument(
+        "--h-metric", dest="h_metric", type=float, default=1e-5,
+        help="step of the finite-difference metric (metric and verify commands)",
+    )
     p.add_argument("--h-curv", dest="h_curv", type=float, default=1e-3)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -360,7 +363,7 @@ def cmd_metric(args, warn) -> dict:
 def cmd_curvature(args, warn) -> dict:
     f = _family_from_args(args, warn)
     xi = _point(args, f.dim)
-    mf = MetricField.from_family(f, gamma=args.gamma, h=args.h_metric)
+    mf = MetricField.from_family(f, gamma=args.gamma)
     rep = curvature_at(mf, xi, h=args.h_curv)
     results = {
         "case": f.case.label,
@@ -389,11 +392,11 @@ def cmd_curvature(args, warn) -> dict:
             {"name": "uniform-c7-scalar-curvature", "passed": dev_cf < 1e-3,
              "deviation": dev_cf, "soft": False}
         )
-        # the numeric-family field carries finite-difference noise; looser
+        # the family field's metrics come from exact tangent vectors
         dev = abs(rep.scalar - expected) / abs(expected)
         checks.append(
             {"name": "uniform-c7-scalar-curvature-numeric-field",
-             "passed": dev < 1e-2, "deviation": dev, "soft": False}
+             "passed": dev < 1e-3, "deviation": dev, "soft": False}
         )
     return {"results": results, "checks": checks}
 

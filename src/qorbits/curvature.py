@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormulaDomainError, SingularMetricError
-from .fubini_study import MetricTensor
+from .fubini_study import MetricTensor, tangent_fs_metrics
 
 DEFAULT_CURVATURE_STEP = 1e-3
 SINGULARITY_TOL = 1e-10
@@ -60,15 +60,20 @@ class MetricField:
         return g
 
     @classmethod
-    def from_family(cls, family, gamma: float = 1.0, h: float = 1e-5,
-                    domain=None) -> "MetricField":
-        from .fubini_study import numeric_fs_metric, numeric_fs_metrics
-
+    def from_family(cls, family, gamma: float = 1.0, domain=None) -> "MetricField":
+        """The Fubini-Study metric field of a family with exact tangents
+        (tangent_fs_metrics).  Other objects raise TypeError: wrap
+        numeric_fs_metrics in a MetricField for a finite-difference field."""
+        if not hasattr(family, "tangents"):
+            raise TypeError(
+                f"{type(family).__name__} has no exact tangents; build a "
+                "MetricField from numeric_fs_metrics instead"
+            )
         return cls(
             len(family.chart),
-            lambda xi: numeric_fs_metric(family, xi, gamma=gamma, h=h).entries,
+            lambda xi: tangent_fs_metrics(family, xi[None], gamma)[0],
             domain,
-            lambda xs: numeric_fs_metrics(family, xs, gamma=gamma, h=h),
+            lambda xs: tangent_fs_metrics(family, xs, gamma),
         )
 
     def check_interior(self, xi, margin: float):
@@ -123,9 +128,9 @@ def _curvature_stencil(dim: int, richardson: bool):
     h/2; and rows, for each k, the (2 dim + 1, 2 dim + 1) indices of the
     metrics read.  A point both steps read takes the h/2 step's centre and
     step, so it is evaluated at the same float as when each step had its own
-    stencil: the rounding noise of a finite-difference metric at the h/2
-    step dominates the result, and moving its points by an ulp moves a
-    curvature by up to 1e-4 relative.
+    stencil: on a finite-difference metric field (numeric_fs_metrics) the
+    metric's rounding noise at the h/2 step dominates the result, and moving
+    its points by an ulp moves a curvature by up to 1e-4 relative.
     """
     unit = np.concatenate([np.zeros((1, dim), int), np.eye(dim, dtype=int),
                            -np.eye(dim, dtype=int)])

@@ -13,7 +13,9 @@ references.
 Evaluation.  Every case is the general state sum_k eta_k e^{i theta_k} psi_k
 with the phases theta_k affine in the chart coordinates (PHASE_FORMS), so one
 batched path, StateFamily.states, serves all seven cases; state is its
-one-row case.
+one-row case.  StateFamily.tangents adds the exact partials along the chart:
+the phases contribute i theta_k' and the eigenbasis its closed-form
+derivative.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CaseMismatchError
-from .hamiltonian import PSI3, PSI4, eigvec_pair, first_order_bases
+from .hamiltonian import (
+    PSI3,
+    PSI4,
+    eigvec_pair,
+    first_order_bases,
+    first_order_tangent_bases,
+    normalize_with_partials,
+)
 from .model import (
     CaseClass,
     InitialCoefficients,
@@ -112,11 +121,27 @@ class StateFamily:
         refs = np.array([ref(n) for n in BASIS_COORDS])
         return lin, offset, cols, refs
 
-    def states(self, xs) -> np.ndarray:
-        """Normalized states at the rows of an (N, dim) batch, shape (N, 4)."""
+    @cached_property
+    def _tangent_map(self):
+        """(8, dim) map onto the chart partials from the phase terms
+        amps_k psi_k (top rows, i lin) and the partials along BASIS_COORDS
+        (bottom rows, a 1 where chart column cols[c] carries coordinate c;
+        frozen coordinates contribute nothing)."""
+        lin, _, cols, _ = self._table
+        live = np.flatnonzero(cols >= 0)
+        chart = np.zeros((4, self.dim))
+        chart[live, cols[live]] = 1.0
+        return np.concatenate([1j * lin, chart])
+
+    def _rows(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ValueError(f"expected (N, {self.dim}) coordinates, got {xs.shape}")
+        return xs
+
+    def states(self, xs) -> np.ndarray:
+        """Normalized states at the rows of an (N, dim) batch, shape (N, 4)."""
+        xs = self._rows(xs)
         out = np.empty((len(xs), 4), dtype=complex)
         for start in range(0, len(xs), BLOCK_ROWS):
             out[start:start + BLOCK_ROWS] = self._block(xs[start:start + BLOCK_ROWS])
@@ -132,6 +157,38 @@ class StateFamily:
         if self.beta != 0.0:
             out /= np.linalg.norm(out, axis=1, keepdims=True)
         return out
+
+    def tangents(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Normalized states at the rows of an (N, dim) batch, shape (N, 4),
+        and their exact partials along the chart, shape (N, dim, 4), from
+        one eigenbasis and its derivative per row."""
+        xs = self._rows(xs)
+        psi = np.empty((len(xs), 4), dtype=complex)
+        dpsi = np.empty((len(xs), self.dim, 4), dtype=complex)
+        for start in range(0, len(xs), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            psi[block], dpsi[block] = self._tangent_block(xs[block])
+        return psi, dpsi
+
+    def _tangent_block(self, xs):
+        lin, offset, cols, refs = self._table
+        coords = np.where(cols >= 0, xs[:, cols], refs)
+        basis, dbasis = first_order_tangent_bases(*coords.T, self.beta)
+        amps = self.eta.as_array() * np.exp(1j * (xs @ lin.T + offset))
+        n = len(xs)
+        out = np.matmul(amps[:, None, :], basis)[:, 0]
+        # per state component: the phase terms amps_k psi_k and the basis
+        # partials sum_k amps_k d psi_k, side by side, taken to the chart in
+        # one (4 N, 8) @ (8, dim) product
+        parts = np.concatenate(
+            [(amps[:, None, :] * basis.transpose(0, 2, 1)).reshape(-1, 4),
+             np.matmul(amps[:, None, :], dbasis.reshape(n, 4, -1)).reshape(-1, 4)],
+            axis=1,
+        )
+        dout = (parts @ self._tangent_map).reshape(n, 4, -1)
+        if self.beta != 0.0:
+            out, dout = normalize_with_partials(out, dout)
+        return out, dout.transpose(0, 2, 1)
 
     def state(self, xi) -> np.ndarray:
         """Normalized state at chart point xi."""

@@ -1,11 +1,14 @@
-"""Fubini-Study metrics of the state families: numeric evaluation by finite
-differences, closed-form tensors, and the diagonalizing transform.
+"""Fubini-Study metrics of the state families: numeric evaluation from
+exact tangent vectors or by finite differences, closed-form tensors, and the
+diagonalizing transform.
 
-The numeric route computes
+Both numeric routes compute the real part of the quantum geometric tensor
 
-    g_mn = gamma^2 Re( <d_m psi|d_n psi> - <d_m psi|psi><psi|d_n psi> )
+    g_mn = gamma^2 Re( <d_m psi|d_n psi> - <d_m psi|psi><psi|d_n psi> ).
 
-from 4th-order central differences of the family states and is the
+tangent_fs_metrics takes the state partials from StateFamily.tangents;
+numeric_fs_metrics takes them from 4th-order central differences of the
+family states, works for any object with states, and is the independent,
 gauge-invariant ground truth.  Closed forms are transcribed from the
 reference catalog as printed; where a printed form disagrees with the
 numeric route the disagreement is surfaced by the comparison utilities,
@@ -63,6 +66,26 @@ def _stencil_offsets(dim: int) -> np.ndarray:
 _lower_triangle = lru_cache(maxsize=None)(np.tril_indices)
 
 
+def _points(xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2:
+        raise ValueError(f"points must have shape (N, dim), got {xs.shape}")
+    return xs
+
+
+def _require_finite(family, xs, dpsi):
+    """Raise ChartSingularityError naming the first point and coordinate
+    whose state partial is not finite."""
+    if np.isfinite(dpsi).all():
+        return
+    bad = ~np.all(np.isfinite(dpsi), axis=2)
+    row, mu = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    name = family.chart[mu] if hasattr(family, "chart") else str(mu)
+    raise ChartSingularityError(
+        f"non-finite derivative along coordinate {name!r} at xi={xs[row]}"
+    )
+
+
 def _state_derivatives(family, xs, h):
     """States at the rows of xs and their 4th-order central-difference
     partials along the chart, from one batch of all N*(4*dim + 1) stencil
@@ -72,14 +95,21 @@ def _state_derivatives(family, xs, h):
     psi_all = states_of(family, pts).reshape(n, 1 + 4 * dim, -1)
     fp1, fm1, fp2, fm2 = (psi_all[:, 1 + k * dim:1 + (k + 1) * dim] for k in range(4))
     dpsi = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-    bad = ~np.all(np.isfinite(dpsi), axis=2)
-    if bad.any():
-        row, mu = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        name = family.chart[mu] if hasattr(family, "chart") else str(mu)
-        raise ChartSingularityError(
-            f"non-finite derivative along coordinate {name!r} at xi={xs[row]}"
-        )
+    _require_finite(family, xs, dpsi)
     return psi_all[:, 0], dpsi
+
+
+def _qgt_metrics(psi, dpsi, gamma: float) -> np.ndarray:
+    """gamma^2 Re(<d_m psi|d_n psi> - <d_m psi|psi><psi|d_n psi>), shape
+    (N, dim, dim), from states psi (N, 4) and their partials dpsi
+    (N, dim, 4)."""
+    overlaps = dpsi @ psi[:, :, None].conj()  # <d_m psi|psi>^*, shape (N, dim, 1)
+    qgt = dpsi.conj() @ dpsi.transpose(0, 2, 1) - overlaps.conj() * overlaps.transpose(0, 2, 1)
+    g = gamma * gamma * qgt.real
+    # the upper triangle is mirrored, so every metric is exactly symmetric
+    lower = _lower_triangle(dpsi.shape[1], -1)
+    g[:, lower[0], lower[1]] = g[:, lower[1], lower[0]]
+    return g
 
 
 def numeric_fs_metrics(
@@ -90,17 +120,18 @@ def numeric_fs_metrics(
     .states(xs) or .state(xi), and .chart."""
     if not (1e-7 <= h <= 1e-3):
         raise ValueError("finite-difference step h must lie in [1e-7, 1e-3]")
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2:
-        raise ValueError(f"points must have shape (N, dim), got {xs.shape}")
-    psi, dpsi = _state_derivatives(family, xs, h)
-    overlaps = dpsi @ psi[:, :, None].conj()  # <d_m psi|psi>^*, shape (N, dim, 1)
-    qgt = dpsi.conj() @ dpsi.transpose(0, 2, 1) - overlaps.conj() * overlaps.transpose(0, 2, 1)
-    g = gamma * gamma * qgt.real
-    # the upper triangle is mirrored, so every metric is exactly symmetric
-    lower = _lower_triangle(xs.shape[1], -1)
-    g[:, lower[0], lower[1]] = g[:, lower[1], lower[0]]
-    return g
+    xs = _points(xs)
+    return _qgt_metrics(*_state_derivatives(family, xs, h), gamma)
+
+
+def tangent_fs_metrics(family, xs, gamma: float = 1.0) -> np.ndarray:
+    """Fubini-Study metrics, shape (N, dim, dim), at the N rows of xs, from
+    the exact state partials of family.tangents(xs): one state evaluation
+    per point and no step size."""
+    xs = _points(xs)
+    psi, dpsi = family.tangents(xs)
+    _require_finite(family, xs, dpsi)
+    return _qgt_metrics(psi, dpsi, gamma)
 
 
 def numeric_fs_metric(

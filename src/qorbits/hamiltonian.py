@@ -103,15 +103,26 @@ def eigvec_pair(phi: float) -> tuple[np.ndarray, np.ndarray]:
     return psi1, psi2
 
 
-def eigvec_pair_dphi(phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic d/dphi of eigvec_pair (used by closed-form cross checks)."""
+def eigenbases_dphi(phi) -> np.ndarray:
+    """d/dphi of eigenbases at each of an (N,) array of angles, shape
+    (N, 4, 4); the Bell rows are constant.
+
+    With cos(phi) = s sqrt(1+sin phi) sqrt(1-sin phi), s = sign(cos phi),
+    the derivatives of psi1, psi2 are free of division:
+    (sqrt(1-sin), 0, 0, -s sqrt(1+sin))/(2 sqrt 2) and
+    (-sqrt(1+sin), 0, 0, -s sqrt(1-sin))/(2 sqrt 2).
+    """
+    phi = np.asarray(phi, dtype=float)
+    sin = np.sin(phi)
     s = branch_sign(phi)
-    c = math.cos(phi)
-    sp = math.sqrt(max(1e-300, 1.0 + math.sin(phi)))
-    sm = math.sqrt(max(1e-300, 1.0 - math.sin(phi)))
-    d1 = np.array([s * c / (2 * sp), 0, 0, -c / (2 * sm)], dtype=complex) / math.sqrt(2)
-    d2 = np.array([-s * c / (2 * sm), 0, 0, -c / (2 * sp)], dtype=complex) / math.sqrt(2)
-    return d1, d2
+    sp = 0.5 * _INV_SQRT2 * np.sqrt(1.0 + sin)
+    sm = 0.5 * _INV_SQRT2 * np.sqrt(1.0 - sin)
+    dbases = np.zeros(phi.shape + (4, 4), dtype=complex)
+    dbases[..., 0, 0] = sm
+    dbases[..., 0, 3] = -s * sp
+    dbases[..., 1, 0] = -sp
+    dbases[..., 1, 3] = -s * sm
+    return dbases
 
 
 def analytic_energies(d: DerivedParams, c3: float) -> np.ndarray:
@@ -218,6 +229,47 @@ def perturbation_denominators(omega: float, c3: float, c_plus: float):
     return 2.0 * c3 + omega - c_plus, 2.0 * c3 - omega - c_plus
 
 
+# Gradients of the denominators 2c3 + omega - c_plus and 2c3 - omega - c_plus
+# over (omega, phi, c3, c_plus).
+_DDEN1 = np.array([1.0, 0.0, 2.0, -1.0])
+_DDEN2 = np.array([-1.0, 0.0, 2.0, -1.0])
+
+
+def _couplings(psi1, psi2, omega, c3, c_plus, rho):
+    """Denominators (N,) and couplings k1, k2 (N, 1) of psi1, psi2 to psi3
+    under the x-field; raises ResonanceError if any point has a denominator
+    within rho."""
+    den1, den2 = perturbation_denominators(omega, c3, c_plus)
+    near = np.minimum(np.abs(den1), np.abs(den2))
+    if np.any(near < rho):
+        k = int(np.argmin(near))
+        raise ResonanceError(
+            f"perturbation-theory breakdown: denominators ({den1[k]:.3e}, "
+            f"{den2[k]:.3e}) below threshold {rho:.1e}"
+        )
+    # <psi3|V|psi_l> = sqrt(2) (a_l + d_l) for the x-field perturbation V
+    k1 = (math.sqrt(2) * (psi1[..., 0] + psi1[..., 3]).real / den1)[..., None]
+    k2 = (math.sqrt(2) * (psi2[..., 0] + psi2[..., 3]).real / den2)[..., None]
+    return den1, den2, k1, k2
+
+
+def _first_order_rows(bases, psi1, psi2, k1, k2, beta):
+    """Overwrite rows psi1..psi3 of bases with their unnormalized first-order
+    corrections; psi4 is annihilated by the perturbation and stays exact."""
+    bases[..., 0, :] = psi1 + beta * k1 * PSI3
+    bases[..., 1, :] = psi2 + beta * k2 * PSI3
+    bases[..., 2, :] = PSI3 - beta * (k1 * psi1 + k2 * psi2)
+
+
+def normalize_with_partials(v, dv):
+    """v/|v| over the last axis and its partials d(v/|v|) = (dv - u Re<u|dv>)/|v|,
+    u = v/|v|; dv has shape v.shape + (C,), one column per partial."""
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    u = v / norm
+    proj = np.sum(u.conj()[..., None] * dv, axis=-2, keepdims=True).real
+    return u, (dv - u[..., None] * proj) / norm[..., None]
+
+
 def first_order_bases(
     omega, phi, c3, c_plus, beta: float, rho: float = RESONANCE_THRESHOLD
 ) -> np.ndarray:
@@ -233,23 +285,40 @@ def first_order_bases(
     bases = eigenbases(phi)
     if beta == 0.0:
         return bases
-    den1, den2 = perturbation_denominators(omega, c3, c_plus)
-    near = np.minimum(np.abs(den1), np.abs(den2))
-    if np.any(near < rho):
-        k = int(np.argmin(near))
-        raise ResonanceError(
-            f"perturbation-theory breakdown: denominators ({den1[k]:.3e}, "
-            f"{den2[k]:.3e}) below threshold {rho:.1e}"
-        )
     psi1, psi2 = bases[..., 0, :].copy(), bases[..., 1, :].copy()
-    # <psi3|V|psi_l> = sqrt(2) (a_l + d_l) for the x-field perturbation V
-    k1 = (math.sqrt(2) * (psi1[..., 0] + psi1[..., 3]).real / den1)[..., None]
-    k2 = (math.sqrt(2) * (psi2[..., 0] + psi2[..., 3]).real / den2)[..., None]
-    bases[..., 0, :] = psi1 + beta * k1 * PSI3
-    bases[..., 1, :] = psi2 + beta * k2 * PSI3
-    bases[..., 2, :] = PSI3 - beta * (k1 * psi1 + k2 * psi2)
+    _, _, k1, k2 = _couplings(psi1, psi2, omega, c3, c_plus, rho)
+    _first_order_rows(bases, psi1, psi2, k1, k2, beta)
     bases /= np.linalg.norm(bases, axis=-1, keepdims=True)
     return bases
+
+
+def first_order_tangent_bases(
+    omega, phi, c3, c_plus, beta: float, rho: float = RESONANCE_THRESHOLD
+) -> tuple[np.ndarray, np.ndarray]:
+    """first_order_bases at chart points given as (N,) arrays, and its exact
+    partials along (omega, phi, c3, c_plus), shape (N, 4, 4, 4) indexed
+    (point, row, component, coordinate)."""
+    phi = np.asarray(phi, dtype=float)
+    bases = eigenbases(phi)
+    dbases = np.zeros((len(phi), 4, 4, 4), dtype=complex)
+    dbases[..., 1] = eigenbases_dphi(phi)
+    if beta == 0.0:
+        return bases, dbases
+    psi1, psi2 = bases[:, 0].copy(), bases[:, 1].copy()
+    dpsi1, dpsi2 = dbases[:, 0, :, 1].copy(), dbases[:, 1, :, 1].copy()
+    den1, den2, k1, k2 = _couplings(psi1, psi2, omega, c3, c_plus, rho)
+    # dk/d(omega, phi, c3, c_plus): the constant denominator gradients, plus
+    # the phi term of the numerators
+    dk1 = -k1 * _DDEN1 / den1[:, None]
+    dk2 = -k2 * _DDEN2 / den2[:, None]
+    dk1[:, 1] += math.sqrt(2) * (dpsi1[:, 0] + dpsi1[:, 3]).real / den1
+    dk2[:, 1] += math.sqrt(2) * (dpsi2[:, 0] + dpsi2[:, 3]).real / den2
+    _first_order_rows(bases, psi1, psi2, k1, k2, beta)
+    dbases[:, 0] += beta * PSI3[:, None] * dk1[:, None]
+    dbases[:, 1] += beta * PSI3[:, None] * dk2[:, None]
+    dbases[:, 2] = -beta * (psi1[..., None] * dk1[:, None] + psi2[..., None] * dk2[:, None])
+    dbases[:, 2, :, 1] -= beta * (k1 * dpsi1 + k2 * dpsi2)
+    return normalize_with_partials(bases, dbases)
 
 
 def perturbed_eigenstates(

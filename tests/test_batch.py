@@ -14,7 +14,7 @@ from qorbits.families import BLOCK_ROWS, evolved_state, family_for_case
 from qorbits.hamiltonian import BRANCH_SNAP, branch_sign
 from qorbits.model import InitialCoefficients, classify
 
-from conftest import random_eta
+from conftest import random_eta, well_posed
 
 CASES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
 
@@ -86,6 +86,34 @@ def test_c7_rows_equal_evolved_state_bitwise(rng):
     rows = f.states(xs)
     for k in range(0, len(xs), 7):
         assert np.array_equal(rows[k], evolved_state(eta, xs[k]))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_tangents_match_central_differences(rng, beta):
+    # psi is the states() row; dpsi the exact chart partials.  A large beta
+    # makes the terms of the first-order couplings show above the
+    # finite-difference error
+    h = 1e-5
+    for case in CASES:
+        f = family(rng, case, beta)
+        xs = well_posed(f, rng.uniform(-1.3, 1.3, size=(3 * BLOCK_ROWS, f.dim)), 0.5)
+        assert len(xs) > BLOCK_ROWS
+        psi, dpsi = f.tangents(xs)
+        assert np.array_equal(psi, f.states(xs))
+        fd = np.stack(
+            [(f.states(xs + h * e) - f.states(xs - h * e)) / (2 * h) for e in np.eye(f.dim)],
+            axis=1,
+        )
+        assert np.max(np.abs(dpsi - fd)) < 5e-9, case
+
+
+def test_tangents_reject_resonance_and_bad_shape(rng):
+    f = family(rng, "C7", beta=1e-3)
+    omega, c3 = 0.9, 0.4
+    with pytest.raises(ResonanceError):
+        f.tangents(np.array([[omega, 0.3, c3, 2 * c3 + omega]]))
+    with pytest.raises(ValueError):
+        f.tangents(np.zeros(4))
 
 
 def test_states_rejects_bad_shape(rng):

@@ -84,7 +84,7 @@ def test_curvature_command_uniform(capsys):
     )
     assert code == 0
     assert rep["results"]["closed_form_field_scalar"] == pytest.approx(14.0, rel=1e-3)
-    assert rep["results"]["scalar_curvature"] == pytest.approx(14.0, rel=1e-2)
+    assert rep["results"]["scalar_curvature"] == pytest.approx(14.0, rel=1e-6)
 
 
 def test_perturb_command(capsys):

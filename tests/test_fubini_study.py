@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qorbits.curvature import MetricField, curvature_at
 from qorbits.errors import ChartSingularityError, SingularTransformError
 from qorbits.families import family_for_case
 from qorbits.fubini_study import (
@@ -15,12 +16,13 @@ from qorbits.fubini_study import (
     phase_twisted,
     pushforward_c7,
     sliced_family,
+    tangent_fs_metrics,
     two_param_metric,
     two_param_metric_printed_offdiag,
 )
 from qorbits.model import InitialCoefficients, classify
 
-from conftest import random_eta
+from conftest import random_eta, well_posed
 
 S2 = 1 / math.sqrt(2)
 
@@ -330,3 +332,57 @@ def test_batched_metrics_reject_bad_input():
     xs = np.array([[0.7, 0.3, 0.2, 0.4], [0.7, np.nan, 0.2, 0.4]])
     with pytest.raises(ChartSingularityError, match="omega"):
         numeric_fs_metrics(f, xs)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_tangent_metrics_match_finite_differences(rng, beta):
+    for pattern in ("C1", "C2", "C3", "C4", "C5", "C6", "C7"):
+        eta = random_eta(rng, pattern)
+        f = family_for_case(classify(eta), eta, beta=beta)
+        xs = well_posed(f, rng.uniform(-1.3, 1.3, size=(40, f.dim)))
+        assert len(xs) >= 10
+        gt = tangent_fs_metrics(f, xs, gamma=1.3)
+        assert np.max(np.abs(gt - numeric_fs_metrics(f, xs, gamma=1.3))) < 1e-9, pattern
+        assert np.array_equal(gt, gt.transpose(0, 2, 1))
+
+
+def test_tangent_metric_c7_matches_closed_form(rng):
+    eta = random_eta(rng, "C7")
+    f = family_for_case(classify(eta), eta)
+    xs = rng.uniform(-1.5, 1.5, size=(200, 4))
+    closed = np.array([analytic_metric_c7(eta, x).entries for x in xs])
+    assert np.max(np.abs(tangent_fs_metrics(f, xs) - closed)) < 1e-13
+
+
+def test_tangent_metrics_name_singular_coordinate():
+    class Bad:
+        chart = ("good", "bad")
+
+        def tangents(self, xs):
+            psi = np.tile([1.0, 0, 0, 0], (len(xs), 1)).astype(complex)
+            dpsi = np.zeros((len(xs), 2, 4), dtype=complex)
+            dpsi[1:, 1, 3] = np.inf
+            return psi, dpsi
+
+    tangent_fs_metrics(Bad(), np.zeros((1, 2)))
+    with pytest.raises(ChartSingularityError, match="'bad'"):
+        tangent_fs_metrics(Bad(), np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        tangent_fs_metrics(Bad(), np.zeros(2))
+
+
+def test_family_field_needs_tangents():
+    eta = InitialCoefficients(0.5, 0.5, 0.5, 0.5)
+    f = family_for_case(classify(eta), eta)
+    with pytest.raises(TypeError):
+        MetricField.from_family(sliced_family(f, {"phi": 0.3}))
+
+
+def test_tangent_field_curvature_matches_finite_difference_field():
+    eta = InitialCoefficients.normalized(0.6, 0.3 + 0.4j, 0.5, -0.2j)
+    f = family_for_case(classify(eta), eta)
+    fd = MetricField(f.dim, None, None, lambda xs: numeric_fs_metrics(f, xs))
+    for xi in ([0.7, 0.3, 0.2, 0.4], [-0.4, 0.9, 0.6, -1.1]):
+        xi = np.array(xi)
+        exact = curvature_at(MetricField.from_family(f), xi).scalar
+        assert exact == pytest.approx(curvature_at(fd, xi).scalar, rel=1e-2)

@@ -9,6 +9,8 @@ from qorbits.hamiltonian import (
     analytic_spectrum,
     branch_sign,
     build_hamiltonian,
+    eigenbases,
+    eigenbases_dphi,
     eigvec_pair,
     jacobi_eigh,
     match_states,
@@ -92,6 +94,25 @@ def test_eigvec_pair_matches_printed_form(rng):
         d2 = -math.sqrt(1 + math.sin(phi)) / math.sqrt(2)
         assert abs(psi1[0] - a1) < 1e-12 and abs(psi1[3] - d1) < 1e-12
         assert abs(psi2[0] - a2) < 1e-12 and abs(psi2[3] - d2) < 1e-12
+
+
+def test_eigenbases_dphi_matches_central_differences(rng):
+    phis = rng.uniform(-np.pi, np.pi, size=200)
+    phis = phis[np.abs(np.cos(phis)) > 0.05]
+    h = 1e-6
+    fd = (eigenbases(phis + h) - eigenbases(phis - h)) / (2 * h)
+    assert np.max(np.abs(eigenbases_dphi(phis) - fd)) < 1e-8
+
+
+def test_eigenbases_dphi_finite_at_pure_field_limit():
+    # at sin(phi) = +-1 the cos/sqrt(1 -+ sin) form divides by zero; the
+    # division-free rows take the one-sided derivative of the principal branch
+    d = eigenbases_dphi(np.array([math.pi / 2, -math.pi / 2]))
+    assert np.allclose(d[0, 0], [0, 0, 0, -0.5], atol=1e-15)
+    assert np.allclose(d[0, 1], [-0.5, 0, 0, 0], atol=1e-15)
+    assert np.allclose(d[1, 0], [0.5, 0, 0, 0], atol=1e-15)
+    assert np.allclose(d[1, 1], [0, 0, 0, -0.5], atol=1e-15)
+    assert not d[:, 2:].any()
 
 
 def test_branch_sign_boundary():
