@@ -147,11 +147,17 @@ class StateFamily:
             out[start:start + BLOCK_ROWS] = self._block(xs[start:start + BLOCK_ROWS])
         return out
 
-    def _block(self, xs) -> np.ndarray:
+    def _coords_and_amps(self, xs):
+        """The BASIS_COORDS at the rows of xs and the phased coefficients
+        eta_k e^{i theta_k}, shape (N, 4) each."""
         lin, offset, cols, refs = self._table
         coords = np.where(cols >= 0, xs[:, cols], refs)
-        basis = first_order_bases(*coords.T, self.beta)
         amps = self.eta.as_array() * np.exp(1j * (xs @ lin.T + offset))
+        return coords, amps
+
+    def _block(self, xs) -> np.ndarray:
+        coords, amps = self._coords_and_amps(xs)
+        basis = first_order_bases(*coords.T, self.beta)
         # stacked matmul keeps the summation order of a single amps @ basis
         out = np.matmul(amps[:, None, :], basis)[:, 0]
         if self.beta != 0.0:
@@ -171,10 +177,8 @@ class StateFamily:
         return psi, dpsi
 
     def _tangent_block(self, xs):
-        lin, offset, cols, refs = self._table
-        coords = np.where(cols >= 0, xs[:, cols], refs)
+        coords, amps = self._coords_and_amps(xs)
         basis, dbasis = first_order_tangent_bases(*coords.T, self.beta)
-        amps = self.eta.as_array() * np.exp(1j * (xs @ lin.T + offset))
         n = len(xs)
         out = np.matmul(amps[:, None, :], basis)[:, 0]
         # per state component: the phase terms amps_k psi_k and the basis

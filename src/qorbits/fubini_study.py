@@ -82,7 +82,7 @@ def _require_finite(family, xs, dpsi):
     row, mu = np.unravel_index(int(np.argmax(bad)), bad.shape)
     name = family.chart[mu] if hasattr(family, "chart") else str(mu)
     raise ChartSingularityError(
-        f"non-finite derivative along coordinate {name!r} at xi={xs[row]}"
+        f"non-finite derivative along coordinate {name!r} at xi={np.asarray(xs)[row]}"
     )
 
 
@@ -128,7 +128,6 @@ def tangent_fs_metrics(family, xs, gamma: float = 1.0) -> np.ndarray:
     """Fubini-Study metrics, shape (N, dim, dim), at the N rows of xs, from
     the exact state partials of family.tangents(xs): one state evaluation
     per point and no step size."""
-    xs = _points(xs)
     psi, dpsi = family.tangents(xs)
     _require_finite(family, xs, dpsi)
     return _qgt_metrics(psi, dpsi, gamma)

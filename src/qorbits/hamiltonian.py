@@ -293,7 +293,7 @@ def first_order_bases(
 
 
 def first_order_tangent_bases(
-    omega, phi, c3, c_plus, beta: float, rho: float = RESONANCE_THRESHOLD
+    omega, phi, c3, c_plus, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """first_order_bases at chart points given as (N,) arrays, and its exact
     partials along (omega, phi, c3, c_plus), shape (N, 4, 4, 4) indexed
@@ -306,7 +306,7 @@ def first_order_tangent_bases(
         return bases, dbases
     psi1, psi2 = bases[:, 0].copy(), bases[:, 1].copy()
     dpsi1, dpsi2 = dbases[:, 0, :, 1].copy(), dbases[:, 1, :, 1].copy()
-    den1, den2, k1, k2 = _couplings(psi1, psi2, omega, c3, c_plus, rho)
+    den1, den2, k1, k2 = _couplings(psi1, psi2, omega, c3, c_plus, RESONANCE_THRESHOLD)
     # dk/d(omega, phi, c3, c_plus): the constant denominator gradients, plus
     # the phi term of the numerators
     dk1 = -k1 * _DDEN1 / den1[:, None]

@@ -15,7 +15,11 @@ from qorbits.curvature import (
 )
 from qorbits.errors import FormulaDomainError, SingularMetricError
 from qorbits.families import family_for_case
-from qorbits.fubini_study import analytic_metric_c7
+from qorbits.fubini_study import (
+    analytic_metric_c7,
+    numeric_fs_metric,
+    numeric_fs_metrics,
+)
 from qorbits.model import InitialCoefficients, classify
 
 
@@ -170,17 +174,34 @@ def _reference_scalar(mf, xi, h):
     return (4 * scalar(h / 2) - scalar(h)) / 3
 
 
-def test_numeric_field_scalar_matches_per_centre_reference():
-    # on a finite-difference metric field, rounding noise moves the curvature
-    # by up to 1e-4 relative when the stencil points move by an ulp, so
-    # sharing points must leave the h/2 step's points where they were; the
-    # family field's exact tangent metrics must agree as well
+def _uniform_c7_family():
     eta = InitialCoefficients(0.5, 0.5, 0.5, 0.5)
-    mf = MetricField.from_family(family_for_case(classify(eta), eta))
+    return family_for_case(classify(eta), eta)
+
+
+def _assert_matches_per_centre_reference(mf):
     for xi in ([0.7, 0.3, 0.2, 0.4], [-0.4, 1.1, 0.9, -1.3]):
         xi = np.array(xi)
         ref = _reference_scalar(mf, xi, 1e-3)
         assert curvature_at(mf, xi).scalar == pytest.approx(ref, rel=1e-7)
+
+
+def test_numeric_field_scalar_matches_per_centre_reference():
+    # on a finite-difference metric field, rounding noise moves the curvature
+    # by up to 1e-4 relative when the stencil points move by an ulp, so
+    # sharing points must leave the h/2 step's points where they were
+    f = _uniform_c7_family()
+    _assert_matches_per_centre_reference(MetricField(
+        f.dim,
+        lambda xi: numeric_fs_metric(f, xi).entries,
+        None,
+        lambda xs: numeric_fs_metrics(f, xs),
+    ))
+
+
+def test_tangent_field_scalar_matches_per_centre_reference():
+    # the exact tangent field is far less sensitive to the stencil's floats
+    _assert_matches_per_centre_reference(MetricField.from_family(_uniform_c7_family()))
 
 
 def test_domain_margin_enforced():

@@ -367,8 +367,10 @@ def test_tangent_metrics_name_singular_coordinate():
     tangent_fs_metrics(Bad(), np.zeros((1, 2)))
     with pytest.raises(ChartSingularityError, match="'bad'"):
         tangent_fs_metrics(Bad(), np.zeros((3, 2)))
+    # the family checks the batch shape
+    eta = InitialCoefficients(0.5, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
-        tangent_fs_metrics(Bad(), np.zeros(2))
+        tangent_fs_metrics(family_for_case(classify(eta), eta), np.zeros(4))
 
 
 def test_family_field_needs_tangents():
