@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 
@@ -37,6 +38,7 @@ from .fubini_study import (
     analytic_metric_case,
     constrained_two_param_family,
     numeric_fs_metric,
+    numeric_fs_metrics,
     phase_twisted,
     pushforward_c7,
     sliced_family,
@@ -560,13 +562,9 @@ def _suite_metric(args, rng, checks):
     eta = parse_eta(DEFAULT_CASE_ETAS["C7"], None)
     f = family_for_case(classify(eta), eta)
     fs = sliced_family(f, {"phi": 0.0})
-    mats = [
-        numeric_fs_metric(fs, np.array([w, c3, cp]), gamma=gamma).entries
-        for w in (0.2, 0.9)
-        for c3 in (0.1, 0.8)
-        for cp in (0.3, 1.2)
-    ]
-    var = float(np.max([np.max(np.abs(m - mats[0])) for m in mats]))
+    pts = [[w, c3, cp] for w in (0.2, 0.9) for c3 in (0.1, 0.8) for cp in (0.3, 1.2)]
+    mats = numeric_fs_metrics(fs, pts, gamma=gamma)
+    var = float(np.max(np.abs(mats - mats[0])))
     checks.append({"name": "flat-slice-constant-metric", "passed": var < 1e-9,
                    "deviation": var, "soft": False})
     # printed-vs-oracle ratio audits for the reduced-case closed forms
@@ -592,6 +590,27 @@ def _suite_metric(args, rng, checks):
         "deviation": abs(printed / ga[0, 1] - 2.0),
         "soft": True,
     })
+
+
+def _table_samples(f, rng):
+    """200 chart points on the agreement domain of the case's closed-form
+    concurrence, from one rng.random draw. low + (high - low) * u is what
+    rng.uniform(low, high) computes, so the points reproduce, value for
+    value and in stream order, per-row uniform(-3, 3) coordinates followed
+    by a uniform(-1.4, 1.4) redraw of phi where the formula needs
+    cos phi > 0."""
+    label = f.case.label
+    status = CASE_FORMULA_STATUS[label]
+    redraw_phi = "phi" in f.chart and "cos_phi_pos" in status or label == "C5"
+    u = rng.random((200, f.dim + int(redraw_phi)))
+    xs = -3 + 6 * u[:, :f.dim]
+    if redraw_phi:
+        xs[:, f.chart.index("phi")] = -1.4 + 2.8 * u[:, -1]
+    if label == "C5":
+        # the printed sin(omega) equals the oracle's sin(2 omega) nowhere
+        # generic; sample the locus where both vanish
+        xs[:, f.chart.index("omega")] = 0.0
+    return xs
 
 
 def _suite_tables(args, rng, checks):
@@ -632,19 +651,8 @@ def _suite_tables(args, rng, checks):
     for label, eta_text in DEFAULT_CASE_ETAS.items():
         eta = parse_eta(eta_text, None)
         f = family_for_case(classify(eta), eta)
-        status = CASE_FORMULA_STATUS[label]
-        xs = np.empty((200, f.dim))
-        for xi in xs:
-            xi[:] = rng.uniform(-3, 3, size=f.dim)
-            if "phi" in f.chart and "cos_phi_pos" in status or label == "C5":
-                k = f.chart.index("phi")
-                xi[k] = rng.uniform(-1.4, 1.4)
-            if label == "C5":
-                k = f.chart.index("omega")
-                # the printed sin(omega) equals the oracle's sin(2 omega)
-                # nowhere generic; sample the locus where both vanish
-                xi[k] = 0.0
-        closed = np.array([concurrence_analytic(f.case, eta, xi) for xi in xs])
+        xs = _table_samples(f, rng)
+        closed = concurrence_analytic(f.case, eta, xs)
         worst = float(np.max(np.abs(closed - concurrences(f.states(xs)))))
         checks.append(
             {
@@ -745,7 +753,10 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, so repeated in-process main calls share it."""
     parser = argparse.ArgumentParser(
         prog="qorbits",
         description="Geometry and entanglement of two-qubit unitary orbits",

@@ -28,9 +28,9 @@ def concurrences(states) -> np.ndarray:
     mag2 = np.abs(states)
     mag2 *= mag2
     norms = np.sqrt(mag2.sum(axis=1))
-    bad = np.abs(norms - 1.0) > NORM_TOL
-    if bad.any():
-        raise ValueError(f"state not normalized: |psi| = {norms[np.argmax(bad)]!r}")
+    ok = np.abs(norms - 1.0) <= NORM_TOL  # False for a NaN norm too
+    if not ok.all():
+        raise ValueError(f"state not normalized: |psi| = {norms[np.argmin(ok)]!r}")
     a, b, c, d = states.T
     return 2.0 * np.abs(a * d - b * c)
 
@@ -54,57 +54,66 @@ def _require(cond: bool, what: str):
         raise ValueError(f"closed form requires {what}")
 
 
-def concurrence_analytic(case, eta: InitialCoefficients, xi) -> float:
+def concurrence_analytic(case, eta: InitialCoefficients, xi) -> float | np.ndarray:
     """Cataloged per-case concurrence at chart point xi.
 
-    Each case's stated simplifications are enforced: C5 needs eta1 = eta2,
-    C6 needs eta3 = eta4, C7 needs both.  See CASE_FORMULA_STATUS for the
-    measured validity domain of each printed expression.
+    xi is one point (dim,), giving a float, or a batch (N, dim), giving an
+    (N,) array; each printed expression is evaluated on whole coordinate
+    arrays.  Each case's stated simplifications are enforced: C5 needs
+    eta1 = eta2, C6 needs eta3 = eta4, C7 needs both.  See
+    CASE_FORMULA_STATUS for the measured validity domain of each printed
+    expression.
     """
     xi = np.asarray(xi, dtype=float)
+    value = _closed_form(case, eta, xi.T)
+    return float(value) if xi.ndim == 1 else value
+
+
+def _closed_form(case, eta: InitialCoefficients, xi):
+    """The printed expression of the case, on coordinate arrays xi[0..dim-1]."""
     a2 = eta.abs2
     label = case.label if hasattr(case, "label") else str(case)
     if label == "C1":
         chi = _chi(eta, 3, 4)
         c_plus = xi[0]
-        return math.sqrt(
-            max(
+        return np.sqrt(
+            np.maximum(
                 0.0,
                 a2[2] ** 2
                 + a2[3] ** 2
-                - 2 * a2[2] * a2[3] * math.cos(4 * c_plus + 2 * chi),
+                - 2 * a2[2] * a2[3] * np.cos(4 * c_plus + 2 * chi),
             )
         )
     if label == "C2":
-        return abs(math.cos(xi[0]))
+        return abs(np.cos(xi[0]))
     if label == "C3":
         chi = _chi(eta, 1, 2)
         omega, phi = xi
-        m1, m2 = math.sqrt(a2[0]), math.sqrt(a2[1])
+        m1, m2 = np.sqrt(a2[0]), np.sqrt(a2[1])
         val = (
-            (a2[0] ** 2 + a2[1] ** 2 - 2 * a2[0] * a2[1] * math.cos(4 * omega + 2 * chi))
-            * math.cos(phi) ** 2
-            + 4 * a2[0] * a2[1] * math.sin(phi) ** 2
+            (a2[0] ** 2 + a2[1] ** 2 - 2 * a2[0] * a2[1] * np.cos(4 * omega + 2 * chi))
+            * np.cos(phi) ** 2
+            + 4 * a2[0] * a2[1] * np.sin(phi) ** 2
             - 4
             * m1
             * m2
             * (a2[0] - a2[1])
-            * math.cos(2 * omega + chi)
-            * math.sin(phi)
-            * math.cos(phi)
+            * np.cos(2 * omega + chi)
+            * np.sin(phi)
+            * np.cos(phi)
         )
-        return math.sqrt(max(0.0, val))
+        return np.sqrt(np.maximum(0.0, val))
     if label == "C4":
         l, j = case.l, case.j
         chi = _chi(eta, l, j)
         phi, c = xi
         al2, aj2 = a2[l - 1], a2[j - 1]
         val = (
-            al2**2 * math.cos(phi) ** 2
+            al2**2 * np.cos(phi) ** 2
             + aj2**2
-            - 2 * (-1) ** (l + j) * al2 * aj2 * math.cos(2 * c + chi) * math.cos(phi)
+            - 2 * (-1) ** (l + j) * al2 * aj2 * np.cos(2 * c + chi) * np.cos(phi)
         )
-        return math.sqrt(max(0.0, val))
+        return np.sqrt(np.maximum(0.0, val))
     if label == "C5":
         _require(abs(eta.eta1 - eta.eta2) < 1e-12, "eta1 = eta2")
         j = case.j
@@ -112,12 +121,12 @@ def concurrence_analytic(case, eta: InitialCoefficients, xi) -> float:
         omega, phi, c = xi
         a1 = a2[0]
         aj2 = a2[j - 1]
-        t1 = -2 * a1 * math.sin(phi) + (-1) ** j * aj2 * math.cos(2 * c + 2 * chi)
+        t1 = -2 * a1 * np.sin(phi) + (-1) ** j * aj2 * np.cos(2 * c + 2 * chi)
         t2 = (
-            -2 * a1 * math.sin(omega) * math.cos(phi)
-            + (-1) ** j * aj2 * math.sin(2 * c + 2 * chi)
+            -2 * a1 * np.sin(omega) * np.cos(phi)
+            + (-1) ** j * aj2 * np.sin(2 * c + 2 * chi)
         )
-        return math.sqrt(t1 * t1 + t2 * t2)
+        return np.sqrt(t1 * t1 + t2 * t2)
     if label == "C6":
         _require(abs(eta.eta3 - eta.eta4) < 1e-12, "eta3 = eta4")
         l = case.l
@@ -125,24 +134,24 @@ def concurrence_analytic(case, eta: InitialCoefficients, xi) -> float:
         phi, c, c_plus = xi
         al2 = a2[l - 1]
         a3 = a2[2]
-        t1 = (-1) ** (l + 1) * al2 * math.cos(phi) - 2 * a3 * math.sin(
+        t1 = (-1) ** (l + 1) * al2 * np.cos(phi) - 2 * a3 * np.sin(
             2 * c + 2 * chi
-        ) * math.sin(2 * c_plus)
-        t2sq = 4 * a3**2 * math.cos(2 * c + 2 * chi) ** 2 * math.sin(2 * c_plus) ** 2
-        return math.sqrt(t1 * t1 + t2sq)
+        ) * np.sin(2 * c_plus)
+        t2sq = 4 * a3**2 * np.cos(2 * c + 2 * chi) ** 2 * np.sin(2 * c_plus) ** 2
+        return np.sqrt(t1 * t1 + t2sq)
     if label == "C7":
         _require(abs(eta.eta1 - eta.eta2) < 1e-12, "eta1 = eta2")
         _require(abs(eta.eta3 - eta.eta4) < 1e-12, "eta3 = eta4")
         chi = _chi(eta, 1, 3)
         omega, phi, c3, c_plus = xi
         a1, a3 = a2[0], a2[2]
-        t1 = 2 * a1 * math.sin(phi) + 2 * a3 * math.sin(2 * c_plus) * math.sin(
+        t1 = 2 * a1 * np.sin(phi) + 2 * a3 * np.sin(2 * c_plus) * np.sin(
             4 * c3 + 2 * chi
         )
-        t2 = -2 * a1 * math.sin(2 * omega) * math.cos(phi) + 2 * a3 * math.sin(
+        t2 = -2 * a1 * np.sin(2 * omega) * np.cos(phi) + 2 * a3 * np.sin(
             2 * c_plus
-        ) * math.cos(4 * c3 + 2 * chi)
-        return math.sqrt(t1 * t1 + t2 * t2)
+        ) * np.cos(4 * c3 + 2 * chi)
+        return np.sqrt(t1 * t1 + t2 * t2)
     raise ValueError(f"unsupported case {label!r}")
 
 
@@ -294,12 +303,20 @@ def scan_concurrence(f: StateFamily, grid: dict) -> ConcurrenceScan:
     """Dense concurrence evaluation over an axis-aligned grid.
 
     grid maps chart coordinate names to (start, stop, count); missing
-    coordinates are held at 0.
+    coordinates are held at 0.  A name outside the chart, a non-finite
+    endpoint or a count below 1 raises ValueError naming the coordinate.
     """
+    unknown = [name for name in grid if name not in f.chart]
+    if unknown:
+        raise ValueError(f"grid coordinate {unknown[0]!r} is not in the chart {f.chart}")
     axes = []
     for name in f.chart:
         if name in grid:
             a, b, n = grid[name]
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"grid endpoints of {name!r} must be finite, got {a!r}:{b!r}")
+            if int(n) < 1:
+                raise ValueError(f"grid count of {name!r} must be at least 1, got {n!r}")
             axes.append(np.linspace(a, b, int(n)))
         else:
             axes.append(np.array([0.0]))

@@ -145,10 +145,9 @@ def numeric_fs_metric(
     g = numeric_fs_metrics(family, np.asarray(xi, dtype=float)[None], gamma, h)[0]
     dim = g.shape[0]
     chart = tuple(getattr(family, "chart", ()) or (f"x{i}" for i in range(dim)))
-    scale = max(np.max(np.abs(g)), 1.0)
-    degenerate = tuple(
-        i for i in range(dim) if np.max(np.abs(g[i])) < degeneracy_tol * scale
-    )
+    row_max = np.abs(g).max(axis=1)
+    scale = max(row_max.max(), 1.0)
+    degenerate = tuple(np.flatnonzero(row_max < degeneracy_tol * scale).tolist())
     return MetricTensor(g, gamma, chart, degenerate)
 
 

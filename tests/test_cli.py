@@ -3,7 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from qorbits.cli import main, parse_eta, parse_grid
+from qorbits.cli import (
+    DEFAULT_CASE_ETAS,
+    _table_samples,
+    build_parser,
+    main,
+    parse_eta,
+    parse_grid,
+)
+from qorbits.entanglement import CASE_FORMULA_STATUS
+from qorbits.families import family_for_case
+from qorbits.model import classify
 
 
 def run_cli(capsys, *argv):
@@ -193,3 +203,59 @@ def test_parse_helpers():
     grid = parse_grid("phi=0:3.14:11,c=0:1:5")
     assert grid["phi"] == (0.0, 3.14, 11)
     assert grid["c"] == (0.0, 1.0, 5)
+
+
+def test_evolve_nan_point_is_bad_config(capsys):
+    argv = ["evolve", "--eta", "0.5,0.5,0.5,0.5", "--point", "nan,0.3,0.2,0.4"]
+    assert main(argv) == 2
+    assert "not normalized" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid", ["ph=0:6.2832:5", "phi=0:nan:3", "phi=0:1:0"]
+)
+def test_concurrence_bad_grid_is_bad_config(grid, capsys):
+    assert main(["concurrence", "--eta", "1,0,0,0", "--grid", grid]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
+def _per_row_samples(f, rng):
+    """The per-row rng.uniform stream the table samples must reproduce."""
+    label = f.case.label
+    status = CASE_FORMULA_STATUS[label]
+    xs = np.empty((200, f.dim))
+    for xi in xs:
+        xi[:] = rng.uniform(-3, 3, size=f.dim)
+        if "phi" in f.chart and "cos_phi_pos" in status or label == "C5":
+            xi[f.chart.index("phi")] = rng.uniform(-1.4, 1.4)
+        if label == "C5":
+            xi[f.chart.index("omega")] = 0.0
+    return xs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 37])
+def test_table_samples_match_per_row_uniform(seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for text in DEFAULT_CASE_ETAS.values():
+        eta = parse_eta(text)
+        f = family_for_case(classify(eta), eta)
+        got = _table_samples(f, fast)
+        assert got.tobytes() == _per_row_samples(f, slow).tobytes(), f.case.label
+    # and the generator is left at the same position
+    assert fast.random() == slow.random()
+
+
+def test_cached_parser_leaks_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    out = str(tmp_path / "r.json")
+    base = ["verify", "--suite", "curvature", "--out", out]
+    assert main(base + ["--chi", "0.3"]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["config"]["chi"] == 0.3
+    assert main(base) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["config"]["chi"] == 0.0
+    assert main(["verify", "--no-such-flag"]) == 2
+    assert main(["verify", "--seed", "x"]) == 2
+    capsys.readouterr()
+    assert main(base) == 0
+    rep = json.loads((tmp_path / "r.json").read_text())
+    assert rep["config"]["chi"] == 0.0 and rep["config"]["seed"] == 1234

@@ -8,6 +8,7 @@ from qorbits.entanglement import (
     CASE_FORMULA_STATUS,
     concurrence,
     concurrence_analytic,
+    concurrences,
     scan_concurrence,
     verify_max_entangled_tables,
 )
@@ -34,6 +35,14 @@ def test_concurrence_product_state():
 def test_concurrence_requires_normalization():
     with pytest.raises(ValueError):
         concurrence(np.array([1.0, 1.0, 0, 0]))
+
+
+def test_concurrence_rejects_nan_state():
+    # a NaN norm fails |norm - 1| > tol too, so it must be caught explicitly
+    with pytest.raises(ValueError, match="not normalized"):
+        concurrences([[math.nan, 0, 0, 0]])
+    with pytest.raises(ValueError, match="not normalized"):
+        concurrence(np.array([S2, 0, 0, complex(math.nan, 0)]))
 
 
 def test_concurrence_range(rng):
@@ -65,6 +74,44 @@ def _domain_point(rng, f, status):
     if "sin_omega" in status:
         xi[f.chart.index("omega")] = 0.0  # sin w = sin 2w = 0 locus
     return xi
+
+
+BATCH_ETAS = {
+    "C1": (0, 0, 0.8, 0.6j),
+    "C2": (0, 1, 0, 0),
+    "C3": (0.8, 0.6 * cmath.exp(0.9j), 0, 0),
+    "C4": (0, 0.8, 0, 0.6 * cmath.exp(0.7j)),
+    "C5": (0.6, 0.6, 0.4j, 0),
+    "C6": (0.6, 0, 0.5 * cmath.exp(1j), 0.5 * cmath.exp(1j)),
+    "C7": (0.5, 0.5, 0.5j, 0.5j),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(BATCH_ETAS))
+def test_closed_form_batch_rows_match_points(pattern, rng):
+    eta = InitialCoefficients.normalized(*BATCH_ETAS[pattern])
+    case = classify(eta)
+    xs = rng.uniform(-3, 3, size=(500, case.dimension))
+    batch = concurrence_analytic(case, eta, xs)
+    points = [concurrence_analytic(case, eta, xi) for xi in xs]
+    assert batch.shape == (500,)
+    assert all(type(v) is float for v in points)
+    points = np.array(points)
+    if pattern in ("C3", "C4", "C6"):
+        # an array x ** 2 is x * x, a scalar one goes through pow
+        assert np.all(np.abs(batch - points) <= 2 * np.spacing(points))
+    else:
+        assert batch.tobytes() == points.tobytes()
+
+
+@pytest.mark.parametrize(
+    "vals, what",
+    [((0.6, 0.5, 0.4j, 0), "eta1 = eta2"), ((0.5, 0.5, 0.6, 0.4), "eta3 = eta4")],
+)
+def test_closed_form_batch_keeps_preconditions(vals, what):
+    eta = InitialCoefficients.normalized(*vals)
+    with pytest.raises(ValueError, match=what):
+        concurrence_analytic(classify(eta), eta, np.zeros((3, classify(eta).dimension)))
 
 
 @pytest.mark.parametrize("pattern", ["C1", "C2", "C3", "C4", "C5", "C6", "C7"])
@@ -276,3 +323,19 @@ def test_scan_stationary_family_constant():
     f = family_for_case(classify(eta), eta)
     scan = scan_concurrence(f, {"c_plus": (0.1, 0.1, 3)})
     assert np.ptp(scan.values) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "grid, match",
+    [
+        ({"ph": (0.0, 6.2832, 5)}, "'ph' is not in the chart"),
+        ({"phi": (0.0, math.nan, 3)}, "endpoints of 'phi' must be finite"),
+        ({"phi": (-math.inf, 1.0, 3)}, "endpoints of 'phi' must be finite"),
+        ({"phi": (0.0, 1.0, 0)}, "count of 'phi' must be at least 1"),
+    ],
+)
+def test_scan_rejects_bad_grids(grid, match):
+    eta = InitialCoefficients(1, 0, 0, 0)
+    f = family_for_case(classify(eta), eta)
+    with pytest.raises(ValueError, match=match):
+        scan_concurrence(f, grid)
