@@ -1,4 +1,5 @@
-"""Finite-difference Riemannian curvature over metric fields, the closed-form
+"""Riemannian curvature: exact for state families by the Gauss equation,
+by finite differences over any other metric field; the closed-form
 uniform-coefficient example (metric, Ricci, scalar 14/gamma^2), and the long
 closed-form scalar curvature of the linearly perturbed metric.
 
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormulaDomainError, SingularMetricError
-from .fubini_study import MetricTensor, tangent_fs_metrics
+from .fubini_study import MetricTensor, _require_finite, tangent_fs_metrics
 
 DEFAULT_CURVATURE_STEP = 1e-3
 SINGULARITY_TOL = 1e-10
@@ -33,13 +34,17 @@ class MetricField:
     evaluator maps a coordinate vector to a (dim, dim) array; domain, when
     given, is a per-coordinate (lo, hi) box inside which finite differences
     are trusted; batch_evaluator, when given, maps an (N, dim) batch of
-    coordinate vectors to an (N, dim, dim) array in one call.
+    coordinate vectors to an (N, dim, dim) array in one call.  family, set by
+    from_family, is the state family whose Fubini-Study metric (scale gamma)
+    the field is; curvature_at then takes the exact Gauss equation.
     """
 
     dim: int
     evaluator: object
     domain: tuple[tuple[float, float], ...] | None = None
     batch_evaluator: object = None
+    family: object = None
+    gamma: float = 1.0
 
     def __call__(self, xi) -> np.ndarray:
         g = self.evaluator(np.asarray(xi, dtype=float))
@@ -62,8 +67,9 @@ class MetricField:
     @classmethod
     def from_family(cls, family, gamma: float = 1.0, domain=None) -> "MetricField":
         """The Fubini-Study metric field of a family with exact tangents
-        (tangent_fs_metrics).  Other objects raise TypeError: wrap
-        numeric_fs_metrics in a MetricField for a finite-difference field."""
+        (tangent_fs_metrics); its curvature is exact (gauss_curvature).
+        Other objects raise TypeError: wrap numeric_fs_metrics in a
+        MetricField for a finite-difference field."""
         if not hasattr(family, "tangents"):
             raise TypeError(
                 f"{type(family).__name__} has no exact tangents; build a "
@@ -74,6 +80,8 @@ class MetricField:
             lambda xi: tangent_fs_metrics(family, xi[None], gamma)[0],
             domain,
             lambda xs: tangent_fs_metrics(family, xs, gamma),
+            family,
+            gamma,
         )
 
     def check_interior(self, xi, margin: float):
@@ -98,18 +106,19 @@ class CurvatureReport:
     note: str = ""
 
 
-def _condition_number(g, points) -> float:
-    """Condition number of g[0]; raises SingularMetricError at the first of
-    the stacked metrics g with an eigenvalue below SINGULARITY_TOL in
-    magnitude."""
-    evals = np.linalg.eigvalsh(g)
-    singular = np.min(np.abs(evals), axis=1) < SINGULARITY_TOL
+def _condition_number(evals, points) -> float:
+    """Condition number of the first of stacked metrics with eigenvalues
+    evals, shape (N, dim); raises SingularMetricError at the first metric
+    with an eigenvalue below SINGULARITY_TOL in magnitude."""
+    mags = np.abs(evals)
+    smallest = mags.min(axis=1)
+    singular = smallest < SINGULARITY_TOL
     if singular.any():
-        k = int(np.argmax(singular))
+        k = int(singular.argmax())
         raise SingularMetricError(
             f"metric singular at {points[k]}: eigenvalues {evals[k]}"
         )
-    return float(np.max(np.abs(evals[0])) / np.min(np.abs(evals[0])))
+    return float(mags[0].max() / smallest[0])
 
 
 @lru_cache(maxsize=None)
@@ -176,18 +185,24 @@ def curvature_at(
     h: float = DEFAULT_CURVATURE_STEP,
     richardson: bool = True,
 ) -> CurvatureReport:
-    """Curvature tensors at a point by nested central differences.
+    """Curvature tensors at a point.
 
-    Every distinct metric of the stencil is evaluated once, in one
-    mf.metrics call.  With richardson=True the h and h/2 evaluations are
-    combined as (4 T(h/2) - T(h))/3, removing the leading O(h^2) error.
+    On a family field (MetricField.from_family) of dim > 1 they are exact,
+    from gauss_curvature, and h and richardson are unused.  On any other
+    field they come from nested central differences: every distinct metric
+    of the stencil is evaluated once, in one mf.metrics call, and with
+    richardson=True the h and h/2 evaluations are combined as
+    (4 T(h/2) - T(h))/3, removing the leading O(h^2) error.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"curvature step h must be finite and positive, got {h}")
     xi = np.asarray(xi, dtype=float)
+    if mf.family is not None and mf.dim > 1:
+        mf.check_interior(xi, 0.0)
+        return gauss_curvature(mf.family, xi, mf.gamma)
     mf.check_interior(xi, 2.0 * h)
     if mf.dim == 1:
-        cond = _condition_number(mf.metrics(xi[None]), xi[None])
+        cond = _condition_number(np.linalg.eigvalsh(mf.metrics(xi[None])), xi[None])
         z = np.zeros((1,) * 4)
         return CurvatureReport(
             xi, np.zeros((1, 1, 1)), z, np.zeros((1, 1)), 0.0, h, cond,
@@ -198,7 +213,7 @@ def curvature_at(
     g_all = mf.metrics(points)
     # every Christoffel centre, the point itself first
     centres = rows[:, :, 0].ravel()
-    cond = _condition_number(g_all[centres], points[centres])
+    cond = _condition_number(np.linalg.eigvalsh(g_all[centres]), points[centres])
     ginv = np.linalg.inv(g_all[centres[0]])
     # T(h) is the last step's; with Richardson the first is T(h/2)
     tensors = [_stencil_tensors(g_all, r, ginv, k * (0.5 * h)) for k, r in zip(ks, rows)]
@@ -210,6 +225,62 @@ def curvature_at(
         ric = (4.0 * ric2 - ric) / 3.0
         sca = (4.0 * sca2 - sca) / 3.0
     return CurvatureReport(xi, gam, rie, ric, float(sca), h, cond)
+
+
+def gauss_curvature(family, xi, gamma: float = 1.0) -> CurvatureReport:
+    """Exact curvature tensors at a point of a state family's Fubini-Study
+    metric gamma^2 Re QGT, from family.hessians: the family is a submanifold
+    of CP^3, of constant holomorphic sectional curvature 4/gamma^2, so the
+    Gauss equation gives its curvature from the state and its first and
+    second chart partials at the point.
+
+    With P = 1 - |psi><psi|, e_m = P d_m psi, a_m = Im<psi|d_m psi>,
+    g + i W = <e|e> and D_mn = P d_m d_n psi - i (a_m e_n + a_n e_m):
+    Gamma^r_mn = g^rl Re<e_l|D_mn>, the second fundamental form is
+    II_mn = D_mn - Gamma^r_mn e_r, and
+
+        R_rsmn = g_rm g_sn - g_rn g_sm + W_rm W_sn - W_rn W_sm + 2 W_rs W_mn
+                 + Re<II_rm|II_sn> - Re<II_rn|II_sm>,
+
+    reported with its first index raised (the module's sign convention).
+    Raises ChartSingularityError for a non-finite partial and
+    SingularMetricError for a singular metric.
+    """
+    xi = np.asarray(xi, dtype=float)
+    psi, dpsi, d2psi = family.hessians(xi[None])
+    dim = dpsi.shape[1]
+    # coordinate m is named if d_m psi or any d_m d_n psi is not finite
+    _require_finite(family, xi[None], np.concatenate([dpsi, d2psi.reshape(1, dim, -1)], axis=2))
+    psi, dpsi, d2psi = psi[0], dpsi[0], d2psi[0].reshape(dim * dim, 4)
+    overlap = dpsi @ psi.conj()  # <psi|d_m psi>
+    e = dpsi - overlap[:, None] * psi
+    q = e.conj() @ e.T
+    g, w = q.real, q.imag
+    evals, evecs = np.linalg.eigh(g)
+    cond = _condition_number(gamma * gamma * evals[None], xi[None])
+    # the inverse from the eigenpairs, then one Newton step, which brings
+    # it to the accuracy of an LU inverse
+    ginv = (evecs / evals) @ evecs.T
+    ginv = 2.0 * ginv - ginv @ g @ ginv
+    # D and II have one row per (m, n)
+    iae = (1j * overlap.imag)[:, None, None] * e  # i a_m e_n
+    d = (d2psi - (d2psi @ psi.conj())[:, None] * psi
+         - (iae + iae.transpose(1, 0, 2)).reshape(-1, 4))
+    christoffel = ginv @ (e.conj() @ d.T).real
+    ii = d - christoffel.T @ e
+    # g_rm g_sn + W_rm W_sn + Re<II_rm|II_sn> = Re of the products of the
+    # rows (q_rm, II_rm), at [(r, m), (s, n)]
+    rows = np.concatenate([q.reshape(-1, 1), ii], axis=1)
+    prod = (rows.conj() @ rows.T).real.reshape((dim,) * 4).transpose(0, 2, 1, 3)
+    lowered = prod - prod.transpose(0, 1, 3, 2) + 2.0 * w[:, :, None, None] * w
+    riemann = (ginv @ lowered.reshape(dim, -1)).reshape((dim,) * 4)
+    # Ricci_sn = g^rl R_lsrn, by one product over the pairs (l, r)
+    ricci = (ginv.reshape(-1) @ lowered.transpose(0, 2, 1, 3).reshape(dim * dim, -1)).reshape(dim, dim)
+    scalar = float(ginv.reshape(-1) @ ricci.reshape(-1)) / (gamma * gamma)
+    christoffel = christoffel.reshape((dim,) * 3)
+    return CurvatureReport(
+        xi, christoffel, riemann, ricci, scalar, 0.0, cond, note="exact: Gauss equation"
+    )
 
 
 def sphere_metric_field(radius: float) -> MetricField:

@@ -15,7 +15,8 @@ with the phases theta_k affine in the chart coordinates (PHASE_FORMS), so one
 batched path, StateFamily.states, serves all seven cases; state is its
 one-row case.  StateFamily.tangents adds the exact partials along the chart:
 the phases contribute i theta_k' and the eigenbasis its closed-form
-derivative.
+derivative.  StateFamily.hessians adds the exact second partials, for the
+Gauss-equation curvature.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from .hamiltonian import (
     PSI4,
     eigvec_pair,
     first_order_bases,
+    first_order_hessian_bases,
     first_order_tangent_bases,
+    normalize_with_hessians,
     normalize_with_partials,
 )
 from .model import (
@@ -168,18 +171,32 @@ class StateFamily:
         """Normalized states at the rows of an (N, dim) batch, shape (N, 4),
         and their exact partials along the chart, shape (N, dim, 4), from
         one eigenbasis and its derivative per row."""
+        return self._blocks(xs, self._tangent_block, 2)
+
+    def hessians(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """tangents(xs) and the exact second partials along the chart,
+        shape (N, dim, dim, 4), from one eigenbasis and its first and second
+        derivatives per row."""
         xs = self._rows(xs)
-        psi = np.empty((len(xs), 4), dtype=complex)
-        dpsi = np.empty((len(xs), self.dim, 4), dtype=complex)
+        if len(xs) <= BLOCK_ROWS:
+            return self._hessian_block(xs)
+        return self._blocks(xs, self._hessian_block, 3)
+
+    def _blocks(self, xs, block_fn, order):
+        """The outputs of block_fn over blocks of BLOCK_ROWS rows: the states
+        (N, 4) and order - 1 arrays of partials, (N,) + (dim,) * k + (4,)."""
+        xs = self._rows(xs)
+        outs = [np.empty((len(xs),) + (self.dim,) * k + (4,), dtype=complex)
+                for k in range(order)]
         for start in range(0, len(xs), BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
-            psi[block], dpsi[block] = self._tangent_block(xs[block])
-        return psi, dpsi
+            for out, part in zip(outs, block_fn(xs[block])):
+                out[block] = part
+        return tuple(outs)
 
-    def _tangent_block(self, xs):
-        coords, amps = self._coords_and_amps(xs)
-        basis, dbasis = first_order_tangent_bases(*coords.T, self.beta)
-        n = len(xs)
+    def _partials(self, amps, basis, dbasis):
+        """Unnormalized state rows and their chart partials (N, 4, dim)."""
+        n = len(amps)
         out = np.matmul(amps[:, None, :], basis)[:, 0]
         # per state component: the phase terms amps_k psi_k and the basis
         # partials sum_k amps_k d psi_k, side by side, taken to the chart in
@@ -189,10 +206,46 @@ class StateFamily:
              np.matmul(amps[:, None, :], dbasis.reshape(n, 4, -1)).reshape(-1, 4)],
             axis=1,
         )
-        dout = (parts @ self._tangent_map).reshape(n, 4, -1)
+        return out, (parts @ self._tangent_map).reshape(n, 4, -1)
+
+    def _tangent_block(self, xs):
+        coords, amps = self._coords_and_amps(xs)
+        out, dout = self._partials(amps, *first_order_tangent_bases(*coords.T, self.beta))
         if self.beta != 0.0:
             out, dout = normalize_with_partials(out, dout)
         return out, dout.transpose(0, 2, 1)
+
+    @cached_property
+    def _hessian_map(self):
+        """(36, dim^2) map onto the chart second partials, flattened, built
+        from the two blocks of _tangent_map: from the phase terms
+        amps_k psi_k ((i lin_km)(i lin_kn)), the mixed terms amps_k d_c psi_k
+        (i lin_km chart_cn in both orders) and the basis second partials
+        sum_k amps_k d_c d_d psi_k (chart_cm chart_dn)."""
+        phase, chart = self._tangent_map[:4], self._tangent_map[4:]
+        mixed = phase[:, None, :, None] * chart[None, :, None, :]
+        return np.concatenate([
+            (phase[:, :, None] * phase[:, None, :]).reshape(4, -1),
+            (mixed + mixed.transpose(0, 1, 3, 2)).reshape(16, -1),
+            (chart[:, None, :, None] * chart[None, :, None, :]).reshape(16, -1),
+        ])
+
+    def _hessian_block(self, xs):
+        coords, amps = self._coords_and_amps(xs)
+        basis, dbasis, d2basis = first_order_hessian_bases(*coords.T, self.beta)
+        out, dout = self._partials(amps, basis, dbasis)
+        n = len(xs)
+        # per state component, the terms of _hessian_map side by side
+        parts = np.concatenate(
+            [amps[:, None, :] * basis.transpose(0, 2, 1),
+             (amps[:, None, :, None] * dbasis.transpose(0, 2, 1, 3)).reshape(n, 4, 16),
+             np.matmul(amps[:, None, :], d2basis.reshape(n, 4, -1)).reshape(n, 4, 16)],
+            axis=2,
+        )
+        d2out = (parts @ self._hessian_map).reshape(n, 4, self.dim, self.dim)
+        if self.beta != 0.0:
+            out, dout, d2out = normalize_with_hessians(out, dout, d2out)
+        return out, dout.transpose(0, 2, 1), d2out.transpose(0, 2, 3, 1)
 
     def state(self, xi) -> np.ndarray:
         """Normalized state at chart point xi."""

@@ -270,6 +270,22 @@ def normalize_with_partials(v, dv):
     return u, (dv - u[..., None] * proj) / norm[..., None]
 
 
+def normalize_with_hessians(v, dv, d2v):
+    """normalize_with_partials and the second partials of u = v/|v|,
+
+        d2u_cd = (d2v_cd - du_c p_d - du_d p_c - u (Re<du_d|dv_c> + Re<u|d2v_cd>))/|v|
+
+    with p_c = Re<u|dv_c>; d2v has shape v.shape + (C, C)."""
+    u, du = normalize_with_partials(v, dv)
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)[..., None, None]
+    p = np.sum(u.conj()[..., None] * dv, axis=-2).real
+    q = (np.einsum("...kc,...kd->...cd", du.conj(), dv).real
+         + np.einsum("...k,...kcd->...cd", u.conj(), d2v).real)
+    d2u = (d2v - du[..., :, None] * p[..., None, None, :]
+           - du[..., None, :] * p[..., None, :, None] - u[..., None, None] * q[..., None, :, :])
+    return u, du, d2u / norm
+
+
 def first_order_bases(
     omega, phi, c3, c_plus, beta: float, rho: float = RESONANCE_THRESHOLD
 ) -> np.ndarray:
@@ -298,12 +314,31 @@ def first_order_tangent_bases(
     """first_order_bases at chart points given as (N,) arrays, and its exact
     partials along (omega, phi, c3, c_plus), shape (N, 4, 4, 4) indexed
     (point, row, component, coordinate)."""
+    return _first_order_jet(omega, phi, c3, c_plus, beta, second=False)[:2]
+
+
+def first_order_hessian_bases(
+    omega, phi, c3, c_plus, beta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """first_order_tangent_bases and the exact second partials, shape
+    (N, 4, 4, 4, 4) indexed (point, row, component, coordinate,
+    coordinate)."""
+    return _first_order_jet(omega, phi, c3, c_plus, beta, second=True)
+
+
+def _first_order_jet(omega, phi, c3, c_plus, beta, second):
+    """Bases, partials and, if second, second partials (else None)."""
     phi = np.asarray(phi, dtype=float)
     bases = eigenbases(phi)
     dbases = np.zeros((len(phi), 4, 4, 4), dtype=complex)
     dbases[..., 1] = eigenbases_dphi(phi)
+    d2bases = None
+    if second:
+        # psi1, psi2 are trigonometric in phi/2 on each branch
+        d2bases = np.zeros((len(phi), 4, 4, 4, 4), dtype=complex)
+        d2bases[:, :2, :, 1, 1] = -0.25 * bases[:, :2]
     if beta == 0.0:
-        return bases, dbases
+        return bases, dbases, d2bases
     psi1, psi2 = bases[:, 0].copy(), bases[:, 1].copy()
     dpsi1, dpsi2 = dbases[:, 0, :, 1].copy(), dbases[:, 1, :, 1].copy()
     den1, den2, k1, k2 = _couplings(psi1, psi2, omega, c3, c_plus, RESONANCE_THRESHOLD)
@@ -318,7 +353,24 @@ def first_order_tangent_bases(
     dbases[:, 1] += beta * PSI3[:, None] * dk2[:, None]
     dbases[:, 2] = -beta * (psi1[..., None] * dk1[:, None] + psi2[..., None] * dk2[:, None])
     dbases[:, 2, :, 1] -= beta * (k1 * dpsi1 + k2 * dpsi2)
-    return normalize_with_partials(bases, dbases)
+    if not second:
+        return (*normalize_with_partials(bases, dbases), None)
+    # k = n/den with n'' = -n/4 along phi and constant den gradients:
+    # d2k = (d2n - dk dden - dden dk)/den
+    d2k1 = -(dk1[:, :, None] * _DDEN1 + _DDEN1[:, None] * dk1[:, None]) / den1[:, None, None]
+    d2k2 = -(dk2[:, :, None] * _DDEN2 + _DDEN2[:, None] * dk2[:, None]) / den2[:, None, None]
+    d2k1[:, 1, 1] -= 0.25 * k1[:, 0]
+    d2k2[:, 1, 1] -= 0.25 * k2[:, 0]
+    d2bases[:, 0] += beta * PSI3[:, None, None] * d2k1[:, None]
+    d2bases[:, 1] += beta * PSI3[:, None, None] * d2k2[:, None]
+    d2bases[:, 2] = -beta * (psi1[..., None, None] * d2k1[:, None]
+                             + psi2[..., None, None] * d2k2[:, None])
+    # the products of the phi partials of psi1, psi2 with dk, both orders
+    cross = beta * (dpsi1[..., None] * dk1[:, None] + dpsi2[..., None] * dk2[:, None])
+    d2bases[:, 2, :, 1] -= cross
+    d2bases[:, 2, :, :, 1] -= cross
+    d2bases[:, 2, :, 1, 1] += 0.25 * beta * (k1 * psi1 + k2 * psi2)
+    return normalize_with_hessians(bases, dbases, d2bases)
 
 
 def perturbed_eigenstates(

@@ -107,6 +107,32 @@ def test_tangents_match_central_differences(rng, beta):
         assert np.max(np.abs(dpsi - fd)) < 5e-9, case
 
 
+# the bounds sit about 10x above the differences' truncation error, which
+# the growing first-order couplings raise with beta (measured 3.2e-13,
+# 1.3e-10 and 7.0e-9)
+@pytest.mark.parametrize("beta, tol", [(0.0, 3e-12), (1e-3, 1e-9), (0.3, 5e-8)])
+def test_hessians_match_central_differences_of_tangents(rng, beta, tol):
+    # psi and dpsi are the tangents() rows; d2psi against 4th-order central
+    # differences of the exact tangents, over more than one block of rows
+    h = 1e-3
+    for case in CASES:
+        f = family(rng, case, beta)
+        xs = well_posed(f, rng.uniform(-1.3, 1.3, size=(3 * BLOCK_ROWS, f.dim)), 0.5)
+        assert len(xs) > BLOCK_ROWS
+        psi, dpsi, d2psi = f.hessians(xs)
+        tangents = f.tangents(xs)
+        assert np.array_equal(psi, tangents[0]) and np.array_equal(dpsi, tangents[1])
+        assert d2psi.shape == (len(xs), f.dim, f.dim, 4)
+        fd = np.stack(
+            [(-f.tangents(xs + 2 * h * e)[1] + 8 * f.tangents(xs + h * e)[1]
+              - 8 * f.tangents(xs - h * e)[1] + f.tangents(xs - 2 * h * e)[1]) / (12 * h)
+             for e in np.eye(f.dim)],
+            axis=1,
+        )
+        assert np.max(np.abs(d2psi - fd)) < tol, case
+        assert np.max(np.abs(d2psi - d2psi.transpose(0, 2, 1, 3))) < 1e-14, case
+
+
 def test_tangents_reject_resonance_and_bad_shape(rng):
     f = family(rng, "C7", beta=1e-3)
     omega, c3 = 0.9, 0.4

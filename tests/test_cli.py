@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qorbits
 from qorbits.cli import (
     DEFAULT_CASE_ETAS,
     _table_samples,
@@ -94,7 +99,26 @@ def test_curvature_command_uniform(capsys):
     )
     assert code == 0
     assert rep["results"]["closed_form_field_scalar"] == pytest.approx(14.0, rel=1e-3)
-    assert rep["results"]["scalar_curvature"] == pytest.approx(14.0, rel=1e-6)
+    assert rep["results"]["scalar_curvature"] == pytest.approx(14.0, rel=1e-13)
+    assert rep["results"]["note"] == "exact: Gauss equation"
+
+
+@pytest.mark.parametrize("gamma", ["1", "0.6"])
+def test_verify_compares_gauss_with_stencil(capsys, gamma):
+    code, rep = run_json(capsys, "verify", "--suite", "curvature", "--gamma", gamma)
+    assert code == 0
+    (chk,) = [c for c in rep["checks"] if c["name"] == "curvature-gauss-vs-stencil"]
+    assert chk["passed"] and not chk["soft"] and chk["deviation"] < 1e-6
+
+
+def test_module_entry_point():
+    # python -m qorbits, with the package on PYTHONPATH and not installed
+    src = str(Path(qorbits.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "qorbits", "verify", "--suite", "curvature", "--seed", "0"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["n_hard_failed"] == 0
 
 
 def test_perturb_command(capsys):

@@ -10,17 +10,26 @@ from qorbits.curvature import (
     g0_uniform_field,
     g0_uniform_metric,
     g0_uniform_ricci,
+    gauss_curvature,
     perturbed_scalar_curvature_closed_form,
     sphere_metric_field,
 )
-from qorbits.errors import FormulaDomainError, SingularMetricError
+from qorbits.errors import (
+    ChartSingularityError,
+    FormulaDomainError,
+    ResonanceError,
+    SingularMetricError,
+)
 from qorbits.families import family_for_case
 from qorbits.fubini_study import (
     analytic_metric_c7,
     numeric_fs_metric,
     numeric_fs_metrics,
+    tangent_fs_metrics,
 )
 from qorbits.model import InitialCoefficients, classify
+
+from conftest import random_eta, well_posed
 
 
 @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
@@ -200,8 +209,15 @@ def test_numeric_field_scalar_matches_per_centre_reference():
 
 
 def test_tangent_field_scalar_matches_per_centre_reference():
-    # the exact tangent field is far less sensitive to the stencil's floats
-    _assert_matches_per_centre_reference(MetricField.from_family(_uniform_c7_family()))
+    # the exact tangent field is far less sensitive to the stencil's floats;
+    # built from its evaluators, with no family, it keeps the stencil route
+    f = _uniform_c7_family()
+    _assert_matches_per_centre_reference(MetricField(
+        f.dim,
+        lambda xi: tangent_fs_metrics(f, xi[None])[0],
+        None,
+        lambda xs: tangent_fs_metrics(f, xs),
+    ))
 
 
 def test_domain_margin_enforced():
@@ -249,12 +265,13 @@ def test_g0_ricci_matches_catalog():
 
 
 def test_g0_curvature_on_numeric_family_field():
-    # same scalar from the family's exact tangent metrics (measured 9.2e-8)
+    # same scalar from the family field's exact Gauss curvature (measured
+    # 5.1e-16)
     eta = InitialCoefficients(0.5, 0.5, 0.5, 0.5)
     f = family_for_case(classify(eta), eta)
     mf = MetricField.from_family(f)
     rep = curvature_at(mf, np.array([0.7, 0.3, 0.2, 0.4]))
-    assert rep.scalar == pytest.approx(14.0, rel=1e-6)
+    assert rep.scalar == pytest.approx(14.0, rel=1e-13)
 
 
 def test_c3_sphere_curvature():
@@ -313,3 +330,121 @@ def test_perturbed_curvature_closed_form_small_beta_finite():
 def test_perturbed_curvature_pole():
     with pytest.raises(FormulaDomainError):
         perturbed_scalar_curvature_closed_form(math.pi / 4, 1e-4, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# exact curvature of family fields: the Gauss equation
+
+
+def _stencil_field(f):
+    """The family's tangent-metric field built from evaluators: the
+    finite-difference stencil route, the oracle of gauss_curvature."""
+    return MetricField(f.dim, None, None, lambda xs: tangent_fs_metrics(f, xs))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.7])
+def test_gauss_uniform_c7_fourteen(gamma):
+    f = _uniform_c7_family()
+    for xi in ([0.7, 0.3, 0.2, 0.4], [-1.1, -0.9, 2.0, 0.3]):
+        rep = gauss_curvature(f, np.array(xi), gamma)
+        assert rep.scalar == pytest.approx(14.0 / gamma**2, rel=1e-12)
+        assert rep.h == 0.0 and rep.note == "exact: Gauss equation"
+
+
+def test_gauss_uniform_c7_to_rounding(rng):
+    # the inverse metric is refined to LU accuracy: over random uniform
+    # points of metric condition <= 100 the scalar is 14 to 1.0e-15 (1.8e-14
+    # from the unrefined eigen-inverse)
+    worst, n = 0.0, 0
+    while n < 60:
+        eta = InitialCoefficients(*(0.5 * np.exp(1j * rng.uniform(-math.pi, math.pi, 4))))
+        f = family_for_case(classify(eta), eta)
+        rep = gauss_curvature(f, rng.uniform([-1.5, -1.2, -1.5, -1.5], [1.5, 1.2, 1.5, 1.5]))
+        if rep.metric_condition <= 100:
+            worst, n = max(worst, abs(rep.scalar - 14.0) / 14.0), n + 1
+    assert worst < 5e-15
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_gauss_balanced_c3_sphere(gamma):
+    # round sphere of radius gamma/2
+    eta = InitialCoefficients.normalized(1, np.exp(0.4j), 0, 0)
+    f = family_for_case(classify(eta), eta)
+    rep = gauss_curvature(f, np.array([0.3, 0.2]), gamma)
+    assert rep.scalar == pytest.approx(8.0 / gamma**2, rel=1e-12)
+
+
+def test_gauss_c4_flat():
+    eta = InitialCoefficients.normalized(0.8, 0, 0.6, 0)
+    f = family_for_case(classify(eta), eta)
+    rep = gauss_curvature(f, np.array([0.3, 0.4]))
+    assert abs(rep.scalar) < 1e-12
+    assert np.max(np.abs(rep.riemann)) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_gauss_matches_stencil_on_random_families(rng, beta):
+    # at points of metric condition <= 100 the Richardson stencil on the
+    # tangent-metric field is accurate to about 1e-8 relative
+    for case in ("C3", "C4", "C5", "C6", "C7"):
+        eta = random_eta(rng, case)
+        f = family_for_case(classify(eta), eta, beta=beta)
+        xs = well_posed(f, rng.uniform(-1.2, 1.2, size=(40, f.dim)), 0.3)
+        evals = np.linalg.eigvalsh(tangent_fs_metrics(f, xs))
+        xs = xs[evals[:, -1] <= 100 * evals[:, 0]][:3]
+        assert len(xs) == 3, case
+        for xi in xs:
+            exact = gauss_curvature(f, xi)
+            ref = curvature_at(_stencil_field(f), xi)
+            scale = max(1.0, abs(ref.scalar))
+            assert abs(exact.scalar - ref.scalar) < 1e-6 * scale, case
+            assert np.max(np.abs(exact.ricci - ref.ricci)) < 1e-6 * scale, case
+            assert np.max(np.abs(exact.riemann - ref.riemann)) < 1e-6 * scale, case
+            assert np.max(np.abs(exact.christoffel - ref.christoffel)) < 1e-9, case
+            assert exact.metric_condition == pytest.approx(ref.metric_condition, rel=1e-9)
+
+
+def test_family_field_routes_to_gauss():
+    f = _uniform_c7_family()
+    xi = np.array([0.7, 0.3, 0.2, 0.4])
+    rep = curvature_at(MetricField.from_family(f, gamma=1.3), xi, h=5e-3)
+    exact = gauss_curvature(f, xi, 1.3)
+    assert rep.scalar == exact.scalar and rep.h == 0.0
+    assert np.array_equal(rep.riemann, exact.riemann)
+    # the domain is checked at margin 0: its edge is a valid point
+    box = tuple((x, x + 1.0) for x in xi)
+    curvature_at(MetricField.from_family(f, domain=box), xi)
+    with pytest.raises(ValueError, match="interior"):
+        curvature_at(MetricField.from_family(f, domain=box), xi - 1e-9)
+    # the dim-1 branch is unchanged
+    eta = InitialCoefficients.normalized(0, 0, 0.6, 0.8)
+    c1 = family_for_case(classify(eta), eta)
+    assert "flat" in curvature_at(MetricField.from_family(c1), np.array([0.3])).note
+
+
+class _StubFamily:
+    """Fixed state psi = |uu> with chart partials dpsi and second partials
+    d2psi, for the typed errors of gauss_curvature."""
+
+    chart = ("a", "b")
+
+    def __init__(self, dpsi, d2psi):
+        self.dpsi, self.d2psi = np.asarray(dpsi, complex), np.asarray(d2psi, complex)
+
+    def hessians(self, xs):
+        psi = np.array([[1.0, 0, 0, 0]], dtype=complex)
+        return psi, self.dpsi[None], self.d2psi[None]
+
+
+def test_gauss_typed_errors(rng):
+    d2psi = np.zeros((2, 2, 4))
+    with pytest.raises(SingularMetricError):
+        gauss_curvature(_StubFamily([[0, 1, 0, 0], [0, 0, 0, 0]], d2psi), [0.1, 0.2])
+    d2psi[1, 0, 2] = np.nan
+    with pytest.raises(ChartSingularityError, match="'b'"):
+        gauss_curvature(_StubFamily([[0, 1, 0, 0], [0, 0, 1, 0]], d2psi), [0.1, 0.2])
+    eta = random_eta(rng, "C7")
+    f = family_for_case(classify(eta), eta, beta=1e-3)
+    omega, c3 = 0.9, 0.4
+    with pytest.raises(ResonanceError):
+        gauss_curvature(f, np.array([omega, 0.3, c3, 2 * c3 + omega]))
