@@ -32,16 +32,19 @@ from .hamiltonian import (
     numeric_spectrum,
     perturbed_eigenstates,
 )
-from .families import check_periodicity, family_for_case
+from .families import (
+    check_periodicity,
+    constrained_two_param_family,
+    family_for_case,
+    sliced_family,
+)
 from .fubini_study import (
     analytic_metric_c7,
     analytic_metric_case,
-    constrained_two_param_family,
     numeric_fs_metric,
     numeric_fs_metrics,
     phase_twisted,
     pushforward_c7,
-    sliced_family,
     tangent_fs_metrics,
     two_param_metric,
     two_param_metric_printed_offdiag,
@@ -552,7 +555,7 @@ def _suite_metric(args, rng, checks):
     for label, eta_text in DEFAULT_CASE_ETAS.items():
         eta = parse_eta(eta_text, None)
         f = family_for_case(classify(eta), eta)
-        ft = phase_twisted(f, lambda x: float(np.sum(x)))
+        ft = phase_twisted(f, lambda xs: xs.sum(axis=1))
         xi = rng.uniform(0.2, 1.0, size=f.dim)
         dev = float(
             np.max(

@@ -66,15 +66,10 @@ class MetricField:
 
     @classmethod
     def from_family(cls, family, gamma: float = 1.0, domain=None) -> "MetricField":
-        """The Fubini-Study metric field of a family with exact tangents
-        (tangent_fs_metrics); its curvature is exact (gauss_curvature).
-        Other objects raise TypeError: wrap numeric_fs_metrics in a
-        MetricField for a finite-difference field."""
-        if not hasattr(family, "tangents"):
-            raise TypeError(
-                f"{type(family).__name__} has no exact tangents; build a "
-                "MetricField from numeric_fs_metrics instead"
-            )
+        """The Fubini-Study metric field of a StateFamily from its exact
+        tangents (tangent_fs_metrics); its curvature is exact
+        (gauss_curvature).  Wrap numeric_fs_metrics in a MetricField for a
+        finite-difference field."""
         return cls(
             len(family.chart),
             lambda xi: tangent_fs_metrics(family, xi[None], gamma)[0],

@@ -2,13 +2,16 @@
 reductions, plus verification of their periodicity phases.
 
 Chart conventions.  Each case's manifold coordinates are the ones listed in
-its chart (model.CASE_CHARTS).  Coordinates that appear in a reduced case's
-phase bookkeeping but not in its chart (for instance the c3 behind C1's
-global prefactor, or the denominators of the perturbed eigenvectors) are
-frozen at reference values stored on the family.  For C4/C5/C6 the combined
-phase c = 2 c3 + (-1)^j c_plus [+ (-1)^(l+1) omega] is itself the chart
+its chart (model.CASE_CHARTS).  A family maps its chart into the coordinates
+EMBED_COORDS = (omega, phi, c3, c_plus, c) by one affine embedding
+x -> x @ E.T + e0.  Coordinates that appear in a reduced case's phase
+bookkeeping but not in its chart (for instance the c3 behind C1's global
+prefactor, or the denominators of the perturbed eigenvectors) are frozen at
+reference values in e0.  For C4/C5/C6 the combined phase
+c = 2 c3 + (-1)^j c_plus [+ (-1)^(l+1) omega] is itself the chart
 coordinate: varying c moves only the bracket phase e^{ic}, never the frozen
-references.
+references.  Slices and constrained submanifolds are the same families with
+another embedding (sliced_family, constrained_two_param_family).
 
 Evaluation.  Every case is the general state sum_k eta_k e^{i theta_k} psi_k
 with the phases theta_k affine in the chart coordinates (PHASE_FORMS), so one
@@ -22,7 +25,7 @@ Gauss-equation curvature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,6 +58,10 @@ BLOCK_ROWS = 512
 # Coordinates the eigenbasis is evaluated at, in this order.
 BASIS_COORDS = ("omega", "phi", "c3", "c_plus")
 
+# Coordinates a chart embeds into: the BASIS_COORDS, then the combined phase
+# c of C4/C5/C6.
+EMBED_COORDS = BASIS_COORDS + ("c",)
+
 # Phases theta_1..theta_4 of the eigenvector amplitudes, per (case label, l),
 # as coefficients over PHASE_SYMBOLS.  The general orbit (C1, C3, C7) has the
 # global e^{-i c3} prefactor folded in.  C4 and C6 carry the constant gauge
@@ -62,6 +69,7 @@ BASIS_COORDS = ("omega", "phi", "c3", "c_plus")
 # combined phase c on their eta3/eta4 rows; C5 carries c on those rows.
 # Rows whose eta_k vanishes are never weighted, so one entry serves both j.
 PHASE_SYMBOLS = ("omega", "c3", "c_plus", "c")
+_PHASE_ROWS = [EMBED_COORDS.index(n) for n in PHASE_SYMBOLS]
 _GENERAL = ((-1, -1, 0, 0), (1, -1, 0, 0), (0, 1, -1, 0), (0, 1, 1, 0))
 _ZERO = ((0, 0, 0, 0),) * 4
 PHASE_FORMS = {
@@ -88,15 +96,41 @@ def evolved_state(eta: InitialCoefficients, coords) -> np.ndarray:
     return amps @ basis
 
 
+def chart_embedding(chart, frozen: dict | None = None):
+    """The embedding (E, e0) of a chart that reads each chart coordinate off
+    its own column and holds every other EMBED_COORDS entry at its frozen
+    value: frozen, then DEFAULT_FROZEN, then 0 for c."""
+    refs = {**DEFAULT_FROZEN, **(frozen or {})}
+    E = np.zeros((len(EMBED_COORDS), len(chart)))
+    e0 = np.zeros(len(EMBED_COORDS))
+    for k, name in enumerate(EMBED_COORDS):
+        if name in chart:
+            E[k, chart.index(name)] = 1.0
+        else:
+            e0[k] = float(refs.get(name, 0.0))
+    return _embedding_tuples(E, e0)
+
+
+def _embedding_tuples(E, e0):
+    """(E, e0) as nested tuples, so that families compare and hash by value."""
+    return tuple(map(tuple, np.asarray(E, dtype=float))), tuple(np.asarray(e0, dtype=float))
+
+
 @dataclass(frozen=True)
 class StateFamily:
-    """A parametrized family of evolved states over a case chart."""
+    """A parametrized family of evolved states over a case chart, embedded
+    in EMBED_COORDS by embedding = (E, e0), E of shape (5, dim); None stands
+    for chart_embedding(chart)."""
 
     case: CaseClass
     eta: InitialCoefficients
     chart: tuple[str, ...]
     beta: float = 0.0
-    frozen: dict = field(default_factory=dict)
+    embedding: tuple | None = None
+
+    def __post_init__(self):
+        if self.embedding is None:
+            object.__setattr__(self, "embedding", chart_embedding(self.chart))
 
     @property
     def dim(self) -> int:
@@ -105,36 +139,19 @@ class StateFamily:
     @cached_property
     def _table(self):
         """The case's affine maps from chart points x: the phases
-        theta = x @ lin.T + offset, and the BASIS_COORDS, read from chart
-        column cols[k] or, where cols[k] < 0, from the frozen refs[k]."""
-        def ref(name):
-            return float(self.frozen.get(name, DEFAULT_FROZEN[name]))
-
+        theta = x @ lin.T + offset and the BASIS_COORDS x @ E.T + e0, from
+        the phase forms over EMBED_COORDS composed with the embedding."""
+        E, e0 = (np.array(a, dtype=float) for a in self.embedding)
         forms = np.array(PHASE_FORMS[self.case.label, self.case.l], dtype=float)
-        lin = np.zeros((4, self.dim))
-        offset = np.zeros(4)
-        for k, name in enumerate(PHASE_SYMBOLS):
-            if name in self.chart:
-                lin[:, self.chart.index(name)] = forms[:, k]
-            elif forms[:, k].any():
-                offset += forms[:, k] * ref(name)
-        cols = np.array(
-            [self.chart.index(n) if n in self.chart else -1 for n in BASIS_COORDS]
-        )
-        refs = np.array([ref(n) for n in BASIS_COORDS])
-        return lin, offset, cols, refs
+        return forms @ E[_PHASE_ROWS], forms @ e0[_PHASE_ROWS], E[:4], e0[:4]
 
     @cached_property
     def _tangent_map(self):
         """(8, dim) map onto the chart partials from the phase terms
         amps_k psi_k (top rows, i lin) and the partials along BASIS_COORDS
-        (bottom rows, a 1 where chart column cols[c] carries coordinate c;
-        frozen coordinates contribute nothing)."""
-        lin, _, cols, _ = self._table
-        live = np.flatnonzero(cols >= 0)
-        chart = np.zeros((4, self.dim))
-        chart[live, cols[live]] = 1.0
-        return np.concatenate([1j * lin, chart])
+        (bottom rows, the basis block of the embedding)."""
+        lin, _, basis, _ = self._table
+        return np.concatenate([1j * lin, basis])
 
     def _rows(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -153,8 +170,8 @@ class StateFamily:
     def _coords_and_amps(self, xs):
         """The BASIS_COORDS at the rows of xs and the phased coefficients
         eta_k e^{i theta_k}, shape (N, 4) each."""
-        lin, offset, cols, refs = self._table
-        coords = np.where(cols >= 0, xs[:, cols], refs)
+        lin, offset, basis, basis0 = self._table
+        coords = xs @ basis.T + basis0
         amps = self.eta.as_array() * np.exp(1j * (xs @ lin.T + offset))
         return coords, amps
 
@@ -255,14 +272,6 @@ class StateFamily:
         return self.states(xi[None])[0]
 
 
-def states_of(family, xs) -> np.ndarray:
-    """Rows of family.states(xs), or of per-point family.state calls for
-    objects that expose only .state."""
-    if hasattr(family, "states"):
-        return family.states(xs)
-    return np.array([family.state(x) for x in np.asarray(xs, dtype=float)])
-
-
 def family_for_case(
     case: CaseClass,
     eta: InitialCoefficients,
@@ -276,7 +285,31 @@ def family_for_case(
     found = classify(eta)
     if found != case:
         raise CaseMismatchError(f"eta classifies as {found}, not {case}")
-    return StateFamily(case, eta, case.chart, beta, dict(frozen or {}))
+    return StateFamily(case, eta, case.chart, beta, chart_embedding(case.chart, frozen))
+
+
+def sliced_family(f: StateFamily, fixed: dict) -> StateFamily:
+    """The family f with the chart coordinates named in fixed held at the
+    given values, over the remaining coordinates in chart order."""
+    for name in fixed:
+        if name not in f.chart:
+            raise ValueError(f"cannot fix {name!r}: not a coordinate of chart {f.chart}")
+    keep = [k for k, name in enumerate(f.chart) if name not in fixed]
+    held = [f.chart.index(name) for name in fixed]
+    E, e0 = (np.array(a, dtype=float) for a in f.embedding)
+    e0 = e0 + E[:, held] @ np.array(list(fixed.values()), dtype=float)
+    chart = tuple(f.chart[k] for k in keep)
+    return StateFamily(f.case, f.eta, chart, f.beta, _embedding_tuples(E[:, keep], e0))
+
+
+def constrained_two_param_family(alpha: float, eta: InitialCoefficients) -> StateFamily:
+    """The (omega, c_plus) family of the general orbit with c1 = c2
+    (phi = pi/2) and c3 = alpha c_plus / 2."""
+    E = np.zeros((len(EMBED_COORDS), 2))
+    E[0, 0] = E[3, 1] = 1.0
+    E[2, 1] = alpha / 2.0
+    e0 = np.array([0.0, math.pi / 2.0, 0.0, 0.0, 0.0])
+    return StateFamily(CaseClass("C7"), eta, ("omega", "c_plus"), 0.0, _embedding_tuples(E, e0))
 
 
 # Periodicity shifts per case: (chart-coordinate increments, expected phase).

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ChartSingularityError, SingularTransformError
 from .hamiltonian import branch_sign
-from .model import CaseClass, InitialCoefficients
-from .families import StateFamily, states_of
+from .model import InitialCoefficients
+from .families import StateFamily
 
 DEFAULT_METRIC_STEP = 1e-5
 
@@ -80,9 +80,8 @@ def _require_finite(family, xs, dpsi):
         return
     bad = ~np.all(np.isfinite(dpsi), axis=2)
     row, mu = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    name = family.chart[mu] if hasattr(family, "chart") else str(mu)
     raise ChartSingularityError(
-        f"non-finite derivative along coordinate {name!r} at xi={np.asarray(xs)[row]}"
+        f"non-finite derivative along coordinate {family.chart[mu]!r} at xi={np.asarray(xs)[row]}"
     )
 
 
@@ -92,7 +91,7 @@ def _state_derivatives(family, xs, h):
     points: psi has shape (N, 4), dpsi (N, dim, 4)."""
     n, dim = xs.shape
     pts = (xs[:, None] + h * _stencil_offsets(dim)).reshape(-1, dim)
-    psi_all = states_of(family, pts).reshape(n, 1 + 4 * dim, -1)
+    psi_all = family.states(pts).reshape(n, 1 + 4 * dim, -1)
     fp1, fm1, fp2, fm2 = (psi_all[:, 1 + k * dim:1 + (k + 1) * dim] for k in range(4))
     dpsi = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
     _require_finite(family, xs, dpsi)
@@ -117,7 +116,7 @@ def numeric_fs_metrics(
 ) -> np.ndarray:
     """Fubini-Study metrics, shape (N, dim, dim), at the N rows of xs, from
     one evaluation of every stencil state.  family is any object exposing
-    .states(xs) or .state(xi), and .chart."""
+    .states(xs) and .chart."""
     if not (1e-7 <= h <= 1e-3):
         raise ValueError("finite-difference step h must lie in [1e-7, 1e-3]")
     xs = _points(xs)
@@ -143,12 +142,10 @@ def numeric_fs_metric(
     """Fubini-Study metric at one point: the one-row case of
     numeric_fs_metrics, with the coordinate names and degenerate axes."""
     g = numeric_fs_metrics(family, np.asarray(xi, dtype=float)[None], gamma, h)[0]
-    dim = g.shape[0]
-    chart = tuple(getattr(family, "chart", ()) or (f"x{i}" for i in range(dim)))
     row_max = np.abs(g).max(axis=1)
     scale = max(row_max.max(), 1.0)
     degenerate = tuple(np.flatnonzero(row_max < degeneracy_tol * scale).tolist())
-    return MetricTensor(g, gamma, chart, degenerate)
+    return MetricTensor(g, gamma, tuple(family.chart), degenerate)
 
 
 def _j_signed(eta: InitialCoefficients, omega: float, phi: float = 0.0) -> float:
@@ -400,43 +397,11 @@ def two_param_metric_printed_offdiag(
 
 
 @dataclass(frozen=True)
-class _MappedFamily:
-    """Family seen through a coordinate map xi' -> xi (used for slices)."""
-
-    base: StateFamily
-    chart: tuple[str, ...]
-    mapping: object  # callable xi' -> xi of the base chart
-
-    def states(self, xs):
-        return states_of(self.base, [self.mapping(x) for x in np.asarray(xs, dtype=float)])
-
-    def state(self, xi):
-        return self.states(np.asarray(xi, dtype=float)[None])[0]
-
-
-def sliced_family(f: StateFamily, fixed: dict) -> _MappedFamily:
-    """Freeze some chart coordinates of a family at given values."""
-    free = tuple(n for n in f.chart if n not in fixed)
-    idx_free = [f.chart.index(n) for n in free]
-    base_dim = f.dim
-
-    def mapping(xi_p):
-        xi = np.empty(base_dim)
-        for name, val in fixed.items():
-            xi[f.chart.index(name)] = val
-        for k, i in enumerate(idx_free):
-            xi[i] = xi_p[k]
-        return xi
-
-    return _MappedFamily(f, free, mapping)
-
-
-@dataclass(frozen=True)
 class _PhaseTwistedFamily:
     """psi -> e^{i lambda(xi)} psi with smooth lambda; FS metric must not move."""
 
     base: object
-    lam: object
+    lam: object  # (N, dim) chart points -> (N,) phases
 
     @property
     def chart(self):
@@ -444,25 +409,13 @@ class _PhaseTwistedFamily:
 
     def states(self, xs):
         xs = np.asarray(xs, dtype=float)
-        lam = np.array([self.lam(x) for x in xs])
-        return np.exp(1j * lam)[:, None] * states_of(self.base, xs)
-
-    def state(self, xi):
-        return self.states(np.asarray(xi, dtype=float)[None])[0]
+        lam = np.asarray(self.lam(xs), dtype=float)
+        if lam.shape != (len(xs),):
+            raise ValueError(f"phase function returned shape {lam.shape}, not ({len(xs)},)")
+        return np.exp(1j * lam)[:, None] * self.base.states(xs)
 
 
 def phase_twisted(family, lam) -> _PhaseTwistedFamily:
+    """family with every state multiplied by e^{i lam(xs)}; lam maps an
+    (N, dim) batch of chart points to N phases."""
     return _PhaseTwistedFamily(family, lam)
-
-
-def constrained_two_param_family(
-    alpha: float, eta: InitialCoefficients
-) -> _MappedFamily:
-    """The (omega, c_plus) family with phi = pi/2 and c3 = alpha c_plus/2."""
-    f = StateFamily(CaseClass("C7"), eta, ("omega", "phi", "c3", "c_plus"))
-
-    def mapping(xi_p):
-        omega, c_plus = xi_p
-        return np.array([omega, math.pi / 2.0, alpha * c_plus / 2.0, c_plus])
-
-    return _MappedFamily(f, ("omega", "c_plus"), mapping)

@@ -178,7 +178,6 @@ def numeric_beta_derivative(
     gamma: float = 1.0,
     beta_step: float = 1e-4,
     h: float = 1e-5,
-    frozen: dict | None = None,
 ) -> np.ndarray:
     """d g / d beta at beta = 0 of the perturbed family, at one point (shape
     (4, 4)) or at each row of an (N, 4) batch (shape (N, 4, 4)): central
@@ -192,10 +191,7 @@ def numeric_beta_derivative(
 
     def central(step):
         g = [
-            numeric_fs_metrics(
-                StateFamily(CaseClass("C7"), eta, chart, b, dict(frozen or {})),
-                xs, gamma=gamma, h=h,
-            )
+            numeric_fs_metrics(StateFamily(CaseClass("C7"), eta, chart, b), xs, gamma=gamma, h=h)
             for b in (step, -step)
         ]
         return (g[0] - g[1]) / (2.0 * step)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qorbits.families import DEFAULT_FROZEN
 from qorbits.model import InitialCoefficients
 
 
@@ -28,10 +27,9 @@ def random_eta(rng, pattern="C7"):
 def well_posed(f, xs, margin=0.05):
     """Rows of xs whose perturbation denominators 2c3 +- omega - c_plus are
     at least margin away from zero and whose |cos phi| is at least 0.05,
-    with the family's frozen values standing in for coordinates off its
-    chart."""
-    ref = {**DEFAULT_FROZEN, **f.frozen}
-    col = {n: (xs[:, f.chart.index(n)] if n in f.chart else ref[n]) for n in ref}
-    den = 2 * col["c3"] - col["c_plus"] + np.array([[1.0], [-1.0]]) * col["omega"]
-    ok = (np.min(np.abs(den), axis=0) >= margin) & (np.abs(np.cos(col["phi"])) >= 0.05)
-    return xs[np.broadcast_to(ok, len(xs))]
+    at the basis coordinates the family's embedding gives them."""
+    E, e0 = (np.array(a) for a in f.embedding)
+    omega, phi, c3, c_plus = (xs @ E[:4].T + e0[:4]).T
+    den = 2 * c3 - c_plus + np.array([[1.0], [-1.0]]) * omega
+    ok = (np.min(np.abs(den), axis=0) >= margin) & (np.abs(np.cos(phi)) >= 0.05)
+    return xs[ok]

@@ -5,17 +5,15 @@ import pytest
 
 from qorbits.curvature import MetricField, curvature_at
 from qorbits.errors import ChartSingularityError, SingularTransformError
-from qorbits.families import family_for_case
+from qorbits.families import constrained_two_param_family, family_for_case, sliced_family
 from qorbits.fubini_study import (
     analytic_metric_c7,
     analytic_metric_case,
-    constrained_two_param_family,
     diagonalize_metric,
     numeric_fs_metric,
     numeric_fs_metrics,
     phase_twisted,
     pushforward_c7,
-    sliced_family,
     tangent_fs_metrics,
     two_param_metric,
     two_param_metric_printed_offdiag,
@@ -90,7 +88,7 @@ def test_metric_gauge_invariance(rng):
     for pattern in ("C1", "C2", "C3", "C4", "C5", "C6", "C7"):
         eta = random_eta(rng, pattern)
         f = family_for_case(classify(eta), eta)
-        twisted = phase_twisted(f, lambda xi: float(np.sum(xi)))
+        twisted = phase_twisted(f, lambda xs: xs.sum(axis=1))
         xi = rng.uniform(0.2, 1.1, size=f.dim)
         g0 = numeric_fs_metric(f, xi).entries
         g1 = numeric_fs_metric(twisted, xi).entries
@@ -141,8 +139,8 @@ def test_degenerate_axis_flagged():
         def __init__(self, base):
             self.base = base
 
-        def state(self, xi):
-            return self.base.state(xi[:1])
+        def states(self, xs):
+            return self.base.states(xs[:, :1])
 
     eta = InitialCoefficients(0, 0, S2, S2)
     f = Padded(family_for_case(classify(eta), eta))
@@ -278,6 +276,21 @@ def test_two_param_metric_matches_numeric(rng):
             assert printed / ga[0, 1] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_two_param_tangent_metric_matches_closed_form(rng):
+    # exact tangents through the constrained embedding: measured 2.2e-16
+    eta = InitialCoefficients.normalized(0.7, 0.4, 0.5, 0.3)
+    full = family_for_case(classify(eta), eta)
+    for alpha in (0.0, 0.7, 1.0):
+        fam = constrained_two_param_family(alpha, eta)
+        xs = rng.uniform(-2, 2, size=(20, 2))
+        gt = tangent_fs_metrics(fam, xs)
+        assert np.max(np.abs(gt - two_param_metric(alpha, eta).entries)) < 1e-14
+        # the states are the general orbit's at phi = pi/2, c3 = alpha c_plus / 2
+        omega, c_plus = xs.T
+        embedded = np.column_stack([omega, np.full(20, np.pi / 2), alpha * c_plus / 2, c_plus])
+        assert np.max(np.abs(fam.states(xs) - full.states(embedded))) < 1e-14
+
+
 def test_step_size_guard():
     eta = InitialCoefficients(1, 0, 0, 0)
     f = family_for_case(classify(eta), eta)
@@ -289,12 +302,12 @@ def test_chart_singularity_error_names_coordinate():
     class Bad:
         chart = ("good", "bad")
 
-        def state(self, xi):
-            v = np.array([1.0, 0, 0, float(xi[1])], dtype=complex)
-            if abs(xi[1]) > 0.05:
-                v[3] = np.nan
-                return v
-            return v / np.linalg.norm(v)
+        def states(self, xs):
+            v = np.zeros((len(xs), 4), dtype=complex)
+            v[:, 0], v[:, 3] = 1.0, xs[:, 1]
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            v[np.abs(xs[:, 1]) > 0.05, 3] = np.nan
+            return v
 
     with pytest.raises(ChartSingularityError, match="bad"):
         numeric_fs_metric(Bad(), np.array([0.0, 0.049999]), h=1e-3)
@@ -318,7 +331,7 @@ def test_batched_metrics_equal_single_point(rng):
         sliced_family(f, {"phi": 0.3}), rng.uniform(-1.2, 1.2, size=(4, 3))
     )
     _assert_rows_match_single_point(
-        phase_twisted(f, lambda xi: float(np.sum(xi))), rng.uniform(-1.2, 1.2, size=(4, 4))
+        phase_twisted(f, lambda xs: xs.sum(axis=1)), rng.uniform(-1.2, 1.2, size=(4, 4))
     )
 
 
@@ -373,11 +386,20 @@ def test_tangent_metrics_name_singular_coordinate():
         tangent_fs_metrics(family_for_case(classify(eta), eta), np.zeros(4))
 
 
-def test_family_field_needs_tangents():
-    eta = InitialCoefficients(0.5, 0.5, 0.5, 0.5)
+def test_slice_family_fields_have_exact_zero_curvature():
+    # the field-off slice and the two-parameter manifold have constant
+    # metrics; their family fields take the Gauss equation, which reads 0
+    # to rounding (measured 1.9e-15 and 7.3e-16), where the stencil on a
+    # finite-difference field of the slice reads about 1e-4
+    eta = InitialCoefficients.normalized(0.6, 0.3 + 0.4j, 0.5, -0.2j)
     f = family_for_case(classify(eta), eta)
-    with pytest.raises(TypeError):
-        MetricField.from_family(sliced_family(f, {"phi": 0.3}))
+    slice_field = MetricField.from_family(sliced_family(f, {"phi": 0.0}))
+    for xi in ([0.2, 0.1, 0.3], [0.9, 0.8, 1.2], [-1.1, 0.4, -0.7]):
+        assert abs(curvature_at(slice_field, np.array(xi)).scalar) < 1e-12
+    eta2 = InitialCoefficients.normalized(0.7, 0.4, 0.5, 0.3)
+    two_param_field = MetricField.from_family(constrained_two_param_family(0.7, eta2))
+    for xi in ([0.6, 0.8], [-1.3, 0.2]):
+        assert abs(curvature_at(two_param_field, np.array(xi)).scalar) < 1e-12
 
 
 def test_tangent_field_curvature_matches_finite_difference_field():
