@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormulaDomainError, SingularMetricError
+from .families import StateFamily
 from .fubini_study import MetricTensor, _require_finite, tangent_fs_metrics
 
 DEFAULT_CURVATURE_STEP = 1e-3
@@ -69,7 +70,13 @@ class MetricField:
         """The Fubini-Study metric field of a StateFamily from its exact
         tangents (tangent_fs_metrics); its curvature is exact
         (gauss_curvature).  Wrap numeric_fs_metrics in a MetricField for a
-        finite-difference field."""
+        finite-difference field.  Raises TypeError for any other family
+        object."""
+        if not isinstance(family, StateFamily):
+            raise TypeError(
+                f"from_family needs a StateFamily, got {type(family).__name__}; "
+                "wrap its metrics in a MetricField instead"
+            )
         return cls(
             len(family.chart),
             lambda xi: tangent_fs_metrics(family, xi[None], gamma)[0],

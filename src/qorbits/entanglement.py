@@ -72,7 +72,7 @@ def concurrence_analytic(case, eta: InitialCoefficients, xi) -> float | np.ndarr
 def _closed_form(case, eta: InitialCoefficients, xi):
     """The printed expression of the case, on coordinate arrays xi[0..dim-1]."""
     a2 = eta.abs2
-    label = case.label if hasattr(case, "label") else str(case)
+    label = case.label
     if label == "C1":
         chi = _chi(eta, 3, 4)
         c_plus = xi[0]
@@ -240,16 +240,15 @@ def verify_max_entangled_tables(
     f: StateFamily,
     chi: float,
     n_range=(-1, 0, 1, 2),
-    free_samples=5,
 ) -> list[MaxEntangledCondition]:
     """Evaluate the family on every cataloged condition row and measure the
-    concurrence; rows with an unconstrained coordinate are sampled at
-    free_samples values.  The worst concurrence over n values and samples is
+    concurrence; rows with an unconstrained omega are sampled at 5 values in
+    [0.2, 2.6].  The worst concurrence over n values and samples is
     recorded per row; failures are reported, never raised.
     """
     case = f.case
     label = case.label
-    free_vals = np.linspace(0.2, 2.6, free_samples)
+    free_vals = np.linspace(0.2, 2.6, 5)
     # (row name, reported coordinates, [(n, chart point), ...]) per table row
     rows = []
     if label == "C5":

@@ -15,11 +15,11 @@ another embedding (sliced_family, constrained_two_param_family).
 
 Evaluation.  Every case is the general state sum_k eta_k e^{i theta_k} psi_k
 with the phases theta_k affine in the chart coordinates (PHASE_FORMS), so one
-batched path, StateFamily.states, serves all seven cases; state is its
-one-row case.  StateFamily.tangents adds the exact partials along the chart:
-the phases contribute i theta_k' and the eigenbasis its closed-form
-derivative.  StateFamily.hessians adds the exact second partials, for the
-Gauss-equation curvature.
+batched path serves all seven cases: the state and its exact chart partials
+up to order 0, 1 or 2 (StateFamily.states, tangents, hessians), from the
+phases, which contribute i theta_k', and the eigenbasis jet
+hamiltonian.first_order_jet.  state is the one-row case of states; the
+second partials serve the Gauss-equation curvature.
 """
 
 from __future__ import annotations
@@ -35,11 +35,8 @@ from .hamiltonian import (
     PSI3,
     PSI4,
     eigvec_pair,
-    first_order_bases,
-    first_order_hessian_bases,
-    first_order_tangent_bases,
-    normalize_with_hessians,
-    normalize_with_partials,
+    first_order_jet,
+    normalize_jet,
 )
 from .model import (
     CaseClass,
@@ -153,85 +150,6 @@ class StateFamily:
         lin, _, basis, _ = self._table
         return np.concatenate([1j * lin, basis])
 
-    def _rows(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.dim:
-            raise ValueError(f"expected (N, {self.dim}) coordinates, got {xs.shape}")
-        return xs
-
-    def states(self, xs) -> np.ndarray:
-        """Normalized states at the rows of an (N, dim) batch, shape (N, 4)."""
-        xs = self._rows(xs)
-        out = np.empty((len(xs), 4), dtype=complex)
-        for start in range(0, len(xs), BLOCK_ROWS):
-            out[start:start + BLOCK_ROWS] = self._block(xs[start:start + BLOCK_ROWS])
-        return out
-
-    def _coords_and_amps(self, xs):
-        """The BASIS_COORDS at the rows of xs and the phased coefficients
-        eta_k e^{i theta_k}, shape (N, 4) each."""
-        lin, offset, basis, basis0 = self._table
-        coords = xs @ basis.T + basis0
-        amps = self.eta.as_array() * np.exp(1j * (xs @ lin.T + offset))
-        return coords, amps
-
-    def _block(self, xs) -> np.ndarray:
-        coords, amps = self._coords_and_amps(xs)
-        basis = first_order_bases(*coords.T, self.beta)
-        # stacked matmul keeps the summation order of a single amps @ basis
-        out = np.matmul(amps[:, None, :], basis)[:, 0]
-        if self.beta != 0.0:
-            out /= np.linalg.norm(out, axis=1, keepdims=True)
-        return out
-
-    def tangents(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized states at the rows of an (N, dim) batch, shape (N, 4),
-        and their exact partials along the chart, shape (N, dim, 4), from
-        one eigenbasis and its derivative per row."""
-        return self._blocks(xs, self._tangent_block, 2)
-
-    def hessians(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """tangents(xs) and the exact second partials along the chart,
-        shape (N, dim, dim, 4), from one eigenbasis and its first and second
-        derivatives per row."""
-        xs = self._rows(xs)
-        if len(xs) <= BLOCK_ROWS:
-            return self._hessian_block(xs)
-        return self._blocks(xs, self._hessian_block, 3)
-
-    def _blocks(self, xs, block_fn, order):
-        """The outputs of block_fn over blocks of BLOCK_ROWS rows: the states
-        (N, 4) and order - 1 arrays of partials, (N,) + (dim,) * k + (4,)."""
-        xs = self._rows(xs)
-        outs = [np.empty((len(xs),) + (self.dim,) * k + (4,), dtype=complex)
-                for k in range(order)]
-        for start in range(0, len(xs), BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
-            for out, part in zip(outs, block_fn(xs[block])):
-                out[block] = part
-        return tuple(outs)
-
-    def _partials(self, amps, basis, dbasis):
-        """Unnormalized state rows and their chart partials (N, 4, dim)."""
-        n = len(amps)
-        out = np.matmul(amps[:, None, :], basis)[:, 0]
-        # per state component: the phase terms amps_k psi_k and the basis
-        # partials sum_k amps_k d psi_k, side by side, taken to the chart in
-        # one (4 N, 8) @ (8, dim) product
-        parts = np.concatenate(
-            [(amps[:, None, :] * basis.transpose(0, 2, 1)).reshape(-1, 4),
-             np.matmul(amps[:, None, :], dbasis.reshape(n, 4, -1)).reshape(-1, 4)],
-            axis=1,
-        )
-        return out, (parts @ self._tangent_map).reshape(n, 4, -1)
-
-    def _tangent_block(self, xs):
-        coords, amps = self._coords_and_amps(xs)
-        out, dout = self._partials(amps, *first_order_tangent_bases(*coords.T, self.beta))
-        if self.beta != 0.0:
-            out, dout = normalize_with_partials(out, dout)
-        return out, dout.transpose(0, 2, 1)
-
     @cached_property
     def _hessian_map(self):
         """(36, dim^2) map onto the chart second partials, flattened, built
@@ -247,22 +165,72 @@ class StateFamily:
             (chart[:, None, :, None] * chart[None, :, None, :]).reshape(16, -1),
         ])
 
-    def _hessian_block(self, xs):
-        coords, amps = self._coords_and_amps(xs)
-        basis, dbasis, d2basis = first_order_hessian_bases(*coords.T, self.beta)
-        out, dout = self._partials(amps, basis, dbasis)
+    def states(self, xs) -> np.ndarray:
+        """Normalized states at the rows of an (N, dim) batch, shape (N, 4)."""
+        return self._jet(xs, 0)[0]
+
+    def tangents(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """states(xs) and their exact partials along the chart, shape
+        (N, dim, 4), from one eigenbasis and its derivative per row."""
+        return self._jet(xs, 1)
+
+    def hessians(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """tangents(xs) and the exact second partials along the chart,
+        shape (N, dim, dim, 4), from one eigenbasis and its first and second
+        derivatives per row."""
+        return self._jet(xs, 2)
+
+    def _jet(self, xs, order):
+        """The states at the rows of an (N, dim) batch and their chart
+        partials up to order: order + 1 arrays of shapes
+        (N,) + (dim,) * k + (4,), filled in blocks of BLOCK_ROWS rows."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValueError(f"expected (N, {self.dim}) coordinates, got {xs.shape}")
+        outs = [np.empty((len(xs),) + (self.dim,) * k + (4,), dtype=complex)
+                for k in range(order + 1)]
+        for start in range(0, len(xs), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            for out, part in zip(outs, self._jet_block(xs[block], order)):
+                out[block] = part
+        return tuple(outs)
+
+    def _jet_block(self, xs, order):
+        """_jet on one block: the phased coefficients amps_k = eta_k e^{i theta_k}
+        against the basis jet first_order_jet at the BASIS_COORDS, taken to
+        the chart by _tangent_map and _hessian_map, then normalized if
+        beta != 0."""
+        lin, offset, basis, basis0 = self._table
+        coords = xs @ basis.T + basis0
+        amps = self.eta.as_array() * np.exp(1j * (xs @ lin.T + offset))
+        bases = first_order_jet(*coords.T, self.beta, order)
         n = len(xs)
-        # per state component, the terms of _hessian_map side by side
-        parts = np.concatenate(
-            [amps[:, None, :] * basis.transpose(0, 2, 1),
-             (amps[:, None, :, None] * dbasis.transpose(0, 2, 1, 3)).reshape(n, 4, 16),
-             np.matmul(amps[:, None, :], d2basis.reshape(n, 4, -1)).reshape(n, 4, 16)],
-            axis=2,
-        )
-        d2out = (parts @ self._hessian_map).reshape(n, 4, self.dim, self.dim)
+        # stacked matmul keeps the summation order of a single amps @ basis
+        jet = [np.matmul(amps[:, None, :], bases[0])[:, 0]]
+        if order >= 1:
+            # per state component: the phase terms amps_k psi_k and the basis
+            # partials sum_k amps_k d psi_k, side by side, taken to the chart
+            # in one (4 N, 8) @ (8, dim) product
+            phase_terms = amps[:, None, :] * bases[0].transpose(0, 2, 1)
+            parts = np.concatenate(
+                [phase_terms.reshape(-1, 4),
+                 np.matmul(amps[:, None, :], bases[1].reshape(n, 4, -1)).reshape(-1, 4)],
+                axis=1,
+            )
+            jet.append((parts @ self._tangent_map).reshape(n, 4, self.dim))
+        if order >= 2:
+            # per state component, the terms of _hessian_map side by side
+            parts = np.concatenate(
+                [phase_terms,
+                 (amps[:, None, :, None] * bases[1].transpose(0, 2, 1, 3)).reshape(n, 4, 16),
+                 np.matmul(amps[:, None, :], bases[2].reshape(n, 4, -1)).reshape(n, 4, 16)],
+                axis=2,
+            )
+            jet.append((parts @ self._hessian_map).reshape(n, 4, self.dim, self.dim))
         if self.beta != 0.0:
-            out, dout, d2out = normalize_with_hessians(out, dout, d2out)
-        return out, dout.transpose(0, 2, 1), d2out.transpose(0, 2, 3, 1)
+            jet = normalize_jet(*jet)
+        # component axis last
+        return [part.transpose(0, *range(2, part.ndim), 1) for part in jet]
 
     def state(self, xi) -> np.ndarray:
         """Normalized state at chart point xi."""

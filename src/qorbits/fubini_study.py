@@ -137,14 +137,14 @@ def numeric_fs_metric(
     xi,
     gamma: float = 1.0,
     h: float = DEFAULT_METRIC_STEP,
-    degeneracy_tol: float = 1e-12,
 ) -> MetricTensor:
     """Fubini-Study metric at one point: the one-row case of
-    numeric_fs_metrics, with the coordinate names and degenerate axes."""
+    numeric_fs_metrics, with the coordinate names and the degenerate axes:
+    rows whose largest entry is below 1e-12 max(1, largest entry)."""
     g = numeric_fs_metrics(family, np.asarray(xi, dtype=float)[None], gamma, h)[0]
     row_max = np.abs(g).max(axis=1)
     scale = max(row_max.max(), 1.0)
-    degenerate = tuple(np.flatnonzero(row_max < degeneracy_tol * scale).tolist())
+    degenerate = tuple(np.flatnonzero(row_max < 1e-12 * scale).tolist())
     return MetricTensor(g, gamma, tuple(family.chart), degenerate)
 
 

@@ -235,17 +235,17 @@ _DDEN1 = np.array([1.0, 0.0, 2.0, -1.0])
 _DDEN2 = np.array([-1.0, 0.0, 2.0, -1.0])
 
 
-def _couplings(psi1, psi2, omega, c3, c_plus, rho):
+def _couplings(psi1, psi2, omega, c3, c_plus):
     """Denominators (N,) and couplings k1, k2 (N, 1) of psi1, psi2 to psi3
     under the x-field; raises ResonanceError if any point has a denominator
-    within rho."""
+    within RESONANCE_THRESHOLD."""
     den1, den2 = perturbation_denominators(omega, c3, c_plus)
     near = np.minimum(np.abs(den1), np.abs(den2))
-    if np.any(near < rho):
+    if np.any(near < RESONANCE_THRESHOLD):
         k = int(np.argmin(near))
         raise ResonanceError(
             f"perturbation-theory breakdown: denominators ({den1[k]:.3e}, "
-            f"{den2[k]:.3e}) below threshold {rho:.1e}"
+            f"{den2[k]:.3e}) below threshold {RESONANCE_THRESHOLD:.1e}"
         )
     # <psi3|V|psi_l> = sqrt(2) (a_l + d_l) for the x-field perturbation V
     k1 = (math.sqrt(2) * (psi1[..., 0] + psi1[..., 3]).real / den1)[..., None]
@@ -253,108 +253,81 @@ def _couplings(psi1, psi2, omega, c3, c_plus, rho):
     return den1, den2, k1, k2
 
 
-def _first_order_rows(bases, psi1, psi2, k1, k2, beta):
-    """Overwrite rows psi1..psi3 of bases with their unnormalized first-order
-    corrections; psi4 is annihilated by the perturbation and stays exact."""
-    bases[..., 0, :] = psi1 + beta * k1 * PSI3
-    bases[..., 1, :] = psi2 + beta * k2 * PSI3
-    bases[..., 2, :] = PSI3 - beta * (k1 * psi1 + k2 * psi2)
+def normalize_jet(v, *partials):
+    """u = v/|v| over the last axis and the partials of u, one for each
+    array of partials of v given: dv of shape v.shape + (C,), one column per
+    partial, and d2v of shape v.shape + (C, C).  With p_c = Re<u|dv_c>,
 
-
-def normalize_with_partials(v, dv):
-    """v/|v| over the last axis and its partials d(v/|v|) = (dv - u Re<u|dv>)/|v|,
-    u = v/|v|; dv has shape v.shape + (C,), one column per partial."""
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    u = v / norm
-    proj = np.sum(u.conj()[..., None] * dv, axis=-2, keepdims=True).real
-    return u, (dv - u[..., None] * proj) / norm[..., None]
-
-
-def normalize_with_hessians(v, dv, d2v):
-    """normalize_with_partials and the second partials of u = v/|v|,
-
+        du_c = (dv_c - u p_c)/|v|
         d2u_cd = (d2v_cd - du_c p_d - du_d p_c - u (Re<du_d|dv_c> + Re<u|d2v_cd>))/|v|
 
-    with p_c = Re<u|dv_c>; d2v has shape v.shape + (C, C)."""
-    u, du = normalize_with_partials(v, dv)
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)[..., None, None]
-    p = np.sum(u.conj()[..., None] * dv, axis=-2).real
+    Returns a tuple of 1 + len(partials) arrays."""
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    u = v / norm
+    if not partials:
+        return (u,)
+    dv = partials[0]
+    p = np.sum(u.conj()[..., None] * dv, axis=-2, keepdims=True).real
+    du = (dv - u[..., None] * p) / norm[..., None]
+    if len(partials) == 1:
+        return u, du
+    d2v = partials[1]
+    p = p[..., 0, :]
     q = (np.einsum("...kc,...kd->...cd", du.conj(), dv).real
          + np.einsum("...k,...kcd->...cd", u.conj(), d2v).real)
     d2u = (d2v - du[..., :, None] * p[..., None, None, :]
            - du[..., None, :] * p[..., None, :, None] - u[..., None, None] * q[..., None, :, :])
-    return u, du, d2u / norm
+    return u, du, d2u / norm[..., None, None]
 
 
-def first_order_bases(
-    omega, phi, c3, c_plus, beta: float, rho: float = RESONANCE_THRESHOLD
-) -> np.ndarray:
+def first_order_jet(omega, phi, c3, c_plus, beta: float, order: int = 0) -> tuple:
     """Eigenvector rows psi1..psi4 at chart points given as (N,) arrays,
     shape (N, 4, 4), corrected to first order in the x-field
-    beta(s1 x 1 + 1 x s1).
+    beta(s1 x 1 + 1 x s1), and their exact partials along
+    (omega, phi, c3, c_plus) up to the given order: order + 1 arrays of
+    shapes (N, 4, 4) + (4,) * k, indexed (point, row, component,
+    coordinate, ...).
 
     The perturbation couples psi1, psi2 to psi3 only; psi4 is annihilated by
     it and stays exact.  Each corrected row is normalized.  Raises
     ResonanceError if any point has a denominator 2c3 +- omega - c_plus
-    within rho.
+    within RESONANCE_THRESHOLD.
     """
-    bases = eigenbases(phi)
-    if beta == 0.0:
-        return bases
-    psi1, psi2 = bases[..., 0, :].copy(), bases[..., 1, :].copy()
-    _, _, k1, k2 = _couplings(psi1, psi2, omega, c3, c_plus, rho)
-    _first_order_rows(bases, psi1, psi2, k1, k2, beta)
-    bases /= np.linalg.norm(bases, axis=-1, keepdims=True)
-    return bases
-
-
-def first_order_tangent_bases(
-    omega, phi, c3, c_plus, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """first_order_bases at chart points given as (N,) arrays, and its exact
-    partials along (omega, phi, c3, c_plus), shape (N, 4, 4, 4) indexed
-    (point, row, component, coordinate)."""
-    return _first_order_jet(omega, phi, c3, c_plus, beta, second=False)[:2]
-
-
-def first_order_hessian_bases(
-    omega, phi, c3, c_plus, beta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """first_order_tangent_bases and the exact second partials, shape
-    (N, 4, 4, 4, 4) indexed (point, row, component, coordinate,
-    coordinate)."""
-    return _first_order_jet(omega, phi, c3, c_plus, beta, second=True)
-
-
-def _first_order_jet(omega, phi, c3, c_plus, beta, second):
-    """Bases, partials and, if second, second partials (else None)."""
     phi = np.asarray(phi, dtype=float)
     bases = eigenbases(phi)
-    dbases = np.zeros((len(phi), 4, 4, 4), dtype=complex)
-    dbases[..., 1] = eigenbases_dphi(phi)
-    d2bases = None
-    if second:
+    jet = [bases]
+    if order >= 1:
+        dbases = np.zeros((len(phi), 4, 4, 4), dtype=complex)
+        dbases[..., 1] = eigenbases_dphi(phi)
+        jet.append(dbases)
+    if order >= 2:
         # psi1, psi2 are trigonometric in phi/2 on each branch
         d2bases = np.zeros((len(phi), 4, 4, 4, 4), dtype=complex)
         d2bases[:, :2, :, 1, 1] = -0.25 * bases[:, :2]
+        jet.append(d2bases)
     if beta == 0.0:
-        return bases, dbases, d2bases
+        return tuple(jet)
     psi1, psi2 = bases[:, 0].copy(), bases[:, 1].copy()
+    den1, den2, k1, k2 = _couplings(psi1, psi2, omega, c3, c_plus)
+    # the unnormalized first-order rows psi1..psi3
+    bases[:, 0] = psi1 + beta * k1 * PSI3
+    bases[:, 1] = psi2 + beta * k2 * PSI3
+    bases[:, 2] = PSI3 - beta * (k1 * psi1 + k2 * psi2)
+    if order == 0:
+        return normalize_jet(bases)
     dpsi1, dpsi2 = dbases[:, 0, :, 1].copy(), dbases[:, 1, :, 1].copy()
-    den1, den2, k1, k2 = _couplings(psi1, psi2, omega, c3, c_plus, RESONANCE_THRESHOLD)
     # dk/d(omega, phi, c3, c_plus): the constant denominator gradients, plus
     # the phi term of the numerators
     dk1 = -k1 * _DDEN1 / den1[:, None]
     dk2 = -k2 * _DDEN2 / den2[:, None]
     dk1[:, 1] += math.sqrt(2) * (dpsi1[:, 0] + dpsi1[:, 3]).real / den1
     dk2[:, 1] += math.sqrt(2) * (dpsi2[:, 0] + dpsi2[:, 3]).real / den2
-    _first_order_rows(bases, psi1, psi2, k1, k2, beta)
     dbases[:, 0] += beta * PSI3[:, None] * dk1[:, None]
     dbases[:, 1] += beta * PSI3[:, None] * dk2[:, None]
     dbases[:, 2] = -beta * (psi1[..., None] * dk1[:, None] + psi2[..., None] * dk2[:, None])
     dbases[:, 2, :, 1] -= beta * (k1 * dpsi1 + k2 * dpsi2)
-    if not second:
-        return (*normalize_with_partials(bases, dbases), None)
+    if order == 1:
+        return normalize_jet(bases, dbases)
     # k = n/den with n'' = -n/4 along phi and constant den gradients:
     # d2k = (d2n - dk dden - dden dk)/den
     d2k1 = -(dk1[:, :, None] * _DDEN1 + _DDEN1[:, None] * dk1[:, None]) / den1[:, None, None]
@@ -370,19 +343,17 @@ def _first_order_jet(omega, phi, c3, c_plus, beta, second):
     d2bases[:, 2, :, 1] -= cross
     d2bases[:, 2, :, :, 1] -= cross
     d2bases[:, 2, :, 1, 1] += 0.25 * beta * (k1 * psi1 + k2 * psi2)
-    return normalize_with_hessians(bases, dbases, d2bases)
+    return normalize_jet(bases, dbases, d2bases)
 
 
-def perturbed_eigenstates(
-    p: HamiltonianParams, beta: float, rho: float = RESONANCE_THRESHOLD
-) -> Spectrum:
+def perturbed_eigenstates(p: HamiltonianParams, beta: float) -> Spectrum:
     """First-order eigenvectors of H + beta(s1 x 1 + 1 x s1), energies unchanged."""
     spec = analytic_spectrum(p)
     if beta == 0.0:
         return spec
     d = derive_params(p)
-    states = first_order_bases(
+    states = first_order_jet(
         np.array([d.omega]), np.array([d.phi]), np.array([p.c3]),
-        np.array([d.c_plus]), beta, rho,
-    )[0]
+        np.array([d.c_plus]), beta,
+    )[0][0]
     return Spectrum(spec.energies.copy(), states)

@@ -157,7 +157,6 @@ def perturbed_metric_analytic(
     xi,
     gamma: float = 1.0,
     beta: float = 0.0,
-    rho: float = RESONANCE_THRESHOLD,
 ) -> PerturbedMetric:
     """Closed-form perturbed metric g^(0) + beta h over the full chart."""
     base = analytic_metric_c7(eta, xi, gamma)
@@ -165,9 +164,10 @@ def perturbed_metric_analytic(
         return PerturbedMetric(base, np.zeros((4, 4)), 0.0)
     omega, _, c3, c_plus = (float(x) for x in xi)
     den1, den2 = perturbation_denominators(omega, c3, c_plus)
-    if min(abs(den1), abs(den2)) < rho:
+    if min(abs(den1), abs(den2)) < RESONANCE_THRESHOLD:
         raise ResonanceError(
-            f"perturbation denominators ({den1:.3e}, {den2:.3e}) below {rho:.1e}"
+            f"perturbation denominators ({den1:.3e}, {den2:.3e}) below "
+            f"{RESONANCE_THRESHOLD:.1e}"
         )
     return PerturbedMetric(base, metric_correction_closed_form(eta, xi, gamma), beta)
 

@@ -133,6 +133,23 @@ def test_hessians_match_central_differences_of_tangents(rng, beta, tol):
         assert np.max(np.abs(d2psi - d2psi.transpose(0, 2, 1, 3))) < 1e-14, case
 
 
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_block_rows_equal_one_row_calls(rng, beta):
+    # states, tangents and hessians share one block loop: the rows on both
+    # sides of a block boundary equal the one-row calls bitwise
+    for case in CASES:
+        f = family(rng, case, beta)
+        xs = well_posed(f, rng.uniform(-1.3, 1.3, size=(3 * BLOCK_ROWS, f.dim)))
+        xs = xs[:BLOCK_ROWS + 3]
+        assert len(xs) == BLOCK_ROWS + 3
+        batch = (f.states(xs), *f.tangents(xs), *f.hessians(xs))
+        for k in (0, BLOCK_ROWS - 1, BLOCK_ROWS, len(xs) - 1):
+            row = xs[k:k + 1]
+            one = (f.states(row), *f.tangents(row), *f.hessians(row))
+            for part, single in zip(batch, one):
+                assert np.array_equal(part[k], single[0]), (case, k)
+
+
 def test_tangents_reject_resonance_and_bad_shape(rng):
     f = family(rng, "C7", beta=1e-3)
     omega, c3 = 0.9, 0.4
@@ -171,3 +188,5 @@ def test_batch_properties(case, seed, n, beta):
     assert np.all((c >= 0) & (c <= 1 + 1e-12))
     k = int(rng.integers(n))
     assert np.array_equal(f.state(xs[k]), rows[k])
+    tangents = f.tangents(xs)
+    assert all(np.array_equal(a, b) for a, b in zip(f.hessians(xs)[:2], tangents))

@@ -25,6 +25,7 @@ from qorbits.fubini_study import (
     analytic_metric_c7,
     numeric_fs_metric,
     numeric_fs_metrics,
+    phase_twisted,
     tangent_fs_metrics,
 )
 from qorbits.model import InitialCoefficients, classify
@@ -420,6 +421,14 @@ def test_family_field_routes_to_gauss():
     eta = InitialCoefficients.normalized(0, 0, 0.6, 0.8)
     c1 = family_for_case(classify(eta), eta)
     assert "flat" in curvature_at(MetricField.from_family(c1), np.array([0.3])).note
+
+
+def test_from_family_rejects_other_families():
+    # a family object without exact partials has no Gauss route; it is
+    # refused when the field is built, naming its type
+    twisted = phase_twisted(_uniform_c7_family(), lambda xs: xs.sum(axis=1))
+    with pytest.raises(TypeError, match="_PhaseTwistedFamily"):
+        MetricField.from_family(twisted)
 
 
 class _StubFamily:
