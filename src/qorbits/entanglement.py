@@ -18,6 +18,8 @@ from .families import StateFamily
 from .model import InitialCoefficients
 
 NORM_TOL = 1e-9
+# the integers n at which every condition-table row is sampled
+N_RANGE = (-1, 0, 1, 2)
 
 
 def concurrences(states) -> np.ndarray:
@@ -236,15 +238,12 @@ def _c7_rows(chi):
     ]
 
 
-def verify_max_entangled_tables(
-    f: StateFamily,
-    chi: float,
-    n_range=(-1, 0, 1, 2),
-) -> list[MaxEntangledCondition]:
-    """Evaluate the family on every cataloged condition row and measure the
-    concurrence; rows with an unconstrained omega are sampled at 5 values in
-    [0.2, 2.6].  The worst concurrence over n values and samples is
-    recorded per row; failures are reported, never raised.
+def verify_max_entangled_tables(f: StateFamily, chi: float) -> list[MaxEntangledCondition]:
+    """Evaluate the family on every cataloged condition row at each n in
+    N_RANGE and measure the concurrence; rows with an unconstrained omega
+    are sampled at 5 values in [0.2, 2.6].  The worst concurrence over n
+    values and samples is recorded per row; failures are reported, never
+    raised.
     """
     case = f.case
     label = case.label
@@ -256,18 +255,18 @@ def verify_max_entangled_tables(
             if jpar != case.j % 2:
                 continue
             ws = [omega] if omega is not None else free_vals
-            samples = [(n, [w, phi, c_fn(n)]) for n in n_range for w in ws]
+            samples = [(n, [w, phi, c_fn(n)]) for n in N_RANGE for w in ws]
             rows.append((name, {"phi": phi, "omega": omega}, samples))
     elif label == "C6":
         for name, phi, lpar, c_fn, cp_fn in _c6_rows(chi):
             if lpar != case.l % 2:
                 continue
-            samples = [(n, [phi, c_fn(n), cp_fn(n)]) for n in n_range]
+            samples = [(n, [phi, c_fn(n), cp_fn(n)]) for n in N_RANGE]
             rows.append((name, {"phi": phi}, samples))
     elif label == "C7":
         for name, phi, omega, cp_fn, c3_fn in _c7_rows(chi):
             ws = [omega] if omega is not None else free_vals
-            samples = [(n, [w, phi, c3_fn(n), cp_fn(n)]) for n in n_range for w in ws]
+            samples = [(n, [w, phi, c3_fn(n), cp_fn(n)]) for n in N_RANGE for w in ws]
             rows.append((name, {"phi": phi, "omega": omega}, samples))
     else:
         raise ValueError("condition tables exist for C5, C6 and C7 only")

@@ -29,6 +29,9 @@ from .model import InitialCoefficients
 from .families import StateFamily
 
 DEFAULT_METRIC_STEP = 1e-5
+# MetricTensor.validate: largest asymmetry and most negative eigenvalue allowed
+SYM_TOL = 1e-12
+PSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,13 +47,13 @@ class MetricTensor:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def validate(self, sym_tol: float = 1e-12, psd_tol: float = 1e-9):
+    def validate(self):
         g = self.entries
         if not np.all(np.isfinite(g)):
             raise ValueError("metric entries must be finite")
-        if np.max(np.abs(g - g.T)) > sym_tol:
+        if np.max(np.abs(g - g.T)) > SYM_TOL:
             raise ValueError("metric not symmetric")
-        if np.linalg.eigvalsh(g).min() < -psd_tol:
+        if np.linalg.eigvalsh(g).min() < -PSD_TOL:
             raise ValueError("metric not positive semidefinite")
         return self
 
@@ -292,15 +295,14 @@ class DiagonalizingTransform:
         c3 = k2 omega' + k3 phi' + c3',  c_plus = k4 c3' + c_plus',
 
     with the substitution J = (eta12_plus/2) cos(theta) replacing omega' by
-    theta (theta_substitution).  k1..k3 are evaluated at the working point
-    because J depends on omega there.
+    theta.  k1..k3 are evaluated at the working point because J depends on
+    omega there.
     """
 
     k1: float
     k2: float
     k3: float
     k4: float
-    theta_substitution: bool = True
 
 
 def diagonalize_metric(

@@ -28,6 +28,10 @@ _BELL_ROWS = np.array([PSI3, PSI4])
 _INV_SQRT2 = 1.0 / math.sqrt(2)
 
 HERMITICITY_TOL = 1e-14
+# Jacobi solver: off-diagonal Frobenius norm at which it stops, and the
+# number of sweeps after which it gives up
+JACOBI_OFF_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 60
 
 # Default resonance threshold on the perturbation denominators 2c3 +- omega - c_plus
 RESONANCE_THRESHOLD = 1e-6
@@ -143,15 +147,13 @@ def analytic_spectrum(p: HamiltonianParams) -> Spectrum:
     return Spectrum(analytic_energies(d, p.c3), states)
 
 
-def jacobi_eigh(
-    h: np.ndarray, off_tol: float = 1e-14, max_sweeps: int = 60
-) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi
     rotations.
 
     Sweeps 2x2 unitary eliminations over all (p, q) pairs until the
-    off-diagonal Frobenius norm drops below off_tol.  Returns eigenvalues
-    ascending and the matching eigenvectors as columns.
+    off-diagonal Frobenius norm drops below JACOBI_OFF_TOL.  Returns
+    eigenvalues ascending and the matching eigenvectors as columns.
     """
     a = np.array(h, dtype=complex)
     n = a.shape[0]
@@ -161,15 +163,15 @@ def jacobi_eigh(
         raise ValueError("matrix is not Hermitian")
     v = np.eye(n, dtype=complex)
     mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(float(np.sum(np.abs(a[mask]) ** 2)))
-        if off < off_tol:
+        if off < JACOBI_OFF_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
                 r = abs(apq)
-                if r < off_tol / (n * n):
+                if r < JACOBI_OFF_TOL / (n * n):
                     continue
                 phase = apq / r
                 tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
@@ -200,9 +202,9 @@ def jacobi_eigh(
     return evals[order], v[:, order]
 
 
-def numeric_spectrum(h: np.ndarray, off_tol: float = 1e-14) -> Spectrum:
+def numeric_spectrum(h: np.ndarray) -> Spectrum:
     """Oracle eigensystem via the Jacobi solver; eigenvalues ascending."""
-    evals, evecs = jacobi_eigh(h, off_tol=off_tol)
+    evals, evecs = jacobi_eigh(h)
     return Spectrum(evals, evecs.T)
 
 

@@ -22,6 +22,12 @@ from .hamiltonian import RESONANCE_THRESHOLD, perturbation_denominators
 from .model import CaseClass, InitialCoefficients
 
 COMPONENT_ORDER = ("omega", "phi", "c3", "c_plus")
+# numeric dg/dbeta: the larger of its two central-difference beta steps
+BETA_STEP = 1e-4
+# correction audit: relative deviation at which a component agrees, and the
+# distance from a resonance inside which an audit point is skipped
+AUDIT_REL_TOL = 1e-3
+RESONANCE_MARGIN = 1e-2
 
 
 @dataclass(frozen=True)
@@ -172,31 +178,26 @@ def perturbed_metric_analytic(
     return PerturbedMetric(base, metric_correction_closed_form(eta, xi, gamma), beta)
 
 
-def numeric_beta_derivative(
-    eta: InitialCoefficients,
-    xi,
-    gamma: float = 1.0,
-    beta_step: float = 1e-4,
-    h: float = 1e-5,
-) -> np.ndarray:
+def numeric_beta_derivative(eta: InitialCoefficients, xi, gamma: float = 1.0) -> np.ndarray:
     """d g / d beta at beta = 0 of the perturbed family, at one point (shape
     (4, 4)) or at each row of an (N, 4) batch (shape (N, 4, 4)): central
-    differences at beta_step and beta_step/2, combined by Richardson
-    extrapolation as (4 D(beta_step/2) - D(beta_step))/3 to cancel the
-    O(beta_step^2) error, which grows large near a resonance.  Each of the
-    four +-beta families is evaluated once over the whole batch."""
+    differences at BETA_STEP and BETA_STEP/2, combined by Richardson
+    extrapolation as (4 D(BETA_STEP/2) - D(BETA_STEP))/3 to cancel the
+    O(BETA_STEP^2) error, which grows large near a resonance.  Each of the
+    four +-beta families is evaluated once over the whole batch, at the
+    default metric step."""
     xi = np.asarray(xi, dtype=float)
     xs = np.atleast_2d(xi)
     chart = ("omega", "phi", "c3", "c_plus")
 
     def central(step):
         g = [
-            numeric_fs_metrics(StateFamily(CaseClass("C7"), eta, chart, b), xs, gamma=gamma, h=h)
+            numeric_fs_metrics(StateFamily(CaseClass("C7"), eta, chart, b), xs, gamma=gamma)
             for b in (step, -step)
         ]
         return (g[0] - g[1]) / (2.0 * step)
 
-    d = (4.0 * central(0.5 * beta_step) - central(beta_step)) / 3.0
+    d = (4.0 * central(0.5 * BETA_STEP) - central(BETA_STEP)) / 3.0
     return d if xi.ndim == 2 else d[0]
 
 
@@ -227,37 +228,33 @@ class CorrectionAudit:
 
 
 def audit_metric_correction(
-    eta: InitialCoefficients,
-    points,
-    gamma: float = 1.0,
-    rel_tol: float = 1e-3,
-    beta_step: float = 1e-4,
-    resonance_margin: float = 1e-2,
+    eta: InitialCoefficients, points, gamma: float = 1.0
 ) -> CorrectionAudit:
     """Compare closed-form h_mn with numeric dg/dbeta on resonance-free points.
 
     Points whose denominators 2c3 - c_plus +- omega fall within
-    resonance_margin are skipped, as are points with cos(phi) <= 0.05, at or
+    RESONANCE_MARGIN are skipped, as are points with cos(phi) <= 0.05, at or
     off the edge of the principal branch cos(phi) > 0 where the closed
-    forms' square roots are taken.  NoAdmissiblePointsError is raised when
-    no point is left.
+    forms' square roots are taken.  A component agrees when its maximal
+    deviation is below AUDIT_REL_TOL relative to the numeric maximum.
+    NoAdmissiblePointsError is raised when no point is left.
     """
     used = []
     for xi in points:
         omega, phi, c3, c_plus = (float(x) for x in xi)
         den1, den2 = perturbation_denominators(omega, c3, c_plus)
-        if min(abs(den1), abs(den2)) < resonance_margin or math.cos(phi) <= 0.05:
+        if min(abs(den1), abs(den2)) < RESONANCE_MARGIN or math.cos(phi) <= 0.05:
             continue
         used.append(xi)
     if not used:
         raise NoAdmissiblePointsError(
-            "every audit point was skipped: each lies within resonance_margin "
-            f"{resonance_margin:g} of a resonance 2c3 - c_plus +- omega = 0 or "
+            "every audit point was skipped: each lies within "
+            f"{RESONANCE_MARGIN:g} of a resonance 2c3 - c_plus +- omega = 0 or "
             "has cos(phi) <= 0.05"
         )
     used = np.array(used, dtype=float)
     closed_all = np.array([metric_correction_closed_form(eta, xi, gamma) for xi in used])
-    numeric_all = numeric_beta_derivative(eta, used, gamma, beta_step=beta_step)
+    numeric_all = numeric_beta_derivative(eta, used, gamma)
     verdicts = []
     names = COMPONENT_ORDER
     for a in range(4):
@@ -274,7 +271,7 @@ def audit_metric_correction(
                     float(np.max(np.abs(n))),
                     max_diff,
                     rel,
-                    rel < rel_tol,
+                    rel < AUDIT_REL_TOL,
                 )
             )
-    return CorrectionAudit(tuple(verdicts), len(used), rel_tol)
+    return CorrectionAudit(tuple(verdicts), len(used), AUDIT_REL_TOL)

@@ -389,7 +389,7 @@ def test_criterion_08_perturbation_transcription_audit():
              rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4)]
         )
         pts.append(xi)
-    audit = audit_metric_correction(eta, pts, rel_tol=1e-3)
+    audit = audit_metric_correction(eta, pts)
     agreeing = sorted(
         f"{v.component[0]}-{v.component[1]}" for v in audit.verdicts if v.agrees
     )
@@ -528,7 +528,7 @@ def test_criterion_10b_max_entanglement_tables():
     worst_others = 0.0
     for eta in etas.values():
         f = family_for_case(classify(eta), eta)
-        for row in verify_max_entangled_tables(f, 0.0, n_range=n_range):
+        for row in verify_max_entangled_tables(f, 0.0):
             n_rows += 1
             name = f"{row.case} {row.row}"
             if not row.passed:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,10 @@ import pytest
 
 import qorbits
 from qorbits.cli import (
+    COMMAND_OPTIONS,
+    COMMANDS,
     DEFAULT_CASE_ETAS,
+    OPTIONS,
     _table_samples,
     build_parser,
     main,
@@ -202,6 +206,53 @@ def test_invalid_config_exit_code(capsys):
     assert main(["metric", "--point", "0"]) == 2  # --eta missing
     assert main(["evolve", "--eta", "1,0,0,0", "--point", "0,1"]) == 2
     assert main(["classify", "--eta", "0,0,1,0"]) == 2  # stationary
+
+
+def test_classify_without_eta_is_bad_config(capsys):
+    assert main(["classify"]) == 2
+    assert "--eta is required" in capsys.readouterr().err
+
+
+def test_concurrence_csv_needs_grid(capsys):
+    argv = ["concurrence", "--eta", "1,0,0,0", "--point", "0", "--format", "csv"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--format csv needs --grid" in err
+
+
+# a quick command line that exits 0, per command
+VALID_ARGV = {
+    "spectrum": ["spectrum"],
+    "classify": ["classify", "--eta", "0.5,0.5,0.5,0.5"],
+    "evolve": ["evolve", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,0.2,0.4"],
+    "metric": ["metric", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,0.2,0.4"],
+    "curvature": ["curvature", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,0.2,0.4"],
+    "perturb": ["perturb", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.8,0.3,0.25,0.45"],
+    "concurrence": ["concurrence", "--eta", "1,0,0,0", "--point", "0"],
+    "verify": ["verify", "--suite", "periodicity", "--eta", "0.5,0.5,0.5,0.5"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_takes_only_the_options_it_reads(command, tmp_path, capsys):
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {s for a in sub.choices[command]._actions for s in a.option_strings}
+    declared = set(COMMAND_OPTIONS[command]) | {"--out"}
+    assert accepted - {"-h", "--help"} == declared
+    out = tmp_path / "r.json"
+    assert main(VALID_ARGV[command] + ["--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert set(config) == {o[2:].replace("-", "_") for o in COMMAND_OPTIONS[command]} | {"command"}
+    # an option the command does not read is refused, also where it is a
+    # prefix of one it does read (--b of --beta)
+    for flag in sorted(set(OPTIONS) - declared):
+        assert main(VALID_ARGV[command] + [flag, "1"]) == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_rejects_unknown_suite(capsys):
+    assert main(["verify", "--suite", "nope"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("h_curv", ["0", "nan"])
