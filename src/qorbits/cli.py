@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import QOrbitsError
 from .model import (
+    CaseClass,
     HamiltonianParams,
     InitialCoefficients,
     classify,
@@ -344,13 +345,12 @@ def cmd_perturb(args, warn) -> dict:
     if case.label != "C7":
         raise ValueError("perturb expects a C7 coefficient set (full chart)")
     xi = _point(args, 4)
-    beta = args.beta if args.beta != 0.0 else 1e-4
-    pm = perturbed_metric_analytic(eta, xi, gamma=args.gamma, beta=beta)
+    pm = perturbed_metric_analytic(eta, xi, gamma=args.gamma, beta=args.beta)
     dgdb = numeric_beta_derivative(eta, xi, gamma=args.gamma)
     dev = np.abs(pm.correction - dgdb)
     results = {
         "point": xi,
-        "beta": beta,
+        "beta": args.beta,
         "base": pm.base.entries,
         "correction_closed_form": pm.correction,
         "correction_numeric_dg_dbeta": dgdb,
@@ -363,6 +363,8 @@ def cmd_perturb(args, warn) -> dict:
 def cmd_concurrence(args, warn) -> dict | None:
     if args.format == "csv" and args.grid is None:
         raise ValueError("--format csv needs --grid")
+    if args.grid is not None and args.point is not None:
+        raise ValueError("--point is not read with --grid")
     f = _family_from_args(args, warn)
     if args.grid is None:
         xi = _point(args, f.dim)
@@ -428,19 +430,22 @@ def _suite_periodicity(args, rng, checks):
 
 def _suite_metric(args, rng, checks):
     gamma = args.gamma
-    # closed form vs numeric over random C7 points
-    worst = 0.0
+    # closed form vs numeric over random C7 points, each with its own
+    # coefficients: one C7 family takes them as per-row coefficients, so
+    # every stencil state comes from one batch
+    etas, xis = [], []
     for _ in range(50):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        eta = InitialCoefficients.normalized(*v)
-        xi = np.array(
-            [rng.uniform(-2, 2), rng.uniform(-1.2, 1.2),
-             rng.uniform(-2, 2), rng.uniform(-2, 2)]
-        )
-        f = family_for_case(classify(eta), eta)
-        gn = numeric_fs_metric(f, xi, gamma=gamma, h=args.h_metric).entries
+        etas.append(InitialCoefficients.normalized(*v))
+        xis.append([rng.uniform(-2, 2), rng.uniform(-1.2, 1.2),
+                    rng.uniform(-2, 2), rng.uniform(-2, 2)])
+    f = family_for_case(CaseClass("C7"), etas[0])
+    gn = numeric_fs_metrics(f, xis, gamma, args.h_metric,
+                            etas=[eta.as_array() for eta in etas])
+    worst = 0.0
+    for eta, xi, g in zip(etas, xis, gn):
         ga = analytic_metric_c7(eta, xi, gamma).entries
-        worst = max(worst, float(np.max(np.abs(gn - ga))))
+        worst = max(worst, float(np.max(np.abs(g - ga))))
     checks.append(_check("metric-c7-oracle-agreement", worst, worst < 1e-6))
     # diagonalization
     worst_off = worst_diag = 0.0
@@ -700,6 +705,9 @@ COMMAND_OPTIONS = {
     "concurrence": _FAMILY_POINT + ("--grid", "--format"),
     "verify": ("--seed", "--suite", "--eta", "--gamma", "--h-metric", "--chi"),
 }
+# parser defaults that differ from OPTIONS, per command: perturb evaluates
+# its first-order correction at a small nonzero beta
+COMMAND_DEFAULTS = {"perturb": {"beta": 1e-4}}
 
 
 @functools.lru_cache(maxsize=None)
@@ -717,6 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, allow_abbrev=False)
         for flag in options + ("--out",):
             p.add_argument(flag, **OPTIONS[flag])
+        p.set_defaults(**COMMAND_DEFAULTS.get(name, {}))
     return parser
 
 

@@ -19,7 +19,9 @@ batched path serves all seven cases: the state and its exact chart partials
 up to order 0, 1 or 2 (StateFamily.states, tangents, hessians), from the
 phases, which contribute i theta_k', and the eigenbasis jet
 hamiltonian.first_order_jet.  state is the one-row case of states; the
-second partials serve the Gauss-equation curvature.
+second partials serve the Gauss-equation curvature.  On the general orbit
+(C1, C3, C7) states also takes one coefficient row per point, so a batch
+may mix coefficient sets.
 """
 
 from __future__ import annotations
@@ -165,9 +167,14 @@ class StateFamily:
             (chart[:, None, :, None] * chart[None, :, None, :]).reshape(16, -1),
         ])
 
-    def states(self, xs) -> np.ndarray:
-        """Normalized states at the rows of an (N, dim) batch, shape (N, 4)."""
-        return self._jet(xs, 0)[0]
+    def states(self, xs, etas=None) -> np.ndarray:
+        """Normalized states at the rows of an (N, dim) batch, shape (N, 4).
+        etas, an (N, 4) array of normalized coefficient rows such as
+        InitialCoefficients.as_array() gives, stands in for self.eta row by
+        row.  It is taken only where the phase forms are the general orbit
+        (C1, C3, C7): there sum_k eta_k e^{i theta_k} psi_k is the evolved
+        state for every eta."""
+        return self._jet(xs, 0, etas)[0]
 
     def tangents(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """states(xs) and their exact partials along the chart, shape
@@ -180,29 +187,40 @@ class StateFamily:
         derivatives per row."""
         return self._jet(xs, 2)
 
-    def _jet(self, xs, order):
+    def _jet(self, xs, order, etas=None):
         """The states at the rows of an (N, dim) batch and their chart
         partials up to order: order + 1 arrays of shapes
-        (N,) + (dim,) * k + (4,), filled in blocks of BLOCK_ROWS rows."""
+        (N,) + (dim,) * k + (4,), filled in blocks of BLOCK_ROWS rows, with
+        the coefficient rows etas (see states) or self.eta."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ValueError(f"expected (N, {self.dim}) coordinates, got {xs.shape}")
+        if etas is not None:
+            if PHASE_FORMS[self.case.label, self.case.l] is not _GENERAL:
+                raise ValueError(
+                    f"per-row coefficients need the general orbit (C1, C3, C7), not {self.case.label}"
+                )
+            etas = np.asarray(etas, dtype=complex)
+            if etas.shape != (len(xs), 4):
+                raise ValueError(f"expected ({len(xs)}, 4) coefficient rows, got {etas.shape}")
         outs = [np.empty((len(xs),) + (self.dim,) * k + (4,), dtype=complex)
                 for k in range(order + 1)]
         for start in range(0, len(xs), BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
-            for out, part in zip(outs, self._jet_block(xs[block], order)):
+            rows = self.eta.as_array() if etas is None else etas[block]
+            for out, part in zip(outs, self._jet_block(xs[block], order, rows)):
                 out[block] = part
         return tuple(outs)
 
-    def _jet_block(self, xs, order):
-        """_jet on one block: the phased coefficients amps_k = eta_k e^{i theta_k}
+    def _jet_block(self, xs, order, eta_rows):
+        """_jet on one block: the phased coefficients
+        amps_k = eta_k e^{i theta_k}, eta_rows (4,) or one row per point,
         against the basis jet first_order_jet at the BASIS_COORDS, taken to
         the chart by _tangent_map and _hessian_map, then normalized if
         beta != 0."""
         lin, offset, basis, basis0 = self._table
         coords = xs @ basis.T + basis0
-        amps = self.eta.as_array() * np.exp(1j * (xs @ lin.T + offset))
+        amps = eta_rows * np.exp(1j * (xs @ lin.T + offset))
         bases = first_order_jet(*coords.T, self.beta, order)
         n = len(xs)
         # stacked matmul keeps the summation order of a single amps @ basis

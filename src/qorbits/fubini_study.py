@@ -88,13 +88,18 @@ def _require_finite(family, xs, dpsi):
     )
 
 
-def _state_derivatives(family, xs, h):
+def _state_derivatives(family, xs, h, etas=None):
     """States at the rows of xs and their 4th-order central-difference
     partials along the chart, from one batch of all N*(4*dim + 1) stencil
-    points: psi has shape (N, 4), dpsi (N, dim, 4)."""
+    points, each with its point's coefficient row of etas if given: psi has
+    shape (N, 4), dpsi (N, dim, 4)."""
     n, dim = xs.shape
     pts = (xs[:, None] + h * _stencil_offsets(dim)).reshape(-1, dim)
-    psi_all = family.states(pts).reshape(n, 1 + 4 * dim, -1)
+    if etas is None:
+        psi_all = family.states(pts)
+    else:
+        psi_all = family.states(pts, np.repeat(etas, 1 + 4 * dim, axis=0))
+    psi_all = psi_all.reshape(n, 1 + 4 * dim, -1)
     fp1, fm1, fp2, fm2 = (psi_all[:, 1 + k * dim:1 + (k + 1) * dim] for k in range(4))
     dpsi = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
     _require_finite(family, xs, dpsi)
@@ -115,15 +120,17 @@ def _qgt_metrics(psi, dpsi, gamma: float) -> np.ndarray:
 
 
 def numeric_fs_metrics(
-    family, xs, gamma: float = 1.0, h: float = DEFAULT_METRIC_STEP
+    family, xs, gamma: float = 1.0, h: float = DEFAULT_METRIC_STEP, etas=None
 ) -> np.ndarray:
     """Fubini-Study metrics, shape (N, dim, dim), at the N rows of xs, from
     one evaluation of every stencil state.  family is any object exposing
-    .states(xs) and .chart."""
+    .states(xs) and .chart.  etas, an (N, 4) array of coefficient rows, gives
+    each point its own coefficients; only a StateFamily of the general orbit
+    (C1, C3, C7) takes it (see StateFamily.states)."""
     if not (1e-7 <= h <= 1e-3):
         raise ValueError("finite-difference step h must lie in [1e-7, 1e-3]")
     xs = _points(xs)
-    return _qgt_metrics(*_state_derivatives(family, xs, h), gamma)
+    return _qgt_metrics(*_state_derivatives(family, xs, h, etas), gamma)
 
 
 def tangent_fs_metrics(family, xs, gamma: float = 1.0) -> np.ndarray:

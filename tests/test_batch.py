@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qorbits.entanglement import concurrence, concurrences
 from qorbits.errors import ResonanceError
 from qorbits.families import BLOCK_ROWS, evolved_state, family_for_case
+from qorbits.fubini_study import numeric_fs_metric, numeric_fs_metrics
 from qorbits.hamiltonian import BRANCH_SNAP, branch_sign
 from qorbits.model import InitialCoefficients, classify
 
@@ -148,6 +149,29 @@ def test_block_rows_equal_one_row_calls(rng, beta):
             one = (f.states(row), *f.tangents(row), *f.hessians(row))
             for part, single in zip(batch, one):
                 assert np.array_equal(part[k], single[0]), (case, k)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_per_row_coefficients_equal_one_family_per_point(rng, beta):
+    # one C7 family with a coefficient row per point against one family per
+    # point: 50 points of 17 stencil states each, more than one block
+    etas = [random_eta(rng, "C7") for _ in range(50)]
+    f = family_for_case(classify(etas[0]), etas[0], beta=beta)
+    xs = well_posed(f, rng.uniform(-1.3, 1.3, size=(200, 4)))[:50]
+    assert len(xs) == 50 and 17 * len(xs) > BLOCK_ROWS
+    rows = np.array([eta.as_array() for eta in etas])
+    batch = numeric_fs_metrics(f, xs, etas=rows)
+    for eta, xi, g in zip(etas, xs, batch):
+        one = numeric_fs_metric(family_for_case(classify(eta), eta, beta=beta), xi)
+        assert np.array_equal(g, one.entries)
+    with pytest.raises(ValueError, match="coefficient rows"):
+        numeric_fs_metrics(f, xs, etas=rows[:-1])
+    with pytest.raises(ValueError, match="coefficient rows"):
+        f.states(xs, rows[:-1])
+    for case in ("C4", "C5", "C6"):
+        g = family(rng, case, beta)
+        with pytest.raises(ValueError, match="general orbit"):
+            numeric_fs_metrics(g, xs[:, :g.dim], etas=rows)
 
 
 def test_tangents_reject_resonance_and_bad_shape(rng):

@@ -14,6 +14,7 @@ from qorbits.cli import (
     COMMANDS,
     DEFAULT_CASE_ETAS,
     OPTIONS,
+    _suite_metric,
     _table_samples,
     build_parser,
     main,
@@ -22,7 +23,8 @@ from qorbits.cli import (
 )
 from qorbits.entanglement import CASE_FORMULA_STATUS
 from qorbits.families import family_for_case
-from qorbits.model import classify
+from qorbits.fubini_study import analytic_metric_c7, numeric_fs_metric
+from qorbits.model import InitialCoefficients, classify
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +191,31 @@ def test_verify_all_soft_flags_only(capsys):
     assert any("perturbed-metric-c3-c_plus" in n for n in flagged)
 
 
+@pytest.mark.parametrize("options", [[], ["--gamma", "0.7", "--h-metric", "1e-4"]])
+def test_metric_oracle_equals_the_per_point_loop(options):
+    # the batched metric-c7-oracle-agreement deviation against the one
+    # family and one stencil per point it replaced, bitwise
+    args = build_parser().parse_args(["verify", "--suite", "metric", *options])
+    for seed in range(10):
+        checks = []
+        _suite_metric(args, np.random.default_rng(seed), checks)
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(50):
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            eta = InitialCoefficients.normalized(*v)
+            xi = np.array(
+                [rng.uniform(-2, 2), rng.uniform(-1.2, 1.2),
+                 rng.uniform(-2, 2), rng.uniform(-2, 2)]
+            )
+            f = family_for_case(classify(eta), eta)
+            gn = numeric_fs_metric(f, xi, gamma=args.gamma, h=args.h_metric).entries
+            ga = analytic_metric_c7(eta, xi, args.gamma).entries
+            worst = max(worst, float(np.max(np.abs(gn - ga))))
+        assert checks[0]["name"] == "metric-c7-oracle-agreement"
+        assert checks[0]["deviation"] == worst, seed
+
+
 def test_verify_all_seed_68_passes(tmp_path):
     # this seed draws a perturbation-audit point 0.0125 from a resonance
     assert main(["verify", "--suite", "all", "--seed", "68", "--out", str(tmp_path / "r.json")]) == 0
@@ -218,6 +245,21 @@ def test_concurrence_csv_needs_grid(capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and "--format csv needs --grid" in err
+
+
+def test_concurrence_point_not_read_with_grid(capsys):
+    argv = ["concurrence", "--eta", "1,0,0,0", "--grid", "phi=-1:1:3", "--point", "0"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--point is not read with --grid" in err
+
+
+def test_perturb_reports_the_beta_it_evaluates(capsys):
+    code, rep = run_json(
+        capsys, "perturb", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.8,0.3,0.25,0.45",
+    )
+    assert code == 0
+    assert rep["config"]["beta"] == rep["results"]["beta"] == 1e-4
 
 
 # a quick command line that exits 0, per command
