@@ -2,10 +2,12 @@
 
 Subcommands: spectrum, classify, evolve, metric, curvature, perturb,
 concurrence, verify.  Each takes only the options it reads (COMMAND_OPTIONS)
-plus --out.  Reports embed the command's resolved options, are
-byte-deterministic for a fixed seed (floats at 17 significant digits, keys
-sorted), and exit nonzero only when a hard check fails (1), the
-configuration is invalid (2) or a numerical routine fails (3).
+plus --out, and a single verify suite refuses a non-default value of a
+suite option it does not read (SUITE_OPTIONS).  Reports embed the
+command's resolved options, are byte-deterministic for a fixed seed (floats
+at 17 significant digits, keys sorted), and exit nonzero only when a hard
+check fails (1), the configuration is invalid (2) or a numerical routine
+fails (3).
 """
 
 from __future__ import annotations
@@ -415,13 +417,21 @@ DEFAULT_CASE_ETAS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _default_family(label: str):
+    """The beta = 0 family of DEFAULT_CASE_ETAS[label], built once per
+    process: the suites only read it."""
+    eta = parse_eta(DEFAULT_CASE_ETAS[label], None)
+    return family_for_case(classify(eta), eta)
+
+
 def _suite_periodicity(args, rng, checks):
     if args.eta is not None:
-        etas = [parse_eta(args.eta, None)]
+        eta = parse_eta(args.eta, None)
+        fams = [family_for_case(classify(eta), eta)]
     else:
-        etas = [parse_eta(text, None) for text in DEFAULT_CASE_ETAS.values()]
-    for eta in etas:
-        f = family_for_case(classify(eta), eta)
+        fams = [_default_family(label) for label in DEFAULT_CASE_ETAS]
+    for f in fams:
         rep = check_periodicity(f, n_points=20, rng=rng)
         for chk in rep.checks:
             name = f"periodicity-{f.case.label}-{'+'.join(chk.shift)}"
@@ -471,9 +481,8 @@ def _suite_metric(args, rng, checks):
     checks.append(_check("diagonalization-diagonal", worst_diag, worst_diag < 1e-10))
     # gauge invariance on every case family
     worst = 0.0
-    for label, eta_text in DEFAULT_CASE_ETAS.items():
-        eta = parse_eta(eta_text, None)
-        f = family_for_case(classify(eta), eta)
+    for label in DEFAULT_CASE_ETAS:
+        f = _default_family(label)
         ft = phase_twisted(f, lambda xs: xs.sum(axis=1))
         xi = rng.uniform(0.2, 1.0, size=f.dim)
         dev = float(
@@ -487,16 +496,13 @@ def _suite_metric(args, rng, checks):
         worst = max(worst, dev)
     checks.append(_check("metric-gauge-invariance", worst, worst < 1e-8))
     # flat slice with the field off (phi frozen)
-    eta = parse_eta(DEFAULT_CASE_ETAS["C7"], None)
-    f = family_for_case(classify(eta), eta)
-    fs = sliced_family(f, {"phi": 0.0})
+    fs = sliced_family(_default_family("C7"), {"phi": 0.0})
     pts = [[w, c3, cp] for w in (0.2, 0.9) for c3 in (0.1, 0.8) for cp in (0.3, 1.2)]
     mats = numeric_fs_metrics(fs, pts, gamma=gamma)
     var = float(np.max(np.abs(mats - mats[0])))
     checks.append(_check("flat-slice-constant-metric", var, var < 1e-9))
     # printed-vs-oracle ratio audits for the reduced-case closed forms
-    eta4 = parse_eta(DEFAULT_CASE_ETAS["C4"], None)
-    f4 = family_for_case(classify(eta4), eta4)
+    f4 = _default_family("C4")
     gn4 = numeric_fs_metric(f4, np.array([0.4, 1.1]), gamma=gamma).entries
     ga4 = analytic_metric_case(f4, np.array([0.4, 1.1]), gamma).entries
     ratio = float(ga4[1, 1] / gn4[1, 1])
@@ -564,11 +570,10 @@ def _suite_tables(args, rng, checks):
             dev = abs(row.measured_concurrence - 1.0)
             checks.append(_check(f"table-{label}-{row.row}", dev, row.passed, soft=defective))
     # closed-form concurrence against the direct oracle on agreement domains
-    for label, eta_text in DEFAULT_CASE_ETAS.items():
-        eta = parse_eta(eta_text, None)
-        f = family_for_case(classify(eta), eta)
+    for label in DEFAULT_CASE_ETAS:
+        f = _default_family(label)
         xs = _table_samples(f, rng)
-        closed = concurrence_analytic(f.case, eta, xs)
+        closed = concurrence_analytic(f.case, f.eta, xs)
         worst = float(np.max(np.abs(closed - concurrences(f.states(xs)))))
         checks.append(_check(f"concurrence-closed-form-{label}-on-domain", worst, worst < 1e-10))
 
@@ -642,9 +647,30 @@ SUITES = {
     "perturbation": _suite_perturbation,
     "curvature": _suite_curvature,
 }
+# the options each suite reads; --suite all takes every one of them
+SUITE_OPTIONS = {
+    "periodicity": ("--eta",),
+    "metric": ("--gamma", "--h-metric"),
+    "tables": ("--chi",),
+    "perturbation": ("--gamma",),
+    "curvature": ("--gamma",),
+}
+
+
+def _refuse_unread_suite_options(args) -> None:
+    """Refuse a non-default value of an option the selected suite never
+    reads, which would otherwise leave its report unchanged."""
+    for flag in dict.fromkeys(sum(SUITE_OPTIONS.values(), ())):
+        if flag in SUITE_OPTIONS[args.suite]:
+            continue
+        if getattr(args, flag[2:].replace("-", "_")) != OPTIONS[flag]["default"]:
+            readers = ", ".join(name for name, opts in SUITE_OPTIONS.items() if flag in opts)
+            raise ValueError(f"{flag} is read only by the suites {readers}, not {args.suite}")
 
 
 def cmd_verify(args, warn) -> dict:
+    if args.suite != "all":
+        _refuse_unread_suite_options(args)
     rng = np.random.default_rng(args.seed)
     checks: list[dict] = []
     selected = list(SUITES) if args.suite == "all" else [args.suite]

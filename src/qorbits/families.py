@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -98,8 +98,11 @@ def evolved_state(eta: InitialCoefficients, coords) -> np.ndarray:
 def chart_embedding(chart, frozen: dict | None = None):
     """The embedding (E, e0) of a chart that reads each chart coordinate off
     its own column and holds every other EMBED_COORDS entry at its frozen
-    value: frozen, then DEFAULT_FROZEN, then 0 for c."""
-    refs = {**DEFAULT_FROZEN, **(frozen or {})}
+    value: frozen, then DEFAULT_FROZEN, then 0 for c.  Without frozen it
+    depends on the chart alone and is built once per chart."""
+    if not frozen:
+        return _default_embedding(tuple(chart))
+    refs = {**DEFAULT_FROZEN, **frozen}
     E = np.zeros((len(EMBED_COORDS), len(chart)))
     e0 = np.zeros(len(EMBED_COORDS))
     for k, name in enumerate(EMBED_COORDS):
@@ -108,6 +111,11 @@ def chart_embedding(chart, frozen: dict | None = None):
         else:
             e0[k] = float(refs.get(name, 0.0))
     return _embedding_tuples(E, e0)
+
+
+@lru_cache(maxsize=64)
+def _default_embedding(chart):
+    return chart_embedding(chart, DEFAULT_FROZEN)
 
 
 def _embedding_tuples(E, e0):
@@ -137,12 +145,9 @@ class StateFamily:
 
     @cached_property
     def _table(self):
-        """The case's affine maps from chart points x: the phases
-        theta = x @ lin.T + offset and the BASIS_COORDS x @ E.T + e0, from
-        the phase forms over EMBED_COORDS composed with the embedding."""
-        E, e0 = (np.array(a, dtype=float) for a in self.embedding)
-        forms = np.array(PHASE_FORMS[self.case.label, self.case.l], dtype=float)
-        return forms @ E[_PHASE_ROWS], forms @ e0[_PHASE_ROWS], E[:4], e0[:4]
+        """The case's affine maps from chart points (see _phase_table),
+        shared by every family of the same case and embedding."""
+        return _phase_table(self.case.label, self.case.l, self.embedding)
 
     @cached_property
     def _tangent_map(self):
@@ -258,6 +263,21 @@ class StateFamily:
         return self.states(xi[None])[0]
 
 
+@lru_cache(maxsize=128)
+def _phase_table(label, l, embedding):
+    """The affine maps from chart points x: the phases
+    theta = x @ lin.T + offset and the BASIS_COORDS x @ E.T + e0, from the
+    phase forms of (label, l) over EMBED_COORDS composed with the embedding.
+    They depend on neither eta nor beta; the arrays are read-only because
+    families share them."""
+    E, e0 = (np.array(a, dtype=float) for a in embedding)
+    forms = np.array(PHASE_FORMS[label, l], dtype=float)
+    table = forms @ E[_PHASE_ROWS], forms @ e0[_PHASE_ROWS], E[:4], e0[:4]
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
 def family_for_case(
     case: CaseClass,
     eta: InitialCoefficients,
@@ -367,16 +387,21 @@ def check_periodicity(
     rng = rng or np.random.default_rng(20240617)
     # base phi in [-1.4, 1.4], every other coordinate in [-3, 3]
     lo = np.array([-1.4 if name == "phi" else -3.0 for name in f.chart])
-    checks = []
-    for shift, phase in PERIODICITY_SHIFTS[f.case.label]:
+    shifts = PERIODICITY_SHIFTS[f.case.label]
+    # each shift's base points and their shifted copies, all in one batch
+    blocks = []
+    for shift, _ in shifts:
         xs = rng.uniform(lo, -lo, size=(n_points, f.dim))
         xs_shift = xs.copy()
         for name, inc in shift.items():
             xs_shift[:, f.chart.index(name)] += inc
-        psi = f.states(np.concatenate([xs, xs_shift]))
+        blocks += [xs, xs_shift]
+    psi = f.states(np.concatenate(blocks)).reshape(len(shifts), 2, n_points, 4)
+    checks = []
+    for (shift, phase), (base, moved) in zip(shifts, psi):
         # <psi(xi)|psi(xi+P)> equals the quoted phase when
         # psi(xi+P) = phase * psi(xi)
-        overlaps = np.sum(psi[:n_points].conj() * psi[n_points:], axis=1)
+        overlaps = np.sum(base.conj() * moved, axis=1)
         checks.append(
             PeriodicityCheck(
                 shift,

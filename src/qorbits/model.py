@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +86,14 @@ def derive_params(p: HamiltonianParams) -> DerivedParams:
 
 @dataclass(frozen=True)
 class InitialCoefficients:
-    """Complex coefficients eta_1..eta_4 of the initial state in the eigenbasis."""
+    """Complex coefficients eta_1..eta_4 of the initial state in the eigenbasis.
+
+    The instance is frozen, so the magnitudes derived from it (abs2 and the
+    four sums and differences eta12_plus .. eta34_minus) and its case at the
+    default classification tol are computed on first read and kept.  They
+    live in the instance __dict__, outside the dataclass fields, so equality
+    and hashing see only eta_1..eta_4.
+    """
 
     eta1: complex
     eta2: complex
@@ -93,7 +101,7 @@ class InitialCoefficients:
     eta4: complex
 
     def __post_init__(self):
-        norm2 = sum(abs(e) ** 2 for e in self.as_tuple())
+        norm2 = sum(self.abs2.tolist())
         if abs(norm2 - 1.0) > _NORM_TOL:
             raise ValueError(
                 f"coefficients must be normalized: |eta|^2 = {norm2!r}"
@@ -115,29 +123,37 @@ class InitialCoefficients:
     def as_array(self) -> np.ndarray:
         return np.array(self.as_tuple(), dtype=complex)
 
-    @property
+    @cached_property
     def abs2(self) -> np.ndarray:
-        return np.abs(self.as_array()) ** 2
+        """|eta_k|^2, read-only."""
+        a = np.abs(self.as_array()) ** 2
+        a.setflags(write=False)
+        return a
 
-    @property
+    @cached_property
     def eta12_plus(self) -> float:
         a = self.abs2
         return float(a[0] + a[1])
 
-    @property
+    @cached_property
     def eta12_minus(self) -> float:
         a = self.abs2
         return float(a[0] - a[1])
 
-    @property
+    @cached_property
     def eta34_plus(self) -> float:
         a = self.abs2
         return float(a[2] + a[3])
 
-    @property
+    @cached_property
     def eta34_minus(self) -> float:
         a = self.abs2
         return float(a[2] - a[3])
+
+    @cached_property
+    def _case(self) -> "CaseClass":
+        """classify at the default tol; a raise leaves nothing cached."""
+        return _classify(self, CLASSIFY_TOL)
 
     @property
     def alphas(self) -> np.ndarray:
@@ -190,11 +206,23 @@ class CaseClass:
 AMBIGUITY_FACTOR = 10.0
 
 
-def classify(eta: InitialCoefficients, tol: float = 1e-12) -> CaseClass:
+# |eta_i| at or below this counts as zero unless classify is given its own tol.
+CLASSIFY_TOL = 1e-12
+
+
+def classify(eta: InitialCoefficients, tol: float = CLASSIFY_TOL) -> CaseClass:
     """Classify initial coefficients by their zero pattern.
 
     tol is the threshold on |eta_i| below which a coefficient counts as zero.
+    At the default tol each coefficient set is classified once and its case
+    reused; the errors are raised on every call.
     """
+    if tol == CLASSIFY_TOL:
+        return eta._case
+    return _classify(eta, tol)
+
+
+def _classify(eta: InitialCoefficients, tol: float) -> CaseClass:
     if tol <= 0:
         raise ValueError("tol must be positive")
     mags = np.abs(eta.as_array())

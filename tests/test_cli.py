@@ -14,6 +14,8 @@ from qorbits.cli import (
     COMMANDS,
     DEFAULT_CASE_ETAS,
     OPTIONS,
+    SUITE_OPTIONS,
+    SUITES,
     _suite_metric,
     _table_samples,
     build_parser,
@@ -366,13 +368,65 @@ def test_cached_parser_leaks_no_state(tmp_path, capsys):
     assert build_parser() is build_parser()
     out = str(tmp_path / "r.json")
     base = ["verify", "--suite", "curvature", "--out", out]
-    assert main(base + ["--chi", "0.3"]) == 0
-    assert json.loads((tmp_path / "r.json").read_text())["config"]["chi"] == 0.3
+    assert main(base + ["--gamma", "0.7"]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["config"]["gamma"] == 0.7
     assert main(base) == 0
-    assert json.loads((tmp_path / "r.json").read_text())["config"]["chi"] == 0.0
+    assert json.loads((tmp_path / "r.json").read_text())["config"]["gamma"] == 1.0
     assert main(["verify", "--no-such-flag"]) == 2
     assert main(["verify", "--seed", "x"]) == 2
     capsys.readouterr()
     assert main(base) == 0
     rep = json.loads((tmp_path / "r.json").read_text())
-    assert rep["config"]["chi"] == 0.0 and rep["config"]["seed"] == 1234
+    assert rep["config"]["gamma"] == 1.0 and rep["config"]["seed"] == 1234
+
+
+# a non-default value of every option a verify suite reads
+SUITE_VALUES = {"--eta": "0.5,0.5,0.5,0.5", "--gamma": "0.7", "--h-metric": "1e-4", "--chi": "0.3"}
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_single_suite_refuses_options_it_does_not_read(suite, tmp_path, capsys):
+    assert set(SUITE_OPTIONS) == set(SUITES)
+    assert set(SUITE_VALUES) == {flag for opts in SUITE_OPTIONS.values() for flag in opts}
+    out = str(tmp_path / "r.json")
+    base = ["verify", "--suite", suite, "--seed", "3", "--out", out]
+    assert main(base) == 0
+    plain = (tmp_path / "r.json").read_bytes()
+    for flag, value in SUITE_VALUES.items():
+        if flag in SUITE_OPTIONS[suite]:
+            assert main(base + [flag, value]) == 0, flag
+            continue
+        assert main(base + [flag, value]) == 2, flag
+        err = capsys.readouterr().err
+        readers = [name for name, opts in SUITE_OPTIONS.items() if flag in opts]
+        assert flag in err and all(name in err for name in readers), err
+        # the default value, given explicitly, is taken and changes nothing
+        default = OPTIONS[flag]["default"]
+        if default is not None:
+            assert main(base + [flag, str(default)]) == 0
+            assert (tmp_path / "r.json").read_bytes() == plain
+
+
+def test_suite_all_takes_every_suite_option(tmp_path):
+    argv = ["verify", "--suite", "all", "--seed", "3", "--out", str(tmp_path / "r.json")]
+    for flag, value in SUITE_VALUES.items():
+        argv += [flag, value]
+    assert main(argv) == 0
+
+
+def test_verify_report_same_from_cold_and_warm_caches(tmp_path):
+    # a fresh process fills every cache during the run; the in-process runs
+    # read them filled
+    src = str(Path(qorbits.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["verify", "--suite", "all", "--seed", "0"]
+    cold = tmp_path / "cold.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "qorbits", *argv, "--out", str(cold)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    warm = [tmp_path / "warm-a.json", tmp_path / "warm-b.json"]
+    for path in warm:
+        assert main(argv + ["--out", str(path)]) == 0
+    assert warm[0].read_bytes() == warm[1].read_bytes() == cold.read_bytes()

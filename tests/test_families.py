@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 from qorbits.errors import CaseMismatchError
 from qorbits.families import (
     PERIODICITY_SHIFTS,
+    _phase_table,
+    chart_embedding,
     check_periodicity,
+    constrained_two_param_family,
     evolved_state,
     family_for_case,
     sliced_family,
@@ -210,3 +214,57 @@ def test_sliced_family_rejects_unknown_coordinate():
     f = family_for_case(classify(eta), eta)
     with pytest.raises(ValueError, match="'c'"):
         sliced_family(f, {"phi": 0.0, "c": 0.3})
+
+
+def test_chart_embedding_built_once_per_chart():
+    chart = ("omega", "phi")
+    assert chart_embedding(chart) is chart_embedding(list(chart))
+    assert chart_embedding(chart, {}) is chart_embedding(chart)
+    held = chart_embedding(chart, {"c3": 0.1})
+    assert held != chart_embedding(chart) and held[1][2] == 0.1
+
+
+def test_families_share_one_phase_table_per_case_and_embedding(rng):
+    f = family_for_case(CaseClass("C7"), random_eta(rng))
+    assert f._table is family_for_case(CaseClass("C7"), random_eta(rng))._table
+    assert f._table is family_for_case(CaseClass("C7"), random_eta(rng), beta=1e-3)._table
+    assert not any(a.flags.writeable for a in f._table)
+    sliced = sliced_family(f, {"phi": 0.3})
+    two_param = constrained_two_param_family(0.7, f.eta)
+    tables = [f._table, sliced._table, two_param._table]
+    assert len({id(t) for t in tables}) == 3
+    # their states equal those from a table built afresh, bitwise, and the
+    # constrained family is the evolved state at its embedded coordinates
+    for fam in (sliced, two_param):
+        xs = rng.uniform(-2, 2, size=(8, fam.dim))
+        fresh = dataclasses.replace(fam)
+        fresh.__dict__["_table"] = _phase_table.__wrapped__(
+            fam.case.label, fam.case.l, fam.embedding
+        )
+        assert fam.states(xs).tobytes() == fresh.states(xs).tobytes()
+    for omega, c_plus in rng.uniform(-2, 2, size=(8, 2)):
+        coords = (omega, math.pi / 2, 0.35 * c_plus, c_plus)
+        got = two_param.state(np.array([omega, c_plus]))
+        assert np.max(np.abs(got - evolved_state(f.eta, coords))) < 1e-12
+
+
+@pytest.mark.parametrize("pattern", ["C1", "C2", "C3", "C4", "C5", "C6", "C7"])
+def test_periodicity_in_one_batch_equals_the_per_shift_loop(pattern, rng):
+    eta = random_eta(rng, pattern)
+    f = family_for_case(classify(eta), eta)
+    batched, loop = np.random.default_rng(7), np.random.default_rng(7)
+    report = check_periodicity(f, n_points=20, rng=batched)
+    lo = np.array([-1.4 if name == "phi" else -3.0 for name in f.chart])
+    shifts = PERIODICITY_SHIFTS[pattern]
+    assert len(report.checks) == len(shifts)
+    for chk, (shift, phase) in zip(report.checks, shifts):
+        xs = loop.uniform(lo, -lo, size=(20, f.dim))
+        xs_shift = xs.copy()
+        for name, inc in shift.items():
+            xs_shift[:, f.chart.index(name)] += inc
+        psi = f.states(np.concatenate([xs, xs_shift]))
+        overlaps = np.sum(psi[:20].conj() * psi[20:], axis=1)
+        assert chk.shift == shift and chk.expected_phase == phase
+        assert chk.min_fidelity == float(np.min(np.abs(overlaps)))
+        assert chk.max_phase_error == float(np.max(np.abs(overlaps - phase)))
+    assert batched.random() == loop.random()

@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
+from qorbits import model
 from qorbits.errors import ClassificationToleranceError, StationaryStateError
 from qorbits.model import (
+    CLASSIFY_TOL,
     CaseClass,
     HamiltonianParams,
     InitialCoefficients,
@@ -136,3 +139,72 @@ def test_require_case_mismatch():
     eta = InitialCoefficients.normalized(1, 0, 0, 0)
     with pytest.raises(CaseMismatchError):
         family_for_case(CaseClass("C3"), eta)
+
+
+def test_cached_magnitudes_equal_a_fresh_computation(rng):
+    for pattern in ("C1", "C2", "C3", "C4", "C5", "C6", "C7"):
+        eta = random_eta(rng, pattern)
+        a = np.abs(eta.as_array()) ** 2
+        assert eta.abs2.tobytes() == a.tobytes()
+        assert eta.abs2 is eta.abs2
+        assert eta.eta12_plus == float(a[0] + a[1])
+        assert eta.eta12_minus == float(a[0] - a[1])
+        assert eta.eta34_plus == float(a[2] + a[3])
+        assert eta.eta34_minus == float(a[2] - a[3])
+    with pytest.raises(ValueError):
+        eta.abs2[0] = 0.0
+
+
+def test_caches_stay_out_of_equality_and_hash():
+    vals = (0.6, 0.2j, 0.5, 0.6)
+    warm, cold = (InitialCoefficients.normalized(*vals) for _ in range(2))
+    classify(warm)
+    warm.eta12_plus, warm.eta34_minus
+    assert "_case" in vars(warm) and "_case" not in vars(cold)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert {warm: "warm"}[cold] == "warm"
+    assert warm != InitialCoefficients.normalized(0.6, 0.2, 0.5, 0.6)
+
+
+def counting_classify(monkeypatch):
+    """The tols the classification body runs with, from now on."""
+    calls = []
+    body = model._classify
+
+    def counted(eta, tol):
+        calls.append(tol)
+        return body(eta, tol)
+
+    monkeypatch.setattr(model, "_classify", counted)
+    return calls
+
+
+def test_family_for_case_reuses_the_callers_classification(monkeypatch):
+    calls = counting_classify(monkeypatch)
+    eta = InitialCoefficients.normalized(0.6, 0.2j, 0.5, 0.6)
+    f = family_for_case(classify(eta), eta)
+    assert f.case == CaseClass("C7")
+    assert calls == [CLASSIFY_TOL]
+    with pytest.raises(CaseMismatchError):
+        family_for_case(CaseClass("C3"), eta)
+    assert calls == [CLASSIFY_TOL]
+
+
+def test_classify_errors_on_every_call_and_own_tol_afresh(monkeypatch):
+    calls = counting_classify(monkeypatch)
+    ambiguous = InitialCoefficients.normalized(1.0, 5e-12, 1.0, 1.0)
+    stationary = InitialCoefficients(0, 0, 1, 0)
+    for _ in range(2):
+        with pytest.raises(ClassificationToleranceError):
+            classify(ambiguous)
+        with pytest.raises(StationaryStateError):
+            classify(stationary)
+    assert len(calls) == 4
+    calls.clear()
+    # |eta2| = 5.8e-10 is nonzero at the default tol and zero at 1e-8
+    eta = InitialCoefficients.normalized(1.0, 1e-9, 1.0, 1.0)
+    assert classify(eta) == CaseClass("C7")
+    assert classify(eta, tol=1e-8) == CaseClass("C6", l=1)
+    assert classify(eta) == CaseClass("C7")
+    assert classify(eta, tol=1e-8) == CaseClass("C6", l=1)
+    assert calls == [CLASSIFY_TOL, 1e-8, 1e-8]
