@@ -172,7 +172,11 @@ def parse_grid(text: str) -> dict:
     for part in text.split(","):
         name, rng = part.split("=", 1)
         a, b, n = rng.split(":")
-        grid[name.strip()] = (float(a), float(b), int(n))
+        try:
+            count = int(n)
+        except ValueError:
+            raise ValueError(f"grid count of {name.strip()!r} must be an integer, got {n!r}") from None
+        grid[name.strip()] = (float(a), float(b), count)
     return grid
 
 

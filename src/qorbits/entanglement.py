@@ -10,11 +10,12 @@ output rather than silently corrected.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .families import StateFamily
+from .families import StateFamily, grid_points
 from .model import InitialCoefficients
 
 NORM_TOL = 1e-9
@@ -27,8 +28,10 @@ def concurrences(states) -> np.ndarray:
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2 or states.shape[1] != 4:
         raise ValueError("states must have 4 amplitudes per row")
-    mag2 = np.abs(states)
-    mag2 *= mag2
+    # |z|^2 as re^2 + im^2, not through the hypot of np.abs, on any layout
+    # (scan_concurrence passes a component-first view)
+    mag2 = states.real**2
+    mag2 += states.imag**2
     norms = np.sqrt(mag2.sum(axis=1))
     ok = np.abs(norms - 1.0) <= NORM_TOL  # False for a NaN norm too
     if not ok.all():
@@ -302,7 +305,9 @@ def scan_concurrence(f: StateFamily, grid: dict) -> ConcurrenceScan:
 
     grid maps chart coordinate names to (start, stop, count); missing
     coordinates are held at 0.  A name outside the chart, a non-finite
-    endpoint or a count below 1 raises ValueError naming the coordinate.
+    endpoint or a count that is not a finite integer of at least 1 raises
+    ValueError naming the coordinate.  The states come from one
+    StateFamily.grid_states call, component first.
     """
     unknown = [name for name in grid if name not in f.chart]
     if unknown:
@@ -313,11 +318,10 @@ def scan_concurrence(f: StateFamily, grid: dict) -> ConcurrenceScan:
             a, b, n = grid[name]
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError(f"grid endpoints of {name!r} must be finite, got {a!r}:{b!r}")
-            if int(n) < 1:
-                raise ValueError(f"grid count of {name!r} must be at least 1, got {n!r}")
+            if not (isinstance(n, numbers.Real) and math.isfinite(n) and n == int(n) and n >= 1):
+                raise ValueError(f"grid count of {name!r} must be at least 1 and an integer, got {n!r}")
             axes.append(np.linspace(a, b, int(n)))
         else:
             axes.append(np.array([0.0]))
-    coords = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    values = concurrences(f.states(coords))
-    return ConcurrenceScan(f.case.label, f.eta, dict(grid), coords, values)
+    values = concurrences(f.grid_states(axes))
+    return ConcurrenceScan(f.case.label, f.eta, dict(grid), grid_points(axes), values)

@@ -38,6 +38,7 @@ from .hamiltonian import (
     PSI4,
     eigvec_pair,
     first_order_jet,
+    jet_reads,
     normalize_jet,
 )
 from .model import (
@@ -50,8 +51,9 @@ from .model import (
 # the perturbative resonances 2 c3 +- omega - c_plus = 0.
 DEFAULT_FROZEN = {"omega": 0.9, "phi": 0.3, "c3": 0.35, "c_plus": 0.55}
 
-# Long batches are evaluated in blocks of this many rows, which bounds the
-# size of the stacked (rows, 4, 4) eigenbasis.
+# Long batches are evaluated in blocks of this many rows, and the batch
+# axes of a tensor grid (StateFamily.grid_states) in blocks of this many
+# points, which bounds the size of the stacked (rows, 4, 4) eigenbasis.
 BLOCK_ROWS = 512
 
 # Coordinates the eigenbasis is evaluated at, in this order.
@@ -255,12 +257,81 @@ class StateFamily:
         # component axis last
         return [part.transpose(0, *range(2, part.ndim), 1) for part in jet]
 
+    def grid_states(self, axes) -> np.ndarray:
+        """Normalized states at the grid_points(axes) of one 1-D axis per
+        chart coordinate, shape (N, 4): the transpose of a component-first
+        (4, N) array, whose rows are the state components over the grid.
+
+        Since theta is affine, the phased coefficients
+        amps_k = eta_k e^{i theta_k} are products of one factor
+        exp(i lin[k, mu] x_mu) per axis value, each computed once.  The axes
+        up to the last one the eigenbasis reads (jet_reads: phi alone at
+        beta = 0) form the batch, whose C-order points are taken in blocks
+        of BLOCK_ROWS, as _jet takes rows (_grid_block); the later axes form
+        the R columns of one (4, R) factor table that every block shares."""
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        if len(axes) != self.dim or any(a.ndim != 1 for a in axes):
+            raise ValueError(f"expected {self.dim} 1-D axes, got {[a.shape for a in axes]}")
+        lin, basis = self._table[0], self._table[2]
+        reads = np.flatnonzero(basis[list(jet_reads(self.beta))].any(axis=0))
+        t = reads[-1] + 1 if len(reads) else 0
+        # (len(axis), 4) per axis
+        factors = [np.exp(1j * np.outer(a, lin[:, mu])) for mu, a in enumerate(axes)]
+        tail = np.ones((4, 1))
+        for f in factors[t:]:
+            tail = (tail[:, :, None] * f.T[:, None, :]).reshape(4, -1)
+        batch = [len(a) for a in axes[:t]]
+        out = np.empty((4, math.prod(batch), tail.shape[1]), dtype=complex)
+        for start in range(0, out.shape[1], BLOCK_ROWS):
+            flat = np.arange(start, min(start + BLOCK_ROWS, out.shape[1]))
+            idx = np.unravel_index(flat, batch) if batch else ()
+            self._grid_block(axes, factors, reads, idx, tail, out[:, start:start + BLOCK_ROWS])
+        return out.reshape(4, -1).T
+
+    def _grid_block(self, axes, factors, reads, idx, tail, out):
+        """grid_states on the n batch points of one block, given by their
+        index per batch axis idx, times the R columns of tail, written
+        component first into the (4, n, R) view out.  The eigenbasis is
+        evaluated once per distinct point of the axes reads in the block
+        (so once per grid point of them, unless an axis it does not read
+        comes first and the batch spans several blocks).  Taken component
+        first and weighted by the amps of each batch point, it is the left
+        factor of one stacked matmul against tail, an (n, 4) @ (4, R)
+        product per component.  If beta != 0 the states are then
+        normalized, as in _jet_block."""
+        _, offset, basis, basis0 = self._table
+        head = (self.eta.as_array() * np.exp(1j * offset))[None]
+        for f, i in zip(factors, idx):
+            head = head * f.take(i, axis=0)
+        # the C-order index of each batch point among the points of the axes
+        # reads
+        key = np.zeros(out.shape[1], dtype=int)
+        for mu in reads:
+            key = key * len(axes[mu]) + idx[mu]
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        points = np.array([axes[mu][idx[mu][first]] for mu in reads]).reshape(len(reads), len(first)).T
+        bases = first_order_jet(*(points @ basis[:, reads].T + basis0).T, self.beta)[0]
+        # (component, n, k)
+        left = bases.take(inverse, axis=0).transpose(2, 0, 1) * head
+        np.matmul(left, tail, out=out)
+        if self.beta != 0.0:
+            out[...] = normalize_jet(out.reshape(4, -1).T)[0].T.reshape(out.shape)
+
     def state(self, xi) -> np.ndarray:
         """Normalized state at chart point xi."""
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} coordinates, got {xi.shape}")
         return self.states(xi[None])[0]
+
+
+def grid_points(axes) -> np.ndarray:
+    """The points of the C-order grid of 1-D axes, the raveled
+    meshgrid(*axes, indexing="ij"), shape (N, len(axes)); one point (the
+    empty tuple) for no axes."""
+    if not axes:
+        return np.zeros((1, 0))
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
 
 
 @lru_cache(maxsize=128)

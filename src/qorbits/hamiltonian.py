@@ -282,6 +282,13 @@ def normalize_jet(v, *partials):
     return u, du, d2u / norm[..., None, None]
 
 
+def jet_reads(beta: float) -> tuple[int, ...]:
+    """Positions among first_order_jet's (omega, phi, c3, c_plus) of the
+    arguments its value depends on at this beta: phi alone for the exact
+    eigenbasis, all four once the coupling denominators enter."""
+    return (1,) if beta == 0.0 else (0, 1, 2, 3)
+
+
 def first_order_jet(omega, phi, c3, c_plus, beta: float, order: int = 0) -> tuple:
     """Eigenvector rows psi1..psi4 at chart points given as (N,) arrays,
     shape (N, 4, 4), corrected to first order in the x-field

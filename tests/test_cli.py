@@ -331,7 +331,7 @@ def test_evolve_nan_point_is_bad_config(capsys):
 
 
 @pytest.mark.parametrize(
-    "grid", ["ph=0:6.2832:5", "phi=0:nan:3", "phi=0:1:0"]
+    "grid", ["ph=0:6.2832:5", "phi=0:nan:3", "phi=0:1:0", "phi=0:1:2.7", "phi=0:1:inf"]
 )
 def test_concurrence_bad_grid_is_bad_config(grid, capsys):
     assert main(["concurrence", "--eta", "1,0,0,0", "--grid", grid]) == 2

@@ -12,7 +12,7 @@ from qorbits.entanglement import (
     scan_concurrence,
     verify_max_entangled_tables,
 )
-from qorbits.families import family_for_case
+from qorbits.families import family_for_case, grid_points
 from qorbits.model import InitialCoefficients, classify
 
 from conftest import random_eta
@@ -332,6 +332,9 @@ def test_scan_stationary_family_constant():
         ({"phi": (0.0, math.nan, 3)}, "endpoints of 'phi' must be finite"),
         ({"phi": (-math.inf, 1.0, 3)}, "endpoints of 'phi' must be finite"),
         ({"phi": (0.0, 1.0, 0)}, "count of 'phi' must be at least 1"),
+        ({"phi": (0.0, 1.0, math.inf)}, "count of 'phi' must be at least 1 and an integer"),
+        ({"phi": (0.0, 1.0, math.nan)}, "count of 'phi' must be at least 1 and an integer"),
+        ({"phi": (0.0, 1.0, 2.7)}, "count of 'phi' must be at least 1 and an integer"),
     ],
 )
 def test_scan_rejects_bad_grids(grid, match):
@@ -339,3 +342,31 @@ def test_scan_rejects_bad_grids(grid, match):
     f = family_for_case(classify(eta), eta)
     with pytest.raises(ValueError, match=match):
         scan_concurrence(f, grid)
+
+
+def test_perturbed_scan_matches_per_point_concurrence(rng):
+    # C7 at beta = 1e-3 on a 4-D grid where 2 c3 +- omega - c_plus >= 2.6
+    eta = random_eta(rng, "C7")
+    f = family_for_case(classify(eta), eta, beta=1e-3)
+    grid = {"omega": (0.2, 1.0, 5), "phi": (-3.0, 3.0, 7), "c3": (1.6, 2.4, 4),
+            "c_plus": (-1.0, -0.4, 3)}
+    scan = scan_concurrence(f, grid)
+    axes = [np.linspace(*grid[name]) for name in f.chart]
+    assert np.array_equal(scan.coords, grid_points(axes))
+    assert scan.coords.shape == (5 * 7 * 4 * 3, 4)
+    want = [concurrence(f.state(xi)) for xi in scan.coords]
+    assert np.max(np.abs(scan.values - want)) <= 1e-12
+
+
+def test_concurrences_of_component_first_states_are_bitwise_those_of_rows(rng):
+    eta = random_eta(rng, "C7")
+    f = family_for_case(classify(eta), eta)
+    axes = [np.linspace(-2.0, 2.0, n) for n in (3, 4, 5, 2)]
+    states = f.grid_states(axes)
+    assert states.T.flags.c_contiguous
+    rows = np.ascontiguousarray(states)
+    assert concurrences(states).tobytes() == concurrences(rows).tobytes()
+    bad = states.copy(order="F")
+    bad[7, 2] = math.nan
+    with pytest.raises(ValueError, match="not normalized"):
+        concurrences(bad)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qorbits.errors import CaseMismatchError
+from qorbits import families
+from qorbits.errors import CaseMismatchError, ResonanceError
 from qorbits.families import (
+    BLOCK_ROWS,
     PERIODICITY_SHIFTS,
     _phase_table,
     chart_embedding,
@@ -15,8 +17,10 @@ from qorbits.families import (
     constrained_two_param_family,
     evolved_state,
     family_for_case,
+    grid_points,
     sliced_family,
 )
+from qorbits.hamiltonian import first_order_jet
 from qorbits.model import CaseClass, InitialCoefficients, classify
 
 from conftest import random_eta, well_posed
@@ -268,3 +272,123 @@ def test_periodicity_in_one_batch_equals_the_per_shift_loop(pattern, rng):
         assert chk.min_fidelity == float(np.min(np.abs(overlaps)))
         assert chk.max_phase_error == float(np.max(np.abs(overlaps - phase)))
     assert batched.random() == loop.random()
+
+
+# Axis ranges per chart coordinate, clear of the resonances
+# 2 c3 +- omega - c_plus = 0 at the frozen references of every case; phi
+# crosses the cos(phi) = 0 branch boundary.
+GRID_RANGES = {"omega": (0.2, 1.0), "phi": (-3.0, 3.0), "c3": (1.6, 2.4),
+               "c_plus": (-1.0, -0.4), "c": (-2.0, 2.0)}
+# Axis lengths per chart dimension: a mixed grid, single points, and grids
+# whose batch axes (those up to the last one the eigenbasis reads) hold
+# more than BLOCK_ROWS points, so that they are taken in several blocks
+GRID_SIZES = {
+    1: [(5,), (1,), (BLOCK_ROWS + 88,)],
+    2: [(4, 3), (1, 1), (BLOCK_ROWS + 88, 2)],
+    3: [(4, 3, 5), (1, 1, 1), (30, 20, 20)],
+    4: [(4, 3, 5, 2), (1, 1, 1, 1), (2, 9, 9, 9), (40, 20, 2, 2)],
+}
+
+
+def _grid_axes(f, sizes, held=()):
+    """One axis per chart coordinate over GRID_RANGES; the coordinates in
+    held are a single 0, as scan_concurrence holds coordinates it is not
+    given."""
+    return [np.array([0.0]) if name in held else np.linspace(*GRID_RANGES[name], n)
+            for name, n in zip(f.chart, sizes)]
+
+
+def _assert_grid_states_match(f, axes):
+    got = f.grid_states(axes)
+    want = f.states(grid_points(axes))
+    assert got.shape == want.shape == (math.prod(len(a) for a in axes), 4)
+    assert got.T.flags.c_contiguous  # component first
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+@pytest.mark.parametrize("pattern", ["C1", "C2", "C3", "C4", "C5", "C6", "C7"])
+def test_grid_states_equal_states_on_the_meshgrid(pattern, beta, rng):
+    eta = random_eta(rng, pattern)
+    f = family_for_case(classify(eta), eta, beta=beta)
+    fams = [f]
+    if f.dim > 1:
+        name = f.chart[0]
+        fams.append(sliced_family(f, {name: float(np.mean(GRID_RANGES[name]))}))
+    for fam in fams:
+        for sizes in GRID_SIZES[fam.dim]:
+            _assert_grid_states_match(fam, _grid_axes(fam, sizes))
+        # phi and c held at 0, as in a scan that does not give them
+        _assert_grid_states_match(fam, _grid_axes(fam, GRID_SIZES[fam.dim][0], ("phi", "c")))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_grid_states_on_the_constrained_family(beta, rng):
+    # c3 = 1.5 c_plus keeps 2 c3 +- omega - c_plus = 2 c_plus +- omega
+    # away from 0 on these axes
+    f = dataclasses.replace(constrained_two_param_family(3.0, random_eta(rng)), beta=beta)
+    for sizes in GRID_SIZES[2]:
+        axes = [np.linspace(0.2, 1.0, sizes[0]), np.linspace(2.5, 3.0, sizes[1])]
+        _assert_grid_states_match(f, axes)
+
+
+@pytest.mark.parametrize("c3", [0.25, -0.25])
+def test_grid_states_raise_at_a_resonance(c3, rng):
+    # 2 c3 -+ omega - c_plus = 0 at omega = 0.5, c_plus = 0
+    f = family_for_case(CaseClass("C7"), random_eta(rng), beta=1e-3)
+    axes = [np.array([0.3, 0.5]), np.array([0.3]), np.array([1.0, c3]), np.array([0.0])]
+    with pytest.raises(ResonanceError):
+        f.states(grid_points(axes))
+    with pytest.raises(ResonanceError):
+        f.grid_states(axes)
+
+
+def test_grid_states_reject_wrong_axes(rng):
+    f = family_for_case(CaseClass("C7"), random_eta(rng))
+    axis = np.linspace(0, 1, 3)
+    for axes in ([axis] * 3, [axis] * 5, [axis] * 3 + [axis[None]]):
+        with pytest.raises(ValueError, match="expected 4 1-D axes"):
+            f.grid_states(axes)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+@pytest.mark.parametrize("empty", range(4))
+def test_grid_states_on_an_empty_axis(empty, beta, rng):
+    f = family_for_case(CaseClass("C7"), random_eta(rng), beta=beta)
+    axes = _grid_axes(f, (3, 3, 3, 3))
+    axes[empty] = axes[empty][:0]
+    assert f.grid_states(axes).shape == (0, 4)
+
+
+def _count_jet_points(monkeypatch):
+    """Patch the eigenbasis jet that families calls to record the number
+    of points of each call."""
+    counts = []
+
+    def counted(*args, **kwargs):
+        counts.append(len(np.atleast_1d(args[1])))
+        return first_order_jet(*args, **kwargs)
+
+    monkeypatch.setattr(families, "first_order_jet", counted)
+    return counts
+
+
+def test_grid_states_bound_each_eigenbasis_call(monkeypatch, rng):
+    # at beta != 0 the basis reads every C7 axis: a short first axis and
+    # long later ones are taken in blocks of at most BLOCK_ROWS points,
+    # each grid point in one block
+    f = family_for_case(CaseClass("C7"), random_eta(rng), beta=1e-3)
+    axes = _grid_axes(f, (2, 12, 12, 12))
+    counts = _count_jet_points(monkeypatch)
+    got = f.grid_states(axes)
+    assert len(counts) > 1 and max(counts) <= BLOCK_ROWS
+    assert sum(counts) == len(got) == 2 * 12**3
+    assert np.max(np.abs(got - f.states(grid_points(axes)))) <= 1e-15
+
+
+def test_grid_states_evaluate_one_eigenbasis_per_phi_value(monkeypatch, rng):
+    # at beta = 0 the basis reads phi alone
+    f = family_for_case(CaseClass("C7"), random_eta(rng))
+    counts = _count_jet_points(monkeypatch)
+    f.grid_states(_grid_axes(f, (8, 8, 8, 8)))
+    assert counts == [8]
