@@ -23,11 +23,11 @@ import numpy as np
 from . import __version__
 from .errors import QOrbitsError
 from .model import (
-    CaseClass,
     HamiltonianParams,
     InitialCoefficients,
     classify,
     derive_params,
+    unit_row,
 )
 from .hamiltonian import (
     analytic_spectrum,
@@ -45,10 +45,12 @@ from .families import (
 from .fubini_study import (
     analytic_metric_c7,
     analytic_metric_case,
+    analytic_metrics_c7,
+    analytic_metrics_case,
     numeric_fs_metric,
     numeric_fs_metrics,
     phase_twisted,
-    pushforward_c7,
+    pushforwards_c7,
     tangent_fs_metrics,
     two_param_metric,
     two_param_metric_printed_offdiag,
@@ -170,13 +172,13 @@ def parse_eta(text: str, warn=None) -> InitialCoefficients:
 def parse_grid(text: str) -> dict:
     grid = {}
     for part in text.split(","):
-        name, rng = part.split("=", 1)
-        a, b, n = rng.split(":")
+        name, _, spec = part.partition("=")
         try:
-            count = int(n)
+            a, b, n = spec.split(":")
+            grid[name.strip()] = (float(a), float(b), int(n))
         except ValueError:
-            raise ValueError(f"grid count of {name.strip()!r} must be an integer, got {n!r}") from None
-        grid[name.strip()] = (float(a), float(b), count)
+            raise ValueError(f"grid part {part!r} is not {name.strip()}=start:stop:count, "
+                             "with an integer count") from None
     return grid
 
 
@@ -445,42 +447,31 @@ def _suite_periodicity(args, rng, checks):
 def _suite_metric(args, rng, checks):
     gamma = args.gamma
     # closed form vs numeric over random C7 points, each with its own
-    # coefficients: one C7 family takes them as per-row coefficients, so
-    # every stencil state comes from one batch
-    etas, xis = [], []
+    # coefficients, from one batch of stencil states and one closed-form call
+    etas, us = [], []
     for _ in range(50):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        etas.append(InitialCoefficients.normalized(*v))
-        xis.append([rng.uniform(-2, 2), rng.uniform(-1.2, 1.2),
-                    rng.uniform(-2, 2), rng.uniform(-2, 2)])
-    f = family_for_case(CaseClass("C7"), etas[0])
-    gn = numeric_fs_metrics(f, xis, gamma, args.h_metric,
-                            etas=[eta.as_array() for eta in etas])
-    worst = 0.0
-    for eta, xi, g in zip(etas, xis, gn):
-        ga = analytic_metric_c7(eta, xi, gamma).entries
-        worst = max(worst, float(np.max(np.abs(g - ga))))
+        etas.append(unit_row(rng.normal(size=4) + 1j * rng.normal(size=4)))
+        us.append(rng.random(4))
+    # lo + (hi - lo) u is what rng.uniform(lo, hi) computes: the points of
+    # four uniform draws per row
+    lo, hi = np.array([-2.0, -1.2, -2.0, -2.0]), np.array([2.0, 1.2, 2.0, 2.0])
+    xis, etas, f7 = lo + (hi - lo) * np.array(us), np.array(etas), _default_family("C7")
+    gn = numeric_fs_metrics(f7, xis, gamma, args.h_metric, etas=etas)
+    worst = float(np.max(np.abs(gn - analytic_metrics_c7(etas, xis, gamma))))
     checks.append(_check("metric-c7-oracle-agreement", worst, worst < 1e-6))
-    # diagonalization
-    worst_off = worst_diag = 0.0
-    n_done = 0
-    while n_done < 20:
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        eta = InitialCoefficients.normalized(*v)
+    # diagonalization, at points clear of K = 0, as one batch
+    etas, omegas = [], []
+    while len(etas) < 20:
+        eta = unit_row(rng.normal(size=4) + 1j * rng.normal(size=4))
         omega = rng.uniform(-2, 2)
-        k = (eta.eta1 * np.conj(eta.eta2) * np.exp(-2j * omega)).real
-        if abs(k) < 0.05:
-            continue
-        n_done += 1
-        xi = np.array([omega, 0.3, 0.2, 0.4])
-        gp = pushforward_c7(eta, xi, gamma)
-        f = family_for_case(classify(eta), eta)
-        gd = analytic_metric_case(f, xi, gamma).entries
-        off = gp.entries - np.diag(np.diag(gp.entries))
-        worst_off = max(worst_off, float(np.max(np.abs(off))))
-        worst_diag = max(
-            worst_diag, float(np.max(np.abs(np.diag(gp.entries) - np.diag(gd))))
-        )
+        if abs((eta[0] * np.conj(eta[1]) * np.exp(-2j * omega)).real) >= 0.05:
+            etas.append(eta)
+            omegas.append(omega)
+    xs = np.column_stack([omegas, np.tile([0.3, 0.2, 0.4], (20, 1))])
+    gp = pushforwards_c7(etas, xs, gamma)
+    worst_off = float(np.max(np.abs(gp[:, ~np.eye(4, dtype=bool)])))
+    gd = analytic_metrics_case(f7, xs, gamma, etas)
+    worst_diag = float(np.max(np.abs(np.diagonal(gp - gd, axis1=1, axis2=2))))
     checks.append(_check("diagonalization-offdiagonal", worst_off, worst_off < 1e-10))
     checks.append(_check("diagonalization-diagonal", worst_diag, worst_diag < 1e-10))
     # gauge invariance on every case family

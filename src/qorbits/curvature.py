@@ -286,28 +286,33 @@ def gauss_curvature(family, xi, gamma: float = 1.0) -> CurvatureReport:
 
 
 def sphere_metric_field(radius: float) -> MetricField:
-    """Round 2-sphere diag(r^2, r^2 sin^2 theta) in (theta, phi); R = 2/r^2."""
+    """Round 2-sphere diag(r^2, r^2 sin^2 theta) in (theta, phi); R = 2/r^2.
+    Its evaluator takes one point (2,) or a batch (N, 2)."""
 
     def ev(xi):
-        return np.diag([radius**2, radius**2 * math.sin(xi[0]) ** 2])
+        xi = np.asarray(xi, dtype=float)
+        g = np.zeros(xi.shape[:-1] + (2, 2))
+        g[..., 0, 0] = radius**2
+        g[..., 1, 1] = radius**2 * np.sin(xi[..., 0]) ** 2
+        return g
 
-    return MetricField(2, ev)
+    return MetricField(2, ev, batch_evaluator=ev)
 
 
-def g0_uniform_metric(omega: float, alpha12: float, gamma: float = 1.0) -> np.ndarray:
+def g0_uniform_metric(omega, alpha12: float, gamma: float = 1.0) -> np.ndarray:
     """Closed-form metric at uniform coefficients |eta_k| = 1/2 in the chart
     (omega, phi, c3, c_plus); alpha12 is the relative phase of the first two
-    coefficients entering through sin(alpha12 + 2 omega)."""
+    coefficients entering through sin(alpha12 + 2 omega).  omega is a float,
+    giving shape (4, 4), or an array of shape S, giving S + (4, 4)."""
     g2 = gamma * gamma
-    u = alpha12 + 2.0 * omega
-    return np.array(
-        [
-            [g2 / 2.0, 0.0, 0.0, 0.0],
-            [0.0, g2 * (math.cos(2.0 * u) + 3.0) / 32.0, g2 * math.sin(u) / 4.0, 0.0],
-            [0.0, g2 * math.sin(u) / 4.0, g2, 0.0],
-            [0.0, 0.0, 0.0, g2 / 2.0],
-        ]
-    )
+    u = alpha12 + 2.0 * np.asarray(omega, dtype=float)
+    g = np.zeros(u.shape + (4, 4))
+    g[..., 0, 0] = g2 / 2.0
+    g[..., 1, 1] = g2 * (np.cos(2.0 * u) + 3.0) / 32.0
+    g[..., 1, 2] = g[..., 2, 1] = g2 * np.sin(u) / 4.0
+    g[..., 2, 2] = g2
+    g[..., 3, 3] = g2 / 2.0
+    return g
 
 
 def g0_uniform_ricci(omega: float, alpha12: float) -> np.ndarray:
@@ -335,7 +340,13 @@ def analytic_g0_and_ricci(omega: float, alpha12: float, gamma: float = 1.0):
 
 
 def g0_uniform_field(alpha12: float, gamma: float = 1.0) -> MetricField:
-    return MetricField(4, lambda xi: g0_uniform_metric(xi[0], alpha12, gamma))
+    """g0_uniform_metric as a metric field, evaluated one point or one batch
+    of points per call."""
+    return MetricField(
+        4,
+        lambda xi: g0_uniform_metric(xi[0], alpha12, gamma),
+        batch_evaluator=lambda xs: g0_uniform_metric(xs[:, 0], alpha12, gamma),
+    )
 
 
 def _pert_core(omega: float) -> float:

@@ -10,22 +10,21 @@ tangent_fs_metrics takes the state partials from StateFamily.tangents;
 numeric_fs_metrics takes them from 4th-order central differences of the
 family states, works for any object with states, and is the independent,
 gauge-invariant ground truth.  Closed forms are transcribed from the
-reference catalog as printed; where a printed form disagrees with the
-numeric route the disagreement is surfaced by the comparison utilities,
-never patched here.
+reference catalog as printed and evaluated on whole batches of points;
+where a printed form disagrees with the numeric route the disagreement is
+surfaced by the comparison utilities, never patched here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ChartSingularityError, SingularTransformError
+from .errors import CaseMismatchError, ChartSingularityError, SingularTransformError
 from .hamiltonian import branch_sign
-from .model import InitialCoefficients
+from .model import CASE_CHARTS, InitialCoefficients, classify_rows
 from .families import StateFamily
 
 DEFAULT_METRIC_STEP = 1e-5
@@ -158,32 +157,94 @@ def numeric_fs_metric(
     return MetricTensor(g, gamma, tuple(family.chart), degenerate)
 
 
-def _j_signed(eta: InitialCoefficients, omega: float, phi: float = 0.0) -> float:
+# Closed forms.  Each takes a batch: one chart point per row of xs, shape
+# (N, dim), and one coefficient row per point, etas of shape (N, 4) as
+# StateFamily.states takes them, or a single (4,) row shared by every point.
+# One point xi of shape (dim,) gives one (dim, dim) metric: the one-point
+# forms call the batch forms so.  Coordinates and coefficients are read as
+# x.T[k], which is a numpy scalar for one point, where x[..., k] would be a
+# 0-d array, several times slower to compute with.
+
+# coordinates of each case's printed closed-form metric
+CLOSED_FORM_CHARTS = {
+    "C1": ("c_plus",),
+    "C2": ("phi",),
+    "C3": ("theta", "phi_prime"),
+    "C4": ("phi", "c"),
+    "C5": ("theta", "phi_prime", "c_prime"),
+    "C6": ("phi", "c_prime", "c_plus_prime"),
+    "C7": ("theta", "phi_prime", "c3_prime", "c_plus_prime"),
+}
+
+
+def _magnitudes(etas):
+    """|eta_k|^2 and eta12_plus, eta12_minus, eta34_plus, eta34_minus per
+    coefficient row, computed as InitialCoefficients computes them."""
+    a2 = np.abs(etas) ** 2
+    return (a2, a2.T[0] + a2.T[1], a2.T[0] - a2.T[1],
+            a2.T[2] + a2.T[3], a2.T[2] - a2.T[3])
+
+
+def _overlap(etas, omega):
+    """(Re, Im) of eta1 conj(eta2) e^{-2 i omega} per row.  Both complex
+    products are multiplied out in real arithmetic, which rounds as a
+    product of two complex scalars does; numpy's array complex product may
+    fuse multiply-adds and differ from it in the last bit."""
+    a, b = etas.T[0], np.conj(etas.T[1])
+    t_re = a.real * b.real - a.imag * b.imag
+    t_im = a.real * b.imag + a.imag * b.real
+    z = np.exp(-2j * np.asarray(omega, dtype=float))
+    return t_re * z.real - t_im * z.imag, t_re * z.imag + t_im * z.real
+
+
+def _j_signed(etas, omega, phi=0.0) -> np.ndarray:
     """J = Im(eta1 conj(eta2) e^{-2 i omega}), carrying the sign of cos(phi).
 
     On the principal branch cos(phi) >= 0 this is the plain catalog J; the
     sign guard extends the closed forms to the full-quadrant phi convention,
     where the phi-row couplings of the metric flip with cos(phi).
     """
-    j = (eta.eta1 * np.conj(eta.eta2) * np.exp(-2j * omega)).imag
-    return float(j) * branch_sign(phi)
+    return _overlap(etas, omega)[1] * branch_sign(phi)
 
 
-def _k_real(eta: InitialCoefficients, omega: float) -> float:
+def _k_real(etas, omega) -> np.ndarray:
     """K = Re(eta1 conj(eta2) e^{-2 i omega}); d/domega of the unsigned J is -2K."""
-    return float((eta.eta1 * np.conj(eta.eta2) * np.exp(-2j * omega)).real)
+    return _overlap(etas, omega)[0]
 
 
-def analytic_metric_c7(
-    eta: InitialCoefficients, xi, gamma: float = 1.0
-) -> MetricTensor:
-    """Closed-form metric over the full chart (omega, phi, c3, c_plus)."""
-    omega, phi = float(xi[0]), float(xi[1])
+def _batch_shape(etas, xs) -> tuple:
+    """The shape of the points: (N,) for a batch, () for one point."""
+    return np.broadcast_shapes(etas.shape[:-1], xs.shape[:-1])
+
+
+def _stacked(rows, shape: tuple) -> np.ndarray:
+    """shape + (d, d) array from a d x d nested list of entries, each a
+    scalar or an array that broadcasts to shape."""
+    g = np.empty(shape + (len(rows), len(rows)))
+    for r, row in enumerate(rows):
+        for c, value in enumerate(row):
+            g[..., r, c] = value
+    return g
+
+
+def _diagonal(entries, shape: tuple) -> np.ndarray:
+    """shape + (d, d) diagonal array from its d diagonal entries (see
+    _stacked)."""
+    g = np.zeros(shape + (len(entries), len(entries)))
+    for k, value in enumerate(entries):
+        g[..., k, k] = value
+    return g
+
+
+def analytic_metrics_c7(etas, xs, gamma: float = 1.0) -> np.ndarray:
+    """Closed-form metrics over the full chart (omega, phi, c3, c_plus),
+    shape (N, 4, 4), at the N rows of xs."""
+    xs = np.asarray(xs, dtype=float)
+    etas = np.asarray(etas, dtype=complex)
     g2 = gamma * gamma
-    p12, m12 = eta.eta12_plus, eta.eta12_minus
-    p34, m34 = eta.eta34_plus, eta.eta34_minus
-    j = _j_signed(eta, omega, phi)
-    g = np.array(
+    _, p12, m12, p34, m34 = _magnitudes(etas)
+    j = _j_signed(etas, xs.T[0], xs.T[1])
+    return _stacked(
         [
             [
                 g2 * (p12 - m12 * m12),
@@ -209,22 +270,98 @@ def analytic_metric_c7(
                 -2 * g2 * p12 * m34,
                 g2 * (p34 - m34 * m34),
             ],
-        ]
+        ],
+        _batch_shape(etas, xs),
     )
-    return MetricTensor(g, gamma, ("omega", "phi", "c3", "c_plus"))
 
 
-def _theta_from_j(eta: InitialCoefficients, omega: float, phi: float = 0.0) -> float:
+def analytic_metric_c7(
+    eta: InitialCoefficients, xi, gamma: float = 1.0
+) -> MetricTensor:
+    """Closed-form metric over the full chart (omega, phi, c3, c_plus) at
+    one point: the one-row case of analytic_metrics_c7."""
+    return MetricTensor(analytic_metrics_c7(eta.as_array(), xi, gamma), gamma, CASE_CHARTS["C7"])
+
+
+def _theta_from_j(etas, omega, phi=0.0) -> np.ndarray:
     """Polar angle theta of the (eta1, eta2) sector: J = (eta12_plus/2) cos theta."""
-    p12 = eta.eta12_plus
-    c = 2.0 * _j_signed(eta, omega, phi) / p12
-    return math.acos(max(-1.0, min(1.0, c)))
+    p12 = _magnitudes(etas)[1]
+    c = 2.0 * _j_signed(etas, omega, phi) / p12
+    return np.arccos(np.clip(c, -1.0, 1.0))
+
+
+def analytic_metrics_case(f: StateFamily, xs, gamma: float = 1.0, etas=None) -> np.ndarray:
+    """Per-case closed-form metrics, shape (N, dim, dim), at the N rows of xs,
+    in the coordinates of the printed forms (CLOSED_FORM_CHARTS; see
+    analytic_metric_case).  etas, coefficient rows as above, stands in for
+    f.eta; its rows must classify as f.case (model.classify_rows), else
+    CaseMismatchError or the error classify raises for the first row that
+    does not."""
+    xs = np.asarray(xs, dtype=float)
+    if etas is None:
+        etas = f.eta.as_array()
+    else:
+        etas = np.asarray(etas, dtype=complex)
+        found = classify_rows(etas)
+        if found != f.case:
+            raise CaseMismatchError(f"coefficient rows classify as {found}, not {f.case}")
+    n = _batch_shape(etas, xs)
+    g2 = gamma * gamma
+    label = f.case.label
+    a2, p12, m12, p34, m34 = _magnitudes(etas)
+    if label == "C1":
+        return _diagonal([g2 * (p34 - m34 * m34)], n)
+    if label == "C2":
+        return _diagonal([g2 / 4.0], n)
+    if label == "C3":
+        theta = _theta_from_j(etas, xs.T[0], xs.T[1])
+        return _diagonal([g2 * p12 / 4.0, g2 * p12 * np.sin(theta) ** 2 / 4.0], n)
+    if label == "C4":
+        al2 = a2.T[f.case.l - 1]
+        aj2 = a2.T[f.case.j - 1]
+        return _diagonal([g2 * al2 / 4.0, 9.0 * g2 * al2 * aj2], n)
+    if label == "C5":
+        theta = _theta_from_j(etas, xs.T[0], xs.T[1])
+        aj2 = a2.T[f.case.j - 1]
+        return _diagonal(
+            [
+                g2 * p12 / 4.0,
+                g2 * p12 * np.sin(theta) ** 2 / 4.0,
+                4.0 * g2 * p12 * aj2,
+            ],
+            n,
+        )
+    if label == "C6":
+        al2 = a2.T[f.case.l - 1]
+        s = p34 - m34 * m34
+        return _diagonal(
+            [
+                g2 * al2 / 4.0,
+                4.0 * g2 * al2 * (p34 * p34 - m34 * m34) / s,
+                g2 * s,
+            ],
+            n,
+        )
+    if label == "C7":
+        theta = _theta_from_j(etas, xs.T[0], xs.T[1])
+        s = p34 - m34 * m34
+        return _diagonal(
+            [
+                g2 * p12 / 4.0,
+                g2 * p12 * np.sin(theta) ** 2 / 4.0,
+                4.0 * g2 * p12 * (p34 * p34 - m34 * m34) / s,
+                g2 * s,
+            ],
+            n,
+        )
+    raise ValueError(f"unsupported case {label!r}")
 
 
 def analytic_metric_case(
     f: StateFamily, xi, gamma: float = 1.0
 ) -> MetricTensor:
-    """Per-case closed-form metric, in the coordinates of the printed form.
+    """Per-case closed-form metric at one point, in the coordinates of the
+    printed form: the one-row case of analytic_metrics_case.
 
     C1/C2/C4 use the family chart itself; C3/C5/C7 are quoted in the
     diagonalizing coordinates (theta, phi', ...) and C6 in (phi, c', c_plus').
@@ -232,66 +369,8 @@ def analytic_metric_case(
     cataloged even though the numeric oracle measures 1/9, 1/4 and 1/4 of
     them respectively (see the metric verification report).
     """
-    eta = f.eta
-    g2 = gamma * gamma
-    label = f.case.label
-    p12, m12 = eta.eta12_plus, eta.eta12_minus
-    p34, m34 = eta.eta34_plus, eta.eta34_minus
-    a2 = eta.abs2
-    if label == "C1":
-        g = np.array([[g2 * (p34 - m34 * m34)]])
-        return MetricTensor(g, gamma, ("c_plus",))
-    if label == "C2":
-        return MetricTensor(np.array([[g2 / 4.0]]), gamma, ("phi",))
-    if label == "C3":
-        omega, phi = float(xi[0]), float(xi[1])
-        theta = _theta_from_j(eta, omega, phi)
-        g = np.diag([g2 * p12 / 4.0, g2 * p12 * math.sin(theta) ** 2 / 4.0])
-        return MetricTensor(g, gamma, ("theta", "phi_prime"))
-    if label == "C4":
-        al2 = a2[f.case.l - 1]
-        aj2 = a2[f.case.j - 1]
-        g = np.diag([g2 * al2 / 4.0, 9.0 * g2 * al2 * aj2])
-        return MetricTensor(g, gamma, ("phi", "c"))
-    if label == "C5":
-        omega, phi = float(xi[0]), float(xi[1])
-        theta = _theta_from_j(eta, omega, phi)
-        aj2 = a2[f.case.j - 1]
-        g = np.diag(
-            [
-                g2 * p12 / 4.0,
-                g2 * p12 * math.sin(theta) ** 2 / 4.0,
-                4.0 * g2 * p12 * aj2,
-            ]
-        )
-        return MetricTensor(g, gamma, ("theta", "phi_prime", "c_prime"))
-    if label == "C6":
-        al2 = a2[f.case.l - 1]
-        s = p34 - m34 * m34
-        g = np.diag(
-            [
-                g2 * al2 / 4.0,
-                4.0 * g2 * al2 * (p34 * p34 - m34 * m34) / s,
-                g2 * s,
-            ]
-        )
-        return MetricTensor(g, gamma, ("phi", "c_prime", "c_plus_prime"))
-    if label == "C7":
-        omega, phi = float(xi[0]), float(xi[1])
-        theta = _theta_from_j(eta, omega, phi)
-        s = p34 - m34 * m34
-        g = np.diag(
-            [
-                g2 * p12 / 4.0,
-                g2 * p12 * math.sin(theta) ** 2 / 4.0,
-                4.0 * g2 * p12 * (p34 * p34 - m34 * m34) / s,
-                g2 * s,
-            ]
-        )
-        return MetricTensor(
-            g, gamma, ("theta", "phi_prime", "c3_prime", "c_plus_prime")
-        )
-    raise ValueError(f"unsupported case {label!r}")
+    g = analytic_metrics_case(f, xi, gamma)
+    return MetricTensor(g, gamma, CLOSED_FORM_CHARTS[f.case.label])
 
 
 @dataclass(frozen=True)
@@ -303,7 +382,8 @@ class DiagonalizingTransform:
 
     with the substitution J = (eta12_plus/2) cos(theta) replacing omega' by
     theta.  k1..k3 are evaluated at the working point because J depends on
-    omega there.
+    omega there.  Each is a float at one point (diagonalize_metric) and an
+    array of one value per point for a batch (diagonalize_metrics).
     """
 
     k1: float
@@ -312,19 +392,21 @@ class DiagonalizingTransform:
     k4: float
 
 
-def diagonalize_metric(
-    eta: InitialCoefficients, omega: float, phi: float = 0.0
-) -> DiagonalizingTransform:
-    """Transform coefficients k1..k4 at the given chart point."""
-    p12, m12 = eta.eta12_plus, eta.eta12_minus
-    p34, m34 = eta.eta34_plus, eta.eta34_minus
-    j = _j_signed(eta, omega, phi)
-    d12 = 4.0 * j * j - p12 * p12
-    d34 = p34 - m34 * m34
-    if abs(d12) < 1e-14 or abs(d34) < 1e-14:
+def diagonalize_metrics(etas, omega, phi=0.0) -> DiagonalizingTransform:
+    """Transform coefficients k1..k4 at each chart point (omega, phi), one
+    per coefficient row; omega and phi are arrays of one value per point, or
+    scalars.  Raises SingularTransformError, naming the first singular point's
+    denominators, if any denominator is below 1e-14 in magnitude."""
+    etas = np.asarray(etas, dtype=complex)
+    _, p12, m12, p34, m34 = _magnitudes(etas)
+    j = _j_signed(etas, omega, phi)
+    d12, d34 = np.broadcast_arrays(4.0 * j * j - p12 * p12, p34 - m34 * m34)
+    singular = (np.abs(d12) < 1e-14) | (np.abs(d34) < 1e-14)
+    if singular.any():
+        k = np.unravel_index(np.argmax(singular), singular.shape)
         raise SingularTransformError(
-            f"transform singular: 4J^2-(eta12+)^2 = {d12:.3e}, "
-            f"eta34+-(eta34-)^2 = {d34:.3e}"
+            f"transform singular: 4J^2-(eta12+)^2 = {d12[k]:.3e}, "
+            f"eta34+-(eta34-)^2 = {d34[k]:.3e}"
         )
     return DiagonalizingTransform(
         k1=4.0 * m12 * j / d12,
@@ -334,36 +416,54 @@ def diagonalize_metric(
     )
 
 
-def pushforward_c7(
-    eta: InitialCoefficients, xi, gamma: float = 1.0
-) -> MetricTensor:
-    """Push the closed-form C7 metric through the diagonalizing transform.
+def diagonalize_metric(
+    eta: InitialCoefficients, omega: float, phi: float = 0.0
+) -> DiagonalizingTransform:
+    """Transform coefficients k1..k4 at the given chart point: the one-point
+    case of diagonalize_metrics."""
+    t = diagonalize_metrics(eta.as_array(), omega, phi)
+    return DiagonalizingTransform(*(float(k) for k in (t.k1, t.k2, t.k3, t.k4)))
+
+
+def pushforwards_c7(etas, xs, gamma: float = 1.0) -> np.ndarray:
+    """The closed-form C7 metrics pushed through the diagonalizing transform,
+    shape (N, 4, 4), at the N rows of xs.
 
     The Jacobian uses the frozen k-coefficients together with
     d omega/d theta = eta12_plus sin(theta)/(4K); the result should be the
-    diagonal tensor of analytic_metric_case for C7.
+    diagonal tensor of analytic_metric_case for C7.  Raises
+    SingularTransformError if the transform is singular at any point
+    (diagonalize_metrics) or K vanishes there.
     """
-    omega, phi = float(xi[0]), float(xi[1])
-    t = diagonalize_metric(eta, omega, phi)
-    g = analytic_metric_c7(eta, xi, gamma).entries
-    theta = _theta_from_j(eta, omega, phi)
-    k_re = _k_real(eta, omega) * branch_sign(phi)
-    if abs(k_re) < 1e-14:
+    xs = np.asarray(xs, dtype=float)
+    etas = np.asarray(etas, dtype=complex)
+    omega, phi = xs.T[0], xs.T[1]
+    t = diagonalize_metrics(etas, omega, phi)
+    g = analytic_metrics_c7(etas, xs, gamma)
+    theta = _theta_from_j(etas, omega, phi)
+    k_re = _k_real(etas, omega) * branch_sign(phi)
+    if (np.abs(k_re) < 1e-14).any():
         raise SingularTransformError("K = Re(eta1 eta2* e^{-2i omega}) vanishes")
-    domega_dtheta = eta.eta12_plus * math.sin(theta) / (4.0 * k_re)
+    domega_dtheta = _magnitudes(etas)[1] * np.sin(theta) / (4.0 * k_re)
     # columns: (theta, phi', c3', c_plus'); rows: (omega, phi, c3, c_plus)
-    jac = np.array(
+    jac = _stacked(
         [
             [domega_dtheta, 0.0, 0.0, 0.0],
             [t.k1 * domega_dtheta, 1.0, 0.0, 0.0],
             [t.k2 * domega_dtheta, t.k3, 1.0, 0.0],
             [0.0, 0.0, t.k4, 1.0],
-        ]
+        ],
+        _batch_shape(etas, xs),
     )
-    gp = jac.T @ g @ jac
-    return MetricTensor(
-        gp, gamma, ("theta", "phi_prime", "c3_prime", "c_plus_prime")
-    )
+    return jac.swapaxes(-1, -2) @ g @ jac
+
+
+def pushforward_c7(
+    eta: InitialCoefficients, xi, gamma: float = 1.0
+) -> MetricTensor:
+    """The closed-form C7 metric pushed through the diagonalizing transform
+    at one point: the one-row case of pushforwards_c7."""
+    return MetricTensor(pushforwards_c7(eta.as_array(), xi, gamma), gamma, CLOSED_FORM_CHARTS["C7"])
 
 
 def two_param_metric(

@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    CaseMismatchError,
     ClassificationToleranceError,
     StationaryStateError,
 )
@@ -110,12 +111,7 @@ class InitialCoefficients:
     @classmethod
     def normalized(cls, eta1, eta2, eta3, eta4) -> "InitialCoefficients":
         """Build coefficients, rescaling to unit norm."""
-        v = np.array([eta1, eta2, eta3, eta4], dtype=complex)
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        v = v / n
-        return cls(*v)
+        return cls(*unit_row(np.array([eta1, eta2, eta3, eta4], dtype=complex)))
 
     def as_tuple(self):
         return (self.eta1, self.eta2, self.eta3, self.eta4)
@@ -153,7 +149,7 @@ class InitialCoefficients:
     @cached_property
     def _case(self) -> "CaseClass":
         """classify at the default tol; a raise leaves nothing cached."""
-        return _classify(self, CLASSIFY_TOL)
+        return _classify(np.abs(self.as_array()), CLASSIFY_TOL)
 
     @property
     def alphas(self) -> np.ndarray:
@@ -161,6 +157,15 @@ class InitialCoefficients:
         return np.array(
             [cmath.phase(e) if e != 0 else 0.0 for e in self.as_tuple()]
         )
+
+
+def unit_row(v) -> np.ndarray:
+    """One coefficient row v scaled to unit norm by its 1-D np.linalg.norm,
+    the scaling InitialCoefficients.normalized applies."""
+    n = np.linalg.norm(v)
+    if n == 0:
+        raise ValueError("cannot normalize the zero vector")
+    return v / n
 
 
 # Charts of the per-case state manifolds (Table of dimensions).
@@ -219,13 +224,31 @@ def classify(eta: InitialCoefficients, tol: float = CLASSIFY_TOL) -> CaseClass:
     """
     if tol == CLASSIFY_TOL:
         return eta._case
-    return _classify(eta, tol)
+    return _classify(np.abs(eta.as_array()), tol)
 
 
-def _classify(eta: InitialCoefficients, tol: float) -> CaseClass:
+def classify_rows(etas, tol: float = CLASSIFY_TOL) -> CaseClass:
+    """The case shared by every row of an (N, 4) array of coefficient rows,
+    from one pass over their magnitudes: rows with the zero pattern of the
+    first and no magnitude in the ambiguity band classify alike.  The first
+    row that does not raises classify's error for it, or CaseMismatchError
+    if it classifies as another case."""
+    mags = np.abs(np.asarray(etas))
+    case = _classify(mags[0], tol)
+    nz = mags > tol
+    odd = ((nz & (mags < AMBIGUITY_FACTOR * tol)) | (nz != nz[0])).any(axis=1)
+    if odd.any():
+        k = int(odd.argmax())
+        raise CaseMismatchError(
+            f"coefficient row {k} classifies as {_classify(mags[k], tol)}, row 0 as {case}"
+        )
+    return case
+
+
+def _classify(mags: np.ndarray, tol: float) -> CaseClass:
+    """Classify by the coefficient magnitudes |eta_1|..|eta_4|."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mags = np.abs(eta.as_array())
     ambiguous = (mags > tol) & (mags < AMBIGUITY_FACTOR * tol)
     if ambiguous.any():
         idx = int(np.argmax(ambiguous)) + 1

@@ -25,7 +25,12 @@ from qorbits.cli import (
 )
 from qorbits.entanglement import CASE_FORMULA_STATUS
 from qorbits.families import family_for_case
-from qorbits.fubini_study import analytic_metric_c7, numeric_fs_metric
+from qorbits.fubini_study import (
+    analytic_metric_c7,
+    analytic_metric_case,
+    numeric_fs_metric,
+    pushforward_c7,
+)
 from qorbits.model import InitialCoefficients, classify
 
 
@@ -218,6 +223,51 @@ def test_metric_oracle_equals_the_per_point_loop(options):
         assert checks[0]["deviation"] == worst, seed
 
 
+def _metric_suite_per_point_draws(rng, gamma):
+    """The metric suite's draws, in stream order, with the per-point closed
+    forms the batched suite replaced: returns the two diagonalization
+    deviations and leaves rng where the suite leaves it."""
+    for _ in range(50):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        InitialCoefficients.normalized(*v)
+        for lo, hi in ((-2, 2), (-1.2, 1.2), (-2, 2), (-2, 2)):
+            rng.uniform(lo, hi)
+    worst_off = worst_diag = 0.0
+    n_done = 0
+    while n_done < 20:
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        eta = InitialCoefficients.normalized(*v)
+        omega = rng.uniform(-2, 2)
+        k = (eta.eta1 * np.conj(eta.eta2) * np.exp(-2j * omega)).real
+        if abs(k) < 0.05:
+            continue
+        n_done += 1
+        xi = np.array([omega, 0.3, 0.2, 0.4])
+        gp = pushforward_c7(eta, xi, gamma).entries
+        gd = analytic_metric_case(family_for_case(classify(eta), eta), xi, gamma).entries
+        worst_off = max(worst_off, float(np.max(np.abs(gp - np.diag(np.diag(gp))))))
+        worst_diag = max(worst_diag, float(np.max(np.abs(np.diag(gp) - np.diag(gd)))))
+    # the gauge-invariance points, one per case family
+    for text in DEFAULT_CASE_ETAS.values():
+        rng.uniform(0.2, 1.0, size=classify(parse_eta(text)).dimension)
+    return worst_off, worst_diag
+
+
+@pytest.mark.parametrize("options", [[], ["--gamma", "0.7", "--h-metric", "1e-4"]])
+def test_metric_suite_draws_as_the_per_point_loop(options):
+    args = build_parser().parse_args(["verify", "--suite", "metric", *options])
+    for seed in range(10):
+        checks = []
+        rng = np.random.default_rng(seed)
+        _suite_metric(args, rng, checks)
+        ref = np.random.default_rng(seed)
+        worst_off, worst_diag = _metric_suite_per_point_draws(ref, args.gamma)
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
+        devs = {c["name"]: c["deviation"] for c in checks}
+        assert devs["diagonalization-offdiagonal"] == pytest.approx(worst_off, abs=1e-14)
+        assert devs["diagonalization-diagonal"] == pytest.approx(worst_diag, abs=1e-14)
+
+
 def test_verify_all_seed_68_passes(tmp_path):
     # this seed draws a perturbation-audit point 0.0125 from a resonance
     assert main(["verify", "--suite", "all", "--seed", "68", "--out", str(tmp_path / "r.json")]) == 0
@@ -330,12 +380,20 @@ def test_evolve_nan_point_is_bad_config(capsys):
     assert "not normalized" in capsys.readouterr().err
 
 
+# parts that are not name=start:stop:count with numeric endpoints and an
+# integer count
+MALFORMED_GRIDS = ("phi=0:1:2.7", "phi=0:1", "phi", "phi=a:1:3")
+
+
 @pytest.mark.parametrize(
-    "grid", ["ph=0:6.2832:5", "phi=0:nan:3", "phi=0:1:0", "phi=0:1:2.7", "phi=0:1:inf"]
+    "grid", ["ph=0:6.2832:5", "phi=0:nan:3", "phi=0:1:0", "phi=0:1:inf", *MALFORMED_GRIDS]
 )
 def test_concurrence_bad_grid_is_bad_config(grid, capsys):
     assert main(["concurrence", "--eta", "1,0,0,0", "--grid", grid]) == 2
-    assert "grid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "grid" in err
+    if grid in MALFORMED_GRIDS:
+        assert "phi=start:stop:count" in err
 
 
 def _per_row_samples(f, rng):

@@ -251,6 +251,37 @@ def test_g0_equals_c7_closed_form():
             assert np.max(np.abs(g_ref.entries - g0)) < 1e-12
 
 
+def test_g0_batch_equals_per_point_calls(rng):
+    omegas = rng.uniform(-3, 3, size=50)
+    for alpha12, gamma in ((0.0, 1.0), (0.8, 1.7)):
+        batch = g0_uniform_metric(omegas, alpha12, gamma)
+        assert np.array_equal(batch, [g0_uniform_metric(float(w), alpha12, gamma) for w in omegas])
+        assert np.array_equal(batch, g0_uniform_field(alpha12, gamma).metrics(
+            np.column_stack([omegas, rng.uniform(-1, 1, size=(50, 3))])))
+
+
+@pytest.mark.parametrize(
+    "fld, xi",
+    [
+        (sphere_metric_field(0.5), (1.1, 0.7)),
+        (sphere_metric_field(1.3), (0.9, 0.4)),
+        (g0_uniform_field(0.0), (0.35, 0.3, 0.2, 0.4)),
+        (g0_uniform_field(0.8, 1.7), (0.5, 0.3, 0.2, 0.4)),
+    ],
+)
+def test_closed_form_field_batch_evaluator_equals_per_point(fld, xi):
+    # one metrics call of the batch evaluator against one evaluator call
+    # per stencil point: the same Richardson curvature, bitwise
+    per_point = MetricField(fld.dim, fld.evaluator)
+    assert fld.batch_evaluator is not None and per_point.batch_evaluator is None
+    xi = np.array(xi)
+    for richardson in (True, False):
+        a = curvature_at(fld, xi, richardson=richardson)
+        b = curvature_at(per_point, xi, richardson=richardson)
+        for name in ("christoffel", "riemann", "ricci", "scalar", "metric_condition"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 @pytest.mark.parametrize("gamma", [1.0, 1.4])
 def test_g0_curvature_fourteen(gamma):
     fld = g0_uniform_field(0.0, gamma)

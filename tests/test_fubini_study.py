@@ -1,19 +1,33 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qorbits.curvature import MetricField, curvature_at
-from qorbits.errors import ChartSingularityError, SingularTransformError
+from qorbits.errors import (
+    CaseMismatchError,
+    ChartSingularityError,
+    ClassificationToleranceError,
+    SingularTransformError,
+)
+from qorbits.hamiltonian import branch_sign
 from qorbits.families import constrained_two_param_family, family_for_case, sliced_family
 from qorbits.fubini_study import (
+    _j_signed,
+    _k_real,
+    _theta_from_j,
     analytic_metric_c7,
     analytic_metric_case,
+    analytic_metrics_c7,
+    analytic_metrics_case,
     diagonalize_metric,
+    diagonalize_metrics,
     numeric_fs_metric,
     numeric_fs_metrics,
     phase_twisted,
     pushforward_c7,
+    pushforwards_c7,
     tangent_fs_metrics,
     two_param_metric,
     two_param_metric_printed_offdiag,
@@ -410,3 +424,113 @@ def test_tangent_field_curvature_matches_finite_difference_field():
         xi = np.array(xi)
         exact = curvature_at(MetricField.from_family(f), xi).scalar
         assert exact == pytest.approx(curvature_at(fd, xi).scalar, rel=1e-2)
+
+
+def _rows_and_points(rng, pattern, n=60):
+    """n random coefficient sets of a case, as objects and as (n, 4) rows,
+    and n chart points with phi over (-pi, pi], so cos(phi) takes both signs."""
+    etas = [random_eta(rng, pattern) for _ in range(n)]
+    xs = rng.uniform(-2, 2, size=(n, len(etas[0]._case.chart)))
+    xs[:, 1] = rng.uniform(-math.pi, math.pi, size=n)
+    return etas, np.array([eta.as_array() for eta in etas]), xs
+
+
+def test_overlap_rounds_as_the_one_point_complex_product(rng):
+    # J and K per row, bitwise, against the complex scalar products the
+    # one-point closed forms used to take
+    etas, rows, xs = _rows_and_points(rng, "C7", 500)
+    omega, phi = xs[:, 0], xs[:, 1]
+    for k, (eta, w, p) in enumerate(zip(etas, omega, phi)):
+        z = eta.eta1 * np.conj(eta.eta2) * np.exp(-2j * float(w))
+        assert _j_signed(rows, omega, phi)[k] == float(z.imag) * branch_sign(p)
+        assert _k_real(rows, omega)[k] == float(z.real)
+    # theta goes through a vectorized acos: within a few ulp of math.acos
+    scalar = [
+        math.acos(max(-1.0, min(1.0, 2.0 * float(z.imag) * branch_sign(p) / eta.eta12_plus)))
+        for eta, w, p in zip(etas, omega, phi)
+        for z in [eta.eta1 * np.conj(eta.eta2) * np.exp(-2j * float(w))]
+    ]
+    np.testing.assert_array_max_ulp(_theta_from_j(rows, omega, phi), np.array(scalar), maxulp=4)
+
+
+def test_batch_closed_forms_equal_per_point_calls(rng):
+    etas, rows, xs = _rows_and_points(rng, "C7")
+    for gamma in (1.0, 1.3):
+        assert np.array_equal(
+            analytic_metrics_c7(rows, xs, gamma),
+            [analytic_metric_c7(eta, x, gamma).entries for eta, x in zip(etas, xs)],
+        )
+        assert np.array_equal(
+            pushforwards_c7(rows, xs, gamma),
+            [pushforward_c7(eta, x, gamma).entries for eta, x in zip(etas, xs)],
+        )
+    t = diagonalize_metrics(rows, xs[:, 0], xs[:, 1])
+    for k, (eta, x) in enumerate(zip(etas, xs)):
+        one = diagonalize_metric(eta, x[0], x[1])
+        assert (t.k1[k], t.k2[k], t.k3[k], t.k4[k]) == (one.k1, one.k2, one.k3, one.k4)
+    # one (4,) row serves every point
+    assert np.array_equal(
+        analytic_metrics_c7(rows[0], xs, 1.3),
+        [analytic_metric_c7(etas[0], x, 1.3).entries for x in xs],
+    )
+
+
+@pytest.mark.parametrize("pattern", ["C3", "C5", "C7"])
+def test_batch_case_closed_forms_equal_per_point_calls(rng, pattern):
+    etas, rows, xs = _rows_and_points(rng, pattern)
+    f = family_for_case(classify(etas[0]), etas[0])
+    batch = analytic_metrics_case(f, xs, 1.3, rows)
+    one = [analytic_metric_case(family_for_case(f.case, eta), x, 1.3).entries
+           for eta, x in zip(etas, xs)]
+    assert np.array_equal(batch, one)
+    # without rows, the family's own coefficients at every point
+    assert np.array_equal(
+        analytic_metrics_case(f, xs, 1.3),
+        [analytic_metric_case(f, x, 1.3).entries for x in xs],
+    )
+
+
+def _raises_without_warnings(error, fn, *args):
+    # a singular row raises before any division: no RuntimeWarning, no NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error) as info:
+            fn(*args)
+    return str(info.value)
+
+
+def test_batch_with_one_singular_row_raises_the_one_point_error(rng):
+    _, rows, xs = _rows_and_points(rng, "C7", 8)
+    xi = np.array([0.0, 0.3, 0.2, 0.4])
+    # 4J^2 = (eta12+)^2 at omega = 0 (see test_diagonalize_singular_transform)
+    d12 = InitialCoefficients.normalized(0.5, 0.5j, 0.6, 0.4)
+    # K = 0 at omega = 0 where the transform is regular: |eta1| != |eta2|
+    k0 = InitialCoefficients.normalized(0.6, 0.3j, 0.5, 0.4)
+    for eta, match in ((d12, "transform singular"), (k0, "K = ")):
+        with pytest.raises(SingularTransformError, match=match):
+            pushforward_c7(eta, xi)
+        bad_rows, bad_xs = rows.copy(), xs.copy()
+        bad_rows[5], bad_xs[5] = eta.as_array(), xi
+        assert match in _raises_without_warnings(SingularTransformError, pushforwards_c7, bad_rows, bad_xs)
+    bad_rows[5] = d12.as_array()
+    one = _raises_without_warnings(SingularTransformError, diagonalize_metric, d12, 0.0, 0.3)
+    batch = _raises_without_warnings(
+        SingularTransformError, diagonalize_metrics, bad_rows, bad_xs[:, 0], 0.3
+    )
+    assert batch == one
+
+
+def test_batch_case_rows_are_classified(rng):
+    etas, rows, xs = _rows_and_points(rng, "C7", 6)
+    f = family_for_case(classify(etas[0]), etas[0])
+    ambiguous = rows.copy()
+    ambiguous[3] = InitialCoefficients.normalized(1.0, 5e-12, 1.0, 1.0).as_array()
+    with pytest.raises(ClassificationToleranceError):
+        analytic_metrics_case(f, xs, 1.0, ambiguous)
+    other = rows.copy()
+    other[4] = random_eta(rng, "C5").as_array()
+    with pytest.raises(CaseMismatchError, match="row 4 classifies as .*C5"):
+        analytic_metrics_case(f, xs, 1.0, other)
+    eta5 = random_eta(rng, "C5")
+    with pytest.raises(CaseMismatchError):
+        analytic_metrics_case(family_for_case(classify(eta5), eta5), xs[:, :3], 1.0, rows)

@@ -11,7 +11,9 @@ from qorbits.model import (
     HamiltonianParams,
     InitialCoefficients,
     classify,
+    classify_rows,
     derive_params,
+    unit_row,
 )
 from qorbits.errors import CaseMismatchError
 from qorbits.families import family_for_case
@@ -208,3 +210,34 @@ def test_classify_errors_on_every_call_and_own_tol_afresh(monkeypatch):
     assert classify(eta) == CaseClass("C7")
     assert classify(eta, tol=1e-8) == CaseClass("C6", l=1)
     assert calls == [CLASSIFY_TOL, 1e-8, 1e-8]
+
+
+def test_unit_row_scales_as_normalized(rng):
+    for _ in range(200):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        assert np.array_equal(unit_row(v), InitialCoefficients.normalized(*v).as_array())
+    with pytest.raises(ValueError):
+        unit_row(np.zeros(4, dtype=complex))
+
+
+@pytest.mark.parametrize("pattern", ["C1", "C3", "C4", "C5", "C6", "C7"])
+def test_classify_rows_agrees_with_classify(rng, pattern):
+    etas = [random_eta(rng, pattern) for _ in range(30)]
+    rows = np.array([eta.as_array() for eta in etas])
+    assert classify_rows(rows) == classify(etas[0]) == classify(etas[-1])
+
+
+def test_classify_rows_raises_at_the_first_odd_row(rng):
+    rows = np.array([random_eta(rng, "C7").as_array() for _ in range(6)])
+    ambiguous = rows.copy()
+    ambiguous[2] = InitialCoefficients.normalized(1.0, 5e-12, 1.0, 1.0).as_array()
+    with pytest.raises(ClassificationToleranceError, match="eta2"):
+        classify_rows(ambiguous)
+    other = rows.copy()
+    other[4] = random_eta(rng, "C6").as_array()
+    with pytest.raises(CaseMismatchError, match="row 4 classifies as .*C6.*row 0 as .*C7"):
+        classify_rows(other)
+    stationary = rows.copy()
+    stationary[0] = (0, 0, 1, 0)
+    with pytest.raises(StationaryStateError):
+        classify_rows(stationary)
