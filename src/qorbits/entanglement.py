@@ -29,7 +29,6 @@ def concurrences(states) -> np.ndarray:
     if states.ndim != 2 or states.shape[1] != 4:
         raise ValueError("states must have 4 amplitudes per row")
     # |z|^2 as re^2 + im^2, not through the hypot of np.abs, on any layout
-    # (scan_concurrence passes a component-first view)
     mag2 = states.real**2
     mag2 += states.imag**2
     norms = np.sqrt(mag2.sum(axis=1))
@@ -306,8 +305,8 @@ def scan_concurrence(f: StateFamily, grid: dict) -> ConcurrenceScan:
     grid maps chart coordinate names to (start, stop, count); missing
     coordinates are held at 0.  A name outside the chart, a non-finite
     endpoint or a count that is not a finite integer of at least 1 raises
-    ValueError naming the coordinate.  The states come from one
-    StateFamily.grid_states call, component first.
+    ValueError naming the coordinate.  The values come from one
+    StateFamily.grid_concurrences call, which never forms the states.
     """
     unknown = [name for name in grid if name not in f.chart]
     if unknown:
@@ -323,5 +322,4 @@ def scan_concurrence(f: StateFamily, grid: dict) -> ConcurrenceScan:
             axes.append(np.linspace(a, b, int(n)))
         else:
             axes.append(np.array([0.0]))
-    values = concurrences(f.grid_states(axes))
-    return ConcurrenceScan(f.case.label, f.eta, dict(grid), grid_points(axes), values)
+    return ConcurrenceScan(f.case.label, f.eta, dict(grid), grid_points(axes), f.grid_concurrences(axes))

@@ -52,8 +52,8 @@ from .model import (
 DEFAULT_FROZEN = {"omega": 0.9, "phi": 0.3, "c3": 0.35, "c_plus": 0.55}
 
 # Long batches are evaluated in blocks of this many rows, and the batch
-# axes of a tensor grid (StateFamily.grid_states) in blocks of this many
-# points, which bounds the size of the stacked (rows, 4, 4) eigenbasis.
+# axes of a tensor grid (StateFamily.grid_concurrences) in blocks of this
+# many points, which bounds the size of the stacked (rows, 4, 4) eigenbasis.
 BLOCK_ROWS = 512
 
 # Coordinates the eigenbasis is evaluated at, in this order.
@@ -257,22 +257,25 @@ class StateFamily:
         # component axis last
         return [part.transpose(0, *range(2, part.ndim), 1) for part in jet]
 
-    def grid_states(self, axes) -> np.ndarray:
-        """Normalized states at the grid_points(axes) of one 1-D axis per
-        chart coordinate, shape (N, 4): the transpose of a component-first
-        (4, N) array, whose rows are the state components over the grid.
-
-        Since theta is affine, the phased coefficients
-        amps_k = eta_k e^{i theta_k} are products of one factor
-        exp(i lin[k, mu] x_mu) per axis value, each computed once.  The axes
-        up to the last one the eigenbasis reads (jet_reads: phi alone at
-        beta = 0) form the batch, whose C-order points are taken in blocks
-        of BLOCK_ROWS, as _jet takes rows (_grid_block); the later axes form
-        the R columns of one (4, R) factor table that every block shares."""
+    def grid_concurrences(self, axes) -> np.ndarray:
+        """Concurrences 2|ad - bc| of the normalized states at the
+        grid_points(axes) of one 1-D axis per chart coordinate, shape (N,),
+        without forming the states: ad - bc is Wootters' bilinear form
+        sum_{k<=l} a_k a_l w_kl (_wootters_pairs) of the phased coefficients
+        a_k = eta_k e^{i theta_k}.  Since theta is affine, a_k is a product
+        of one factor exp(i lin[k, mu] x_mu) per axis value.  The axes up to
+        the last one the eigenbasis reads (jet_reads: phi alone at beta = 0)
+        form the batch, taken in C-order blocks of BLOCK_ROWS points, each
+        with one eigenbasis per distinct point of the axes it reads; the
+        later axes form the R columns of one factor table that every block
+        shares.  At beta = 0 the basis is unitary and |psi| = |eta| = 1, so a
+        block is one (n, 10) @ (10, R) product over the pairs k <= l; at
+        beta != 0 it forms v = sum_k a_k b_k and takes
+        2|v0 v3 - v1 v2| / |v|^2.  A non-finite value raises ValueError."""
         axes = [np.asarray(a, dtype=float) for a in axes]
         if len(axes) != self.dim or any(a.ndim != 1 for a in axes):
             raise ValueError(f"expected {self.dim} 1-D axes, got {[a.shape for a in axes]}")
-        lin, basis = self._table[0], self._table[2]
+        lin, offset, basis, basis0 = self._table
         reads = np.flatnonzero(basis[list(jet_reads(self.beta))].any(axis=0))
         t = reads[-1] + 1 if len(reads) else 0
         # (len(axis), 4) per axis
@@ -280,42 +283,38 @@ class StateFamily:
         tail = np.ones((4, 1))
         for f in factors[t:]:
             tail = (tail[:, :, None] * f.T[:, None, :]).reshape(4, -1)
+        if self.beta == 0.0:
+            # the tail's share of a_k a_l per pair k <= l, times the 2 of
+            # 2|ad - bc|
+            tail = 2.0 * tail[_PAIRS[0]] * tail[_PAIRS[1]]
         batch = [len(a) for a in axes[:t]]
-        out = np.empty((4, math.prod(batch), tail.shape[1]), dtype=complex)
-        for start in range(0, out.shape[1], BLOCK_ROWS):
-            flat = np.arange(start, min(start + BLOCK_ROWS, out.shape[1]))
-            idx = np.unravel_index(flat, batch) if batch else ()
-            self._grid_block(axes, factors, reads, idx, tail, out[:, start:start + BLOCK_ROWS])
-        return out.reshape(4, -1).T
-
-    def _grid_block(self, axes, factors, reads, idx, tail, out):
-        """grid_states on the n batch points of one block, given by their
-        index per batch axis idx, times the R columns of tail, written
-        component first into the (4, n, R) view out.  The eigenbasis is
-        evaluated once per distinct point of the axes reads in the block
-        (so once per grid point of them, unless an axis it does not read
-        comes first and the batch spans several blocks).  Taken component
-        first and weighted by the amps of each batch point, it is the left
-        factor of one stacked matmul against tail, an (n, 4) @ (4, R)
-        product per component.  If beta != 0 the states are then
-        normalized, as in _jet_block."""
-        _, offset, basis, basis0 = self._table
-        head = (self.eta.as_array() * np.exp(1j * offset))[None]
-        for f, i in zip(factors, idx):
-            head = head * f.take(i, axis=0)
-        # the C-order index of each batch point among the points of the axes
-        # reads
-        key = np.zeros(out.shape[1], dtype=int)
-        for mu in reads:
-            key = key * len(axes[mu]) + idx[mu]
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        points = np.array([axes[mu][idx[mu][first]] for mu in reads]).reshape(len(reads), len(first)).T
-        bases = first_order_jet(*(points @ basis[:, reads].T + basis0).T, self.beta)[0]
-        # (component, n, k)
-        left = bases.take(inverse, axis=0).transpose(2, 0, 1) * head
-        np.matmul(left, tail, out=out)
-        if self.beta != 0.0:
-            out[...] = normalize_jet(out.reshape(4, -1).T)[0].T.reshape(out.shape)
+        out = np.empty((math.prod(batch), tail.shape[1]))
+        amps = self.eta.as_array() * np.exp(1j * offset)
+        for start in range(0, len(out), BLOCK_ROWS):
+            idx = np.unravel_index(np.arange(start, min(start + BLOCK_ROWS, len(out))), batch) if batch else ()
+            head = amps[None]
+            for f, i in zip(factors, idx):
+                head = head * f[i]
+            points = np.array([axes[mu][idx[mu]] for mu in reads]).reshape(len(reads), len(head)).T
+            inverse = slice(None)
+            if len(reads) < t:
+                # distinct points of the axes reads, by their C-order index
+                key = np.ravel_multi_index([idx[mu] for mu in reads], [len(axes[mu]) for mu in reads])
+                _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+                points = points[first]
+            bases = first_order_jet(*(points @ basis[:, reads].T + basis0).T, self.beta)[0]
+            if self.beta == 0.0:
+                left = head[:, _PAIRS[0]] * head[:, _PAIRS[1]] * _wootters_pairs(bases)[inverse]
+                np.abs(left @ tail, out=out[start:start + BLOCK_ROWS])
+            else:
+                # (component, n, R)
+                v = np.matmul(bases[inverse].transpose(2, 0, 1) * head, tail)
+                norm2 = (v.real**2 + v.imag**2).sum(axis=0)
+                out[start:start + BLOCK_ROWS] = 2.0 * np.abs(v[0] * v[3] - v[1] * v[2]) / norm2
+        out = out.reshape(-1)
+        if not np.isfinite(out).all():
+            raise ValueError(f"concurrence not finite: {out[~np.isfinite(out)][0]!r}")
+        return out
 
     def state(self, xi) -> np.ndarray:
         """Normalized state at chart point xi."""
@@ -329,9 +328,30 @@ def grid_points(axes) -> np.ndarray:
     """The points of the C-order grid of 1-D axes, the raveled
     meshgrid(*axes, indexing="ij"), shape (N, len(axes)); one point (the
     empty tuple) for no axes."""
-    if not axes:
-        return np.zeros((1, 0))
-    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
+    shape = tuple(len(a) for a in axes)
+    out = np.empty(shape + (len(axes),))
+    for mu, a in enumerate(axes):
+        out[..., mu] = np.reshape(a, (-1,) + (1,) * (len(axes) - 1 - mu))
+    return out.reshape(math.prod(shape), len(axes))
+
+
+# The row and column indices of the pairs k <= l, in the order of the
+# columns of _wootters_pairs: np.triu_indices(4), written out because that
+# call costs about 0.15 MB of peak memory at import
+_PAIRS = (np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3]), np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3]))
+
+
+def _wootters_pairs(bases) -> np.ndarray:
+    """The weights w_kl, k <= l, of the rows b_k of (N, 4, 4) bases, shape
+    (N, 10), for which psi = sum_k a_k b_k has
+    psi_0 psi_3 - psi_1 psi_2 = sum_{k<=l} a_k a_l w_kl: the symmetric form
+    b_k0 b_l3 + b_l0 b_k3 - b_k1 b_l2 - b_l1 b_k2, halved on the diagonal.
+    At beta = 0, with s = branch_sign(phi), the sum is
+    (cos phi (a1^2 - a2^2) - 2 s sin phi a1 a2 - a3^2 + a4^2)/2."""
+    m = bases[:, :, None, 0] * bases[:, None, :, 3] - bases[:, :, None, 1] * bases[:, None, :, 2]
+    w = (m + m.transpose(0, 2, 1))[:, _PAIRS[0], _PAIRS[1]]
+    w[:, _PAIRS[0] == _PAIRS[1]] *= 0.5
+    return w
 
 
 @lru_cache(maxsize=128)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qorbits import families
 from qorbits.entanglement import (
     CASE_FORMULA_STATUS,
     concurrence,
@@ -13,6 +14,7 @@ from qorbits.entanglement import (
     verify_max_entangled_tables,
 )
 from qorbits.families import family_for_case, grid_points
+from qorbits.hamiltonian import first_order_jet
 from qorbits.model import InitialCoefficients, classify
 
 from conftest import random_eta
@@ -355,18 +357,36 @@ def test_perturbed_scan_matches_per_point_concurrence(rng):
     assert np.array_equal(scan.coords, grid_points(axes))
     assert scan.coords.shape == (5 * 7 * 4 * 3, 4)
     want = [concurrence(f.state(xi)) for xi in scan.coords]
-    assert np.max(np.abs(scan.values - want)) <= 1e-12
+    assert np.max(np.abs(scan.values - want)) <= 1e-14
 
 
 def test_concurrences_of_component_first_states_are_bitwise_those_of_rows(rng):
     eta = random_eta(rng, "C7")
     f = family_for_case(classify(eta), eta)
     axes = [np.linspace(-2.0, 2.0, n) for n in (3, 4, 5, 2)]
-    states = f.grid_states(axes)
+    rows = f.states(grid_points(axes))
+    # the (N, 4) transpose of a component-first (4, N) array
+    states = np.ascontiguousarray(rows.T).T
     assert states.T.flags.c_contiguous
-    rows = np.ascontiguousarray(states)
     assert concurrences(states).tobytes() == concurrences(rows).tobytes()
     bad = states.copy(order="F")
     bad[7, 2] = math.nan
     with pytest.raises(ValueError, match="not normalized"):
         concurrences(bad)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_scan_raises_on_a_nan_from_the_jet(beta, monkeypatch, rng):
+    eta = random_eta(rng, "C7")
+    f = family_for_case(classify(eta), eta, beta=beta)
+
+    def nan_jet(*args, **kwargs):
+        bases = first_order_jet(*args, **kwargs)
+        bases[0][-1, 1, 2] = math.nan
+        return bases
+
+    monkeypatch.setattr(families, "first_order_jet", nan_jet)
+    grid = {"omega": (0.2, 1.0, 3), "phi": (-3.0, 3.0, 4), "c3": (1.6, 2.4, 3),
+            "c_plus": (-1.0, -0.4, 2)}
+    with pytest.raises(ValueError, match="not finite"):
+        scan_concurrence(f, grid)

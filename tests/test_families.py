@@ -7,11 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qorbits import families
+from qorbits.entanglement import concurrence, concurrences
 from qorbits.errors import CaseMismatchError, ResonanceError
 from qorbits.families import (
     BLOCK_ROWS,
     PERIODICITY_SHIFTS,
+    _PAIRS,
     _phase_table,
+    _wootters_pairs,
     chart_embedding,
     check_periodicity,
     constrained_two_param_family,
@@ -20,7 +23,7 @@ from qorbits.families import (
     grid_points,
     sliced_family,
 )
-from qorbits.hamiltonian import first_order_jet
+from qorbits.hamiltonian import branch_sign, eigenbases, first_order_jet
 from qorbits.model import CaseClass, InitialCoefficients, classify
 
 from conftest import random_eta, well_posed
@@ -298,12 +301,25 @@ def _grid_axes(f, sizes, held=()):
             for name, n in zip(f.chart, sizes)]
 
 
-def _assert_grid_states_match(f, axes):
-    got = f.grid_states(axes)
-    want = f.states(grid_points(axes))
-    assert got.shape == want.shape == (math.prod(len(a) for a in axes), 4)
-    assert got.T.flags.c_contiguous  # component first
-    assert np.max(np.abs(got - want)) <= 1e-15
+@pytest.mark.parametrize("sizes", [(5,), (3, 0, 2), (2, 3, 4, 5)])
+def test_grid_points_are_bitwise_the_raveled_meshgrid(sizes, rng):
+    axes = [rng.normal(size=n) for n in sizes]
+    want = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    assert grid_points(axes).shape == (math.prod(sizes), len(sizes))
+    assert grid_points(axes).tobytes() == want.tobytes()
+    # no axes: one point, the empty tuple
+    assert grid_points([]).shape == (1, 0)
+
+
+# The test_grid_states_* tests evaluate the states of a tensor grid the way
+# scan_concurrence does, through StateFamily.grid_concurrences, which reads
+# their concurrences without forming them; the reference is concurrences of
+# StateFamily.states on grid_points.
+def _assert_grid_concurrences_match(f, axes):
+    got = f.grid_concurrences(axes)
+    want = concurrences(f.states(grid_points(axes)))
+    assert got.shape == want.shape == (math.prod(len(a) for a in axes),)
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e-3])
@@ -317,9 +333,13 @@ def test_grid_states_equal_states_on_the_meshgrid(pattern, beta, rng):
         fams.append(sliced_family(f, {name: float(np.mean(GRID_RANGES[name]))}))
     for fam in fams:
         for sizes in GRID_SIZES[fam.dim]:
-            _assert_grid_states_match(fam, _grid_axes(fam, sizes))
+            _assert_grid_concurrences_match(fam, _grid_axes(fam, sizes))
         # phi and c held at 0, as in a scan that does not give them
-        _assert_grid_states_match(fam, _grid_axes(fam, GRID_SIZES[fam.dim][0], ("phi", "c")))
+        _assert_grid_concurrences_match(fam, _grid_axes(fam, GRID_SIZES[fam.dim][0], ("phi", "c")))
+    # and the per-point route, one state at a time
+    axes = _grid_axes(f, GRID_SIZES[f.dim][0])
+    want = [concurrence(f.state(xi)) for xi in grid_points(axes)]
+    assert np.max(np.abs(f.grid_concurrences(axes) - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e-3])
@@ -329,7 +349,7 @@ def test_grid_states_on_the_constrained_family(beta, rng):
     f = dataclasses.replace(constrained_two_param_family(3.0, random_eta(rng)), beta=beta)
     for sizes in GRID_SIZES[2]:
         axes = [np.linspace(0.2, 1.0, sizes[0]), np.linspace(2.5, 3.0, sizes[1])]
-        _assert_grid_states_match(f, axes)
+        _assert_grid_concurrences_match(f, axes)
 
 
 @pytest.mark.parametrize("c3", [0.25, -0.25])
@@ -340,7 +360,7 @@ def test_grid_states_raise_at_a_resonance(c3, rng):
     with pytest.raises(ResonanceError):
         f.states(grid_points(axes))
     with pytest.raises(ResonanceError):
-        f.grid_states(axes)
+        f.grid_concurrences(axes)
 
 
 def test_grid_states_reject_wrong_axes(rng):
@@ -348,7 +368,7 @@ def test_grid_states_reject_wrong_axes(rng):
     axis = np.linspace(0, 1, 3)
     for axes in ([axis] * 3, [axis] * 5, [axis] * 3 + [axis[None]]):
         with pytest.raises(ValueError, match="expected 4 1-D axes"):
-            f.grid_states(axes)
+            f.grid_concurrences(axes)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e-3])
@@ -357,7 +377,7 @@ def test_grid_states_on_an_empty_axis(empty, beta, rng):
     f = family_for_case(CaseClass("C7"), random_eta(rng), beta=beta)
     axes = _grid_axes(f, (3, 3, 3, 3))
     axes[empty] = axes[empty][:0]
-    assert f.grid_states(axes).shape == (0, 4)
+    assert f.grid_concurrences(axes).shape == (0,)
 
 
 def _count_jet_points(monkeypatch):
@@ -379,16 +399,35 @@ def test_grid_states_bound_each_eigenbasis_call(monkeypatch, rng):
     # each grid point in one block
     f = family_for_case(CaseClass("C7"), random_eta(rng), beta=1e-3)
     axes = _grid_axes(f, (2, 12, 12, 12))
+    want = concurrences(f.states(grid_points(axes)))
     counts = _count_jet_points(monkeypatch)
-    got = f.grid_states(axes)
+    got = f.grid_concurrences(axes)
     assert len(counts) > 1 and max(counts) <= BLOCK_ROWS
     assert sum(counts) == len(got) == 2 * 12**3
-    assert np.max(np.abs(got - f.states(grid_points(axes)))) <= 1e-15
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_grid_states_evaluate_one_eigenbasis_per_phi_value(monkeypatch, rng):
     # at beta = 0 the basis reads phi alone
     f = family_for_case(CaseClass("C7"), random_eta(rng))
     counts = _count_jet_points(monkeypatch)
-    f.grid_states(_grid_axes(f, (8, 8, 8, 8)))
+    f.grid_concurrences(_grid_axes(f, (8, 8, 8, 8)))
     assert counts == [8]
+
+
+@pytest.mark.parametrize("phi", [-3.0, -math.pi / 2, -0.4, 0.0, 1.1, math.pi / 2, 2.5, math.pi])
+def test_wootters_form_at_beta_zero(phi, rng):
+    # ad - bc of psi = sum_k a_k psi_k is
+    # (cos phi (a1^2 - a2^2) - 2 s sin phi a1 a2 - a3^2 + a4^2)/2 on both
+    # branches s = branch_sign(phi), and sum_{k<=l} a_k a_l w_kl
+    bases = eigenbases(np.array([phi]))
+    a = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    psi = a @ bases[0]
+    direct = psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2]
+    a1, a2, a3, a4 = a.T
+    form = 0.5 * (math.cos(phi) * (a1**2 - a2**2) - 2 * branch_sign(phi) * math.sin(phi) * a1 * a2
+                  - a3**2 + a4**2)
+    assert np.array_equal(_PAIRS, np.triu_indices(4))
+    pairs = (a[:, _PAIRS[0]] * a[:, _PAIRS[1]]) @ _wootters_pairs(bases)[0]
+    assert np.max(np.abs(form - direct)) <= 1e-14
+    assert np.max(np.abs(pairs - direct)) <= 1e-14
