@@ -290,13 +290,19 @@ class ConcurrenceScan:
     case: str
     eta: InitialCoefficients
     grid: dict
-    coords: np.ndarray
+    axes: tuple
     values: np.ndarray
+
+    @property
+    def coords(self) -> np.ndarray:
+        """The (N, dim) grid points of values, grid_points(axes)."""
+        return grid_points(self.axes)
 
     @property
     def argmax(self):
         k = int(np.argmax(self.values))
-        return self.coords[k], float(self.values[k])
+        index = np.unravel_index(k, [len(a) for a in self.axes])
+        return np.array([a[i] for a, i in zip(self.axes, index)]), float(self.values[k])
 
 
 def scan_concurrence(f: StateFamily, grid: dict) -> ConcurrenceScan:
@@ -322,4 +328,4 @@ def scan_concurrence(f: StateFamily, grid: dict) -> ConcurrenceScan:
             axes.append(np.linspace(a, b, int(n)))
         else:
             axes.append(np.array([0.0]))
-    return ConcurrenceScan(f.case.label, f.eta, dict(grid), grid_points(axes), f.grid_concurrences(axes))
+    return ConcurrenceScan(f.case.label, f.eta, dict(grid), tuple(axes), f.grid_concurrences(axes))

@@ -36,10 +36,12 @@ from .errors import CaseMismatchError
 from .hamiltonian import (
     PSI3,
     PSI4,
+    couplings,
     eigvec_pair,
     first_order_jet,
-    jet_reads,
+    half_angles,
     normalize_jet,
+    perturbation_denominators,
 )
 from .model import (
     CaseClass,
@@ -51,10 +53,12 @@ from .model import (
 # the perturbative resonances 2 c3 +- omega - c_plus = 0.
 DEFAULT_FROZEN = {"omega": 0.9, "phi": 0.3, "c3": 0.35, "c_plus": 0.55}
 
-# Long batches are evaluated in blocks of this many rows, and the batch
-# axes of a tensor grid (StateFamily.grid_concurrences) in blocks of this
-# many points, which bounds the size of the stacked (rows, 4, 4) eigenbasis.
+# Long batches are evaluated in blocks of BLOCK_ROWS rows, which bounds the
+# size of the stacked (rows, 4, 4) eigenbasis, and scans
+# (StateFamily.grid_concurrences) in C-order boxes of at most SCAN_BOX
+# points, which bounds their working set.
 BLOCK_ROWS = 512
+SCAN_BOX = 4096
 
 # Coordinates the eigenbasis is evaluated at, in this order.
 BASIS_COORDS = ("omega", "phi", "c3", "c_plus")
@@ -258,59 +262,50 @@ class StateFamily:
         return [part.transpose(0, *range(2, part.ndim), 1) for part in jet]
 
     def grid_concurrences(self, axes) -> np.ndarray:
-        """Concurrences 2|ad - bc| of the normalized states at the
-        grid_points(axes) of one 1-D axis per chart coordinate, shape (N,),
-        without forming the states: ad - bc is Wootters' bilinear form
-        sum_{k<=l} a_k a_l w_kl (_wootters_pairs) of the phased coefficients
-        a_k = eta_k e^{i theta_k}.  Since theta is affine, a_k is a product
-        of one factor exp(i lin[k, mu] x_mu) per axis value.  The axes up to
-        the last one the eigenbasis reads (jet_reads: phi alone at beta = 0)
-        form the batch, taken in C-order blocks of BLOCK_ROWS points, each
-        with one eigenbasis per distinct point of the axes it reads; the
-        later axes form the R columns of one factor table that every block
-        shares.  At beta = 0 the basis is unitary and |psi| = |eta| = 1, so a
-        block is one (n, 10) @ (10, R) product over the pairs k <= l; at
-        beta != 0 it forms v = sum_k a_k b_k and takes
-        2|v0 v3 - v1 v2| / |v|^2.  A non-finite value raises ValueError."""
+        """Concurrences at the grid_points(axes) of one 1-D axis per chart
+        coordinate, shape (N,), from the coefficients c of each state over
+        the frame e = eigenbases(phi), which is never formed:
+        C = |sum_j w_j (c c)_j| / sum|c_k|^2 (_form_weights).  At beta = 0,
+        c_k = a_k = eta_k e^{i theta_k}, sum|c_k|^2 = 1 and each pair
+        product is one factor per axis value, so the grid is
+        (n_head, 5) @ (5, R): the head axes, up to the last one phi reads,
+        carry the weights, the later ones the R columns of the tail.  At
+        beta != 0 the grid is all head, with c = (a1/N1 - beta k1 a3/N3,
+        a2/N2 - beta k2 a3/N3, a3/N3 + beta (k1 a1/N1 + k2 a2/N2), a4) from
+        the couplings k and the row norms N = sqrt(1 + beta^2 (k1^2, k2^2,
+        k1^2 + k2^2)).  The head is taken in C-order boxes (_boxes) of at
+        most SCAN_BOX points.  A non-finite value raises ValueError."""
         axes = [np.asarray(a, dtype=float) for a in axes]
         if len(axes) != self.dim or any(a.ndim != 1 for a in axes):
             raise ValueError(f"expected {self.dim} 1-D axes, got {[a.shape for a in axes]}")
         lin, offset, basis, basis0 = self._table
-        reads = np.flatnonzero(basis[list(jet_reads(self.beta))].any(axis=0))
-        t = reads[-1] + 1 if len(reads) else 0
-        # (len(axis), 4) per axis
-        factors = [np.exp(1j * np.outer(a, lin[:, mu])) for mu, a in enumerate(axes)]
-        tail = np.ones((4, 1))
-        for f in factors[t:]:
-            tail = (tail[:, :, None] * f.T[:, None, :]).reshape(4, -1)
-        if self.beta == 0.0:
-            # the tail's share of a_k a_l per pair k <= l, times the 2 of
-            # 2|ad - bc|
-            tail = 2.0 * tail[_PAIRS[0]] * tail[_PAIRS[1]]
-        batch = [len(a) for a in axes[:t]]
-        out = np.empty((math.prod(batch), tail.shape[1]))
         amps = self.eta.as_array() * np.exp(1j * offset)
-        for start in range(0, len(out), BLOCK_ROWS):
-            idx = np.unravel_index(np.arange(start, min(start + BLOCK_ROWS, len(out))), batch) if batch else ()
-            head = amps[None]
-            for f, i in zip(factors, idx):
-                head = head * f[i]
-            points = np.array([axes[mu][idx[mu]] for mu in reads]).reshape(len(reads), len(head)).T
-            inverse = slice(None)
-            if len(reads) < t:
-                # distinct points of the axes reads, by their C-order index
-                key = np.ravel_multi_index([idx[mu] for mu in reads], [len(axes[mu]) for mu in reads])
-                _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-                points = points[first]
-            bases = first_order_jet(*(points @ basis[:, reads].T + basis0).T, self.beta)[0]
-            if self.beta == 0.0:
-                left = head[:, _PAIRS[0]] * head[:, _PAIRS[1]] * _wootters_pairs(bases)[inverse]
-                np.abs(left @ tail, out=out[start:start + BLOCK_ROWS])
-            else:
-                # (component, n, R)
-                v = np.matmul(bases[inverse].transpose(2, 0, 1) * head, tail)
-                norm2 = (v.real**2 + v.imag**2).sum(axis=0)
-                out[start:start + BLOCK_ROWS] = 2.0 * np.abs(v[0] * v[3] - v[1] * v[2]) / norm2
+        shape = [len(a) for a in axes]
+        i, j = _FORM_PAIRS
+        t = self.dim if self.beta else max(np.flatnonzero(basis[1]), default=-1) + 1
+        factors = [np.exp(np.multiply.outer(1j * lin[:, mu], a)) for mu, a in enumerate(axes)]
+        # the BASIS_COORDS x @ basis.T + basis0 as one term per axis value
+        terms = [np.multiply.outer(basis[:, mu], a) for mu, a in enumerate(axes)]
+        tail = _box_values([f[i] * f[j] for f in factors[t:]], [slice(None)] * (self.dim - t),
+                           np.multiply, np.ones(5))
+        out = np.empty((math.prod(shape[:t]), tail.shape[1]))
+        rows = max(1, SCAN_BOX // max(1, tail.shape[1]))
+        start = 0
+        for box in _boxes(shape[:t], SCAN_BOX):
+            c = _box_values(factors[:t], box, np.multiply, amps)
+            omega, phi, c3, c_plus = _box_values(terms[:t], box, np.add, np.zeros(4)) + basis0[:, None]
+            s, cu, su = half_angles(phi)
+            if self.beta:
+                bk1, bk2 = self.beta * np.array(couplings(*perturbation_denominators(omega, c3, c_plus), s, cu, su))
+                b1, b2, b3 = c[:3] / np.sqrt(1.0 + np.array([bk1**2, bk2**2, bk1**2 + bk2**2]))
+                c = np.array([b1 - bk1 * b3, b2 - bk2 * b3, b3 + bk1 * b1 + bk2 * b2, c[3]])
+            head = _form_weights(s, cu, su) * c[i] * c[j]
+            block = out[start:start + len(phi)]
+            for k in range(0, len(phi), rows):
+                np.abs(head[:, k:k + rows].T @ tail, out=block[k:k + rows])
+            if self.beta:
+                block /= (c.real**2 + c.imag**2).sum(axis=0)[:, None]
+            start += len(phi)
         out = out.reshape(-1)
         if not np.isfinite(out).all():
             raise ValueError(f"concurrence not finite: {out[~np.isfinite(out)][0]!r}")
@@ -335,23 +330,40 @@ def grid_points(axes) -> np.ndarray:
     return out.reshape(math.prod(shape), len(axes))
 
 
-# The row and column indices of the pairs k <= l, in the order of the
-# columns of _wootters_pairs: np.triu_indices(4), written out because that
-# call costs about 0.15 MB of peak memory at import
-_PAIRS = (np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3]), np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3]))
+# (c1^2, c2^2, c1 c2, c3^2, c4^2) as row and column indices of c
+_FORM_PAIRS = ([0, 1, 0, 2, 3], [0, 1, 1, 2, 3])
 
 
-def _wootters_pairs(bases) -> np.ndarray:
-    """The weights w_kl, k <= l, of the rows b_k of (N, 4, 4) bases, shape
-    (N, 10), for which psi = sum_k a_k b_k has
-    psi_0 psi_3 - psi_1 psi_2 = sum_{k<=l} a_k a_l w_kl: the symmetric form
-    b_k0 b_l3 + b_l0 b_k3 - b_k1 b_l2 - b_l1 b_k2, halved on the diagonal.
-    At beta = 0, with s = branch_sign(phi), the sum is
-    (cos phi (a1^2 - a2^2) - 2 s sin phi a1 a2 - a3^2 + a4^2)/2."""
-    m = bases[:, :, None, 0] * bases[:, None, :, 3] - bases[:, :, None, 1] * bases[:, None, :, 2]
-    w = (m + m.transpose(0, 2, 1))[:, _PAIRS[0], _PAIRS[1]]
-    w[:, _PAIRS[0] == _PAIRS[1]] *= 0.5
-    return w
+def _form_weights(s, cu, su) -> np.ndarray:
+    """The weights w, shape (5, N), for which 2(ad - bc) = sum_j w_j (c c)_j
+    over the pairs _FORM_PAIRS of the coefficients c of sum_k c_k e_k,
+    e = eigenbases(phi), from the half_angles of (N,) angles phi:
+    (s|cos phi|, -s|cos phi|, -2 s sin phi, -1, 1) with |cos phi| = 2 cu su
+    and sin phi = cu^2 - su^2; s|cos phi| = cos phi but in BRANCH_SNAP."""
+    cos = 2.0 * s * cu * su
+    return np.array([cos, -cos, -2.0 * s * (cu - su) * (cu + su), -np.ones_like(cos), np.ones_like(cos)])
+
+
+def _boxes(shape, size):
+    """The boxes, tuples of one slice per axis, that tile a grid of this
+    shape in C-order, each of at most size >= 1 points."""
+    if math.prod(shape) <= size:
+        yield (slice(None),) * len(shape)
+        return
+    step = max(1, size // math.prod(shape[1:]))
+    for k in range(0, shape[0], step):
+        for box in _boxes(shape[1:], size):
+            yield (slice(k, k + step),) + box
+
+
+def _box_values(tables, box, op, init) -> np.ndarray:
+    """The values over the points of a box of a grid, in C-order, that op
+    combines from init (m,) and one column per axis value of the per-axis
+    tables (m, len(axis)): shape (m, points)."""
+    out = np.asarray(init)[:, None]
+    for table, part in zip(tables, box):
+        out = op(out[:, :, None], table[:, None, part]).reshape(len(out), -1)
+    return out
 
 
 @lru_cache(maxsize=128)
@@ -471,7 +483,8 @@ def check_periodicity(
     the family's case.
 
     Failures are reported, never raised.  Base phi values keep a margin from
-    the cos(phi) = 0 gauge jump of the eigenvector branch.
+    cos(phi) = 0, where the branch sign flips one eigenvector and the state
+    jumps.
     """
     if f.beta != 0.0:
         raise ValueError("periodicity conditions are defined for beta = 0")

@@ -25,7 +25,6 @@ PSI3 = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
 PSI4 = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 
 _BELL_ROWS = np.array([PSI3, PSI4])
-_INV_SQRT2 = 1.0 / math.sqrt(2)
 
 HERMITICITY_TOL = 1e-14
 # Jacobi solver: off-diagonal Frobenius norm at which it stops, and the
@@ -77,6 +76,14 @@ def branch_sign(phi):
     return 1.0 - 2.0 * (np.cos(phi) < BRANCH_SNAP)
 
 
+def half_angles(phi):
+    """s = branch_sign(phi), sqrt((1 + sin phi)/2) = |cos u| and
+    sqrt((1 - sin phi)/2) = |sin u|, u = phi/2 - pi/4, which do not cancel:
+    psi1 = (s|cos u|, 0, 0, |sin u|), psi2 = (s|sin u|, 0, 0, -|cos u|)."""
+    u = 0.5 * np.asarray(phi, dtype=float) - 0.25 * math.pi
+    return branch_sign(phi), np.abs(np.cos(u)), np.abs(np.sin(u))
+
+
 def eigenbases(phi) -> np.ndarray:
     """Eigenvector rows psi1..psi4 at each of an (N,) array of angles, shape
     (N, 4, 4).
@@ -87,16 +94,10 @@ def eigenbases(phi) -> np.ndarray:
     representation wherever the latter is defined and stays finite at the
     pure-field limit |sin phi| -> 1.
     """
-    phi = np.asarray(phi, dtype=float)
-    sin = np.sin(phi)
-    s = branch_sign(phi) * _INV_SQRT2
-    sp = np.sqrt(1.0 + sin)
-    sm = np.sqrt(1.0 - sin)
-    bases = np.zeros(phi.shape + (4, 4), dtype=complex)
-    bases[..., 0, 0] = s * sp
-    bases[..., 0, 3] = sm * _INV_SQRT2
-    bases[..., 1, 0] = s * sm
-    bases[..., 1, 3] = sp * -_INV_SQRT2
+    s, cu, su = half_angles(phi)
+    bases = np.zeros(np.shape(phi) + (4, 4), dtype=complex)
+    bases[..., 0, 0], bases[..., 0, 3] = s * cu, su
+    bases[..., 1, 0], bases[..., 1, 3] = s * su, -cu
     bases[..., 2:, :] = _BELL_ROWS
     return bases
 
@@ -109,23 +110,13 @@ def eigvec_pair(phi: float) -> tuple[np.ndarray, np.ndarray]:
 
 def eigenbases_dphi(phi) -> np.ndarray:
     """d/dphi of eigenbases at each of an (N,) array of angles, shape
-    (N, 4, 4); the Bell rows are constant.
-
-    With cos(phi) = s sqrt(1+sin phi) sqrt(1-sin phi), s = sign(cos phi),
-    the derivatives of psi1, psi2 are free of division:
-    (sqrt(1-sin), 0, 0, -s sqrt(1+sin))/(2 sqrt 2) and
-    (-sqrt(1+sin), 0, 0, -s sqrt(1-sin))/(2 sqrt 2).
+    (N, 4, 4); the Bell rows are constant.  On each branch psi1' = s psi2/2
+    and psi2' = -s psi1/2 with s = branch_sign(phi), free of division.
     """
-    phi = np.asarray(phi, dtype=float)
-    sin = np.sin(phi)
-    s = branch_sign(phi)
-    sp = 0.5 * _INV_SQRT2 * np.sqrt(1.0 + sin)
-    sm = 0.5 * _INV_SQRT2 * np.sqrt(1.0 - sin)
-    dbases = np.zeros(phi.shape + (4, 4), dtype=complex)
-    dbases[..., 0, 0] = sm
-    dbases[..., 0, 3] = -s * sp
-    dbases[..., 1, 0] = -sp
-    dbases[..., 1, 3] = -s * sm
+    s, cu, su = half_angles(phi)
+    dbases = np.zeros(np.shape(phi) + (4, 4), dtype=complex)
+    dbases[..., 0, 0], dbases[..., 0, 3] = 0.5 * su, -0.5 * s * cu
+    dbases[..., 1, 0], dbases[..., 1, 3] = -0.5 * cu, -0.5 * s * su
     return dbases
 
 
@@ -237,22 +228,23 @@ _DDEN1 = np.array([1.0, 0.0, 2.0, -1.0])
 _DDEN2 = np.array([-1.0, 0.0, 2.0, -1.0])
 
 
-def _couplings(psi1, psi2, omega, c3, c_plus):
-    """Denominators (N,) and couplings k1, k2 (N, 1) of psi1, psi2 to psi3
-    under the x-field; raises ResonanceError if any point has a denominator
-    within RESONANCE_THRESHOLD."""
-    den1, den2 = perturbation_denominators(omega, c3, c_plus)
+def check_denominators(den1, den2):
+    """Raise ResonanceError if either perturbation_denominators value
+    (floats or (N,) arrays) lies within RESONANCE_THRESHOLD of 0."""
+    den1, den2 = np.atleast_1d(den1, den2)
     near = np.minimum(np.abs(den1), np.abs(den2))
     if np.any(near < RESONANCE_THRESHOLD):
         k = int(np.argmin(near))
-        raise ResonanceError(
-            f"perturbation-theory breakdown: denominators ({den1[k]:.3e}, "
-            f"{den2[k]:.3e}) below threshold {RESONANCE_THRESHOLD:.1e}"
-        )
+        raise ResonanceError(f"perturbation-theory breakdown: denominators ({den1[k]:.3e}, "
+                             f"{den2[k]:.3e}) below threshold {RESONANCE_THRESHOLD:.1e}")
+
+
+def couplings(den1, den2, s, cu, su):
+    """Couplings k1, k2 of psi1, psi2 to psi3 under the x-field from the
+    perturbation_denominators (after check_denominators) and half_angles."""
+    check_denominators(den1, den2)
     # <psi3|V|psi_l> = sqrt(2) (a_l + d_l) for the x-field perturbation V
-    k1 = (math.sqrt(2) * (psi1[..., 0] + psi1[..., 3]).real / den1)[..., None]
-    k2 = (math.sqrt(2) * (psi2[..., 0] + psi2[..., 3]).real / den2)[..., None]
-    return den1, den2, k1, k2
+    return math.sqrt(2) * (s * cu + su) / den1, math.sqrt(2) * (s * su - cu) / den2
 
 
 def normalize_jet(v, *partials):
@@ -280,13 +272,6 @@ def normalize_jet(v, *partials):
     d2u = (d2v - du[..., :, None] * p[..., None, None, :]
            - du[..., None, :] * p[..., None, :, None] - u[..., None, None] * q[..., None, :, :])
     return u, du, d2u / norm[..., None, None]
-
-
-def jet_reads(beta: float) -> tuple[int, ...]:
-    """Positions among first_order_jet's (omega, phi, c3, c_plus) of the
-    arguments its value depends on at this beta: phi alone for the exact
-    eigenbasis, all four once the coupling denominators enter."""
-    return (1,) if beta == 0.0 else (0, 1, 2, 3)
 
 
 def first_order_jet(omega, phi, c3, c_plus, beta: float, order: int = 0) -> tuple:
@@ -317,7 +302,8 @@ def first_order_jet(omega, phi, c3, c_plus, beta: float, order: int = 0) -> tupl
     if beta == 0.0:
         return tuple(jet)
     psi1, psi2 = bases[:, 0].copy(), bases[:, 1].copy()
-    den1, den2, k1, k2 = _couplings(psi1, psi2, omega, c3, c_plus)
+    den1, den2 = perturbation_denominators(omega, c3, c_plus)
+    k1, k2 = (k[:, None] for k in couplings(den1, den2, *half_angles(phi)))
     # the unnormalized first-order rows psi1..psi3
     bases[:, 0] = psi1 + beta * k1 * PSI3
     bases[:, 1] = psi2 + beta * k2 * PSI3

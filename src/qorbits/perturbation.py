@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoAdmissiblePointsError, ResonanceError
+from .errors import NoAdmissiblePointsError
 from .families import StateFamily
 from .fubini_study import MetricTensor, analytic_metric_c7, numeric_fs_metrics
-from .hamiltonian import RESONANCE_THRESHOLD, perturbation_denominators
+from .hamiltonian import check_denominators, perturbation_denominators
 from .model import CaseClass, InitialCoefficients
 
 COMPONENT_ORDER = ("omega", "phi", "c3", "c_plus")
@@ -169,12 +169,7 @@ def perturbed_metric_analytic(
     if beta == 0.0:
         return PerturbedMetric(base, np.zeros((4, 4)), 0.0)
     omega, _, c3, c_plus = (float(x) for x in xi)
-    den1, den2 = perturbation_denominators(omega, c3, c_plus)
-    if min(abs(den1), abs(den2)) < RESONANCE_THRESHOLD:
-        raise ResonanceError(
-            f"perturbation denominators ({den1:.3e}, {den2:.3e}) below "
-            f"{RESONANCE_THRESHOLD:.1e}"
-        )
+    check_denominators(*perturbation_denominators(omega, c3, c_plus))
     return PerturbedMetric(base, metric_correction_closed_form(eta, xi, gamma), beta)
 
 

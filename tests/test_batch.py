@@ -3,6 +3,7 @@ eigenbasis and the batched concurrence."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,11 +43,13 @@ def test_branch_rows_match_branch_sign():
     assert [branch_sign(p) for p in phis] == signs.tolist()
     eta = InitialCoefficients(1, 0, 0, 0)
     states = family_for_case(classify(eta), eta).states(np.array(phis)[:, None])
-    for phi, s, psi in zip(phis, signs, states):
-        sp = math.sqrt(max(0.0, 1 + math.sin(phi)))
-        sm = math.sqrt(max(0.0, 1 - math.sin(phi)))
-        want = np.array([s * sp, 0, 0, sm]) / math.sqrt(2)
-        assert np.max(np.abs(psi - want)) < 1e-15, phi
+    # psi1 = (s sqrt(1 + sin phi), 0, 0, sqrt(1 - sin phi))/sqrt(2) at the
+    # float angle, in 40 digits: in floats 1 -+ sin phi cancels near the seam
+    with mpmath.workdps(40):
+        for phi, s, psi in zip(phis, signs, states):
+            sin = mpmath.sin(mpmath.mpf(phi))
+            want = np.array([s * float(mpmath.sqrt((1 + sin) / 2)), 0, 0, float(mpmath.sqrt((1 - sin) / 2))])
+            assert np.max(np.abs(psi - want)) < 1e-15, phi
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e-3])

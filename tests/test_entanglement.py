@@ -13,8 +13,7 @@ from qorbits.entanglement import (
     scan_concurrence,
     verify_max_entangled_tables,
 )
-from qorbits.families import family_for_case, grid_points
-from qorbits.hamiltonian import first_order_jet
+from qorbits.families import _form_weights, family_for_case, grid_points
 from qorbits.model import InitialCoefficients, classify
 
 from conftest import random_eta
@@ -360,6 +359,25 @@ def test_perturbed_scan_matches_per_point_concurrence(rng):
     assert np.max(np.abs(scan.values - want)) <= 1e-14
 
 
+@pytest.mark.parametrize("grid", [
+    {"omega": (0.2, 1.0, 5), "phi": (-3.0, 3.0, 7), "c3": (1.6, 2.4, 4), "c_plus": (-1.0, -0.4, 3)},
+    {"phi": (-3.0, 3.0, 9), "c_plus": (-1.0, -0.4, 2)},
+    {"c3": (0.0, 1.0, 1)},
+])
+def test_scan_coordinates_come_from_the_axes(grid, rng):
+    # coords is grid_points of the axes, coordinates missing from the grid
+    # held at 0, and argmax the point of the largest value
+    eta = random_eta(rng, "C7")
+    scan = scan_concurrence(family_for_case(classify(eta), eta), grid)
+    axes = [np.linspace(*grid[name]) if name in grid else np.array([0.0])
+            for name in ("omega", "phi", "c3", "c_plus")]
+    assert scan.coords.tobytes() == grid_points(axes).tobytes()
+    xi, value = scan.argmax
+    k = int(np.argmax(scan.values))
+    assert xi.tobytes() == grid_points(axes)[k].tobytes()
+    assert value == scan.values[k]
+
+
 def test_concurrences_of_component_first_states_are_bitwise_those_of_rows(rng):
     eta = random_eta(rng, "C7")
     f = family_for_case(classify(eta), eta)
@@ -377,15 +395,17 @@ def test_concurrences_of_component_first_states_are_bitwise_those_of_rows(rng):
 
 @pytest.mark.parametrize("beta", [0.0, 1e-3])
 def test_scan_raises_on_a_nan_from_the_jet(beta, monkeypatch, rng):
+    # the NaN enters through the weights of the frame form, which the scan
+    # reads at every beta
     eta = random_eta(rng, "C7")
     f = family_for_case(classify(eta), eta, beta=beta)
 
-    def nan_jet(*args, **kwargs):
-        bases = first_order_jet(*args, **kwargs)
-        bases[0][-1, 1, 2] = math.nan
-        return bases
+    def nan_weights(*args):
+        weights = _form_weights(*args)
+        weights[0, -1] = math.nan
+        return weights
 
-    monkeypatch.setattr(families, "first_order_jet", nan_jet)
+    monkeypatch.setattr(families, "_form_weights", nan_weights)
     grid = {"omega": (0.2, 1.0, 3), "phi": (-3.0, 3.0, 4), "c3": (1.6, 2.4, 3),
             "c_plus": (-1.0, -0.4, 2)}
     with pytest.raises(ValueError, match="not finite"):

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qorbits import families
+from qorbits import families, hamiltonian
 from qorbits.entanglement import concurrence, concurrences
 from qorbits.errors import CaseMismatchError, ResonanceError
 from qorbits.families import (
+    _FORM_PAIRS,
     BLOCK_ROWS,
     PERIODICITY_SHIFTS,
-    _PAIRS,
+    SCAN_BOX,
+    StateFamily,
+    _embedding_tuples,
+    _form_weights,
     _phase_table,
-    _wootters_pairs,
     chart_embedding,
     check_periodicity,
     constrained_two_param_family,
@@ -23,7 +26,7 @@ from qorbits.families import (
     grid_points,
     sliced_family,
 )
-from qorbits.hamiltonian import branch_sign, eigenbases, first_order_jet
+from qorbits.hamiltonian import BRANCH_SNAP, branch_sign, eigenbases, half_angles
 from qorbits.model import CaseClass, InitialCoefficients, classify
 
 from conftest import random_eta, well_posed
@@ -283,8 +286,8 @@ def test_periodicity_in_one_batch_equals_the_per_shift_loop(pattern, rng):
 GRID_RANGES = {"omega": (0.2, 1.0), "phi": (-3.0, 3.0), "c3": (1.6, 2.4),
                "c_plus": (-1.0, -0.4), "c": (-2.0, 2.0)}
 # Axis lengths per chart dimension: a mixed grid, single points, and grids
-# whose batch axes (those up to the last one the eigenbasis reads) hold
-# more than BLOCK_ROWS points, so that they are taken in several blocks
+# of more than BLOCK_ROWS points, so that the reference states are taken
+# in several blocks
 GRID_SIZES = {
     1: [(5,), (1,), (BLOCK_ROWS + 88,)],
     2: [(4, 3), (1, 1), (BLOCK_ROWS + 88, 2)],
@@ -363,6 +366,36 @@ def test_grid_states_raise_at_a_resonance(c3, rng):
         f.grid_concurrences(axes)
 
 
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+@pytest.mark.parametrize("phi_row", [(1.3, -0.7, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
+@pytest.mark.parametrize("pattern", ["C5", "C7"])
+def test_grid_states_under_random_embeddings(pattern, phi_row, beta, rng):
+    # phi mixes the first two chart axes, so that the head is two axes and
+    # the tail two more at beta = 0, or is held; omega, c3, c_plus and c
+    # are random affine maps that keep 2 c3 +- omega - c_plus >= 0.5
+    E = rng.uniform(-0.3, 0.3, size=(5, 4))
+    E[1] = phi_row
+    e0 = np.array([0.4, 0.3, 2.0, -0.5, 0.7])
+    f = StateFamily(CaseClass(pattern), random_eta(rng, pattern), ("u", "v", "w", "z"), beta,
+                    _embedding_tuples(E, e0))
+    _assert_grid_concurrences_match(f, [np.linspace(-1.0, 1.0, n) for n in (5, 7, 3, 4)])
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_grid_states_across_the_seam(beta, rng):
+    # phi values at cos(phi) = 0, 1e-9 off it on both sides, and in and
+    # just past the BRANCH_SNAP band, where the state jumps
+    seams = []
+    for seam in (-math.pi / 2, math.pi / 2):
+        seams += [seam, seam - 1e-9, seam + 1e-9]
+    seams += [math.pi / 2 - 0.5 * BRANCH_SNAP, math.pi / 2 - 2 * BRANCH_SNAP,
+              -math.pi / 2 + 0.5 * BRANCH_SNAP, -math.pi / 2 + 2 * BRANCH_SNAP]
+    f = family_for_case(CaseClass("C7"), random_eta(rng), beta=beta)
+    axes = _grid_axes(f, (3, 1, 2, 3))
+    axes[1] = np.array(seams)
+    _assert_grid_concurrences_match(f, axes)
+
+
 def test_grid_states_reject_wrong_axes(rng):
     f = family_for_case(CaseClass("C7"), random_eta(rng))
     axis = np.linspace(0, 1, 3)
@@ -380,54 +413,58 @@ def test_grid_states_on_an_empty_axis(empty, beta, rng):
     assert f.grid_concurrences(axes).shape == (0,)
 
 
-def _count_jet_points(monkeypatch):
-    """Patch the eigenbasis jet that families calls to record the number
-    of points of each call."""
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_grid_states_bound_each_box(beta, monkeypatch, rng):
+    # the head, the first two C7 axes at beta = 0 and the whole grid at
+    # beta != 0, is taken in C-order boxes of at most SCAN_BOX points, each
+    # head point in one box
+    f = family_for_case(CaseClass("C7"), random_eta(rng), beta=beta)
+    axes = _grid_axes(f, (70, 70, 2, 2))
+    want = concurrences(f.states(grid_points(axes)))
     counts = []
 
-    def counted(*args, **kwargs):
-        counts.append(len(np.atleast_1d(args[1])))
-        return first_order_jet(*args, **kwargs)
+    def counted(s, cu, su):
+        counts.append(len(s))
+        return _form_weights(s, cu, su)
 
-    monkeypatch.setattr(families, "first_order_jet", counted)
-    return counts
-
-
-def test_grid_states_bound_each_eigenbasis_call(monkeypatch, rng):
-    # at beta != 0 the basis reads every C7 axis: a short first axis and
-    # long later ones are taken in blocks of at most BLOCK_ROWS points,
-    # each grid point in one block
-    f = family_for_case(CaseClass("C7"), random_eta(rng), beta=1e-3)
-    axes = _grid_axes(f, (2, 12, 12, 12))
-    want = concurrences(f.states(grid_points(axes)))
-    counts = _count_jet_points(monkeypatch)
+    monkeypatch.setattr(families, "_form_weights", counted)
     got = f.grid_concurrences(axes)
-    assert len(counts) > 1 and max(counts) <= BLOCK_ROWS
-    assert sum(counts) == len(got) == 2 * 12**3
+    assert len(counts) > 1 and max(counts) <= SCAN_BOX
+    assert sum(counts) == (70 * 70 if beta == 0.0 else len(got))
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
-def test_grid_states_evaluate_one_eigenbasis_per_phi_value(monkeypatch, rng):
-    # at beta = 0 the basis reads phi alone
+def test_grid_states_evaluate_no_eigenbasis_at_beta_zero(monkeypatch, rng):
+    # at beta = 0 the frame form needs no basis, no couplings and no jet
     f = family_for_case(CaseClass("C7"), random_eta(rng))
-    counts = _count_jet_points(monkeypatch)
-    f.grid_concurrences(_grid_axes(f, (8, 8, 8, 8)))
-    assert counts == [8]
+    axes = _grid_axes(f, (8, 8, 8, 8))
+    want = concurrences(f.states(grid_points(axes)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called at beta = 0")
+
+    for module, name in ((hamiltonian, "eigenbases"), (families, "first_order_jet"),
+                         (families, "couplings")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert np.max(np.abs(f.grid_concurrences(axes) - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("phi", [-3.0, -math.pi / 2, -0.4, 0.0, 1.1, math.pi / 2, 2.5, math.pi])
 def test_wootters_form_at_beta_zero(phi, rng):
     # ad - bc of psi = sum_k a_k psi_k is
     # (cos phi (a1^2 - a2^2) - 2 s sin phi a1 a2 - a3^2 + a4^2)/2 on both
-    # branches s = branch_sign(phi), and sum_{k<=l} a_k a_l w_kl
-    bases = eigenbases(np.array([phi]))
-    a = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
-    psi = a @ bases[0]
-    direct = psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2]
-    a1, a2, a3, a4 = a.T
-    form = 0.5 * (math.cos(phi) * (a1**2 - a2**2) - 2 * branch_sign(phi) * math.sin(phi) * a1 * a2
-                  - a3**2 + a4**2)
-    assert np.array_equal(_PAIRS, np.triu_indices(4))
-    pairs = (a[:, _PAIRS[0]] * a[:, _PAIRS[1]]) @ _wootters_pairs(bases)[0]
-    assert np.max(np.abs(form - direct)) <= 1e-14
-    assert np.max(np.abs(pairs - direct)) <= 1e-14
+    # branches s = branch_sign(phi), which _form_weights gives over the
+    # pairs _FORM_PAIRS; in the BRANCH_SNAP band cos phi is s |cos phi|
+    for angle in (phi, phi - 0.5 * BRANCH_SNAP):
+        bases = eigenbases(np.array([angle]))
+        a = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        psi = a @ bases[0]
+        direct = psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2]
+        a1, a2, a3, a4 = a.T
+        s = branch_sign(angle)
+        form = 0.5 * (s * abs(math.cos(angle)) * (a1**2 - a2**2) - 2 * s * math.sin(angle) * a1 * a2
+                      - a3**2 + a4**2)
+        i, j = _FORM_PAIRS
+        pairs = 0.5 * (a[:, i] * a[:, j]) @ _form_weights(*half_angles(np.array([angle])))[:, 0]
+        assert np.max(np.abs(form - direct)) <= 1e-14
+        assert np.max(np.abs(pairs - direct)) <= 1e-14
