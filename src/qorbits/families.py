@@ -16,10 +16,13 @@ another embedding (sliced_family, constrained_two_param_family).
 Evaluation.  Every case is the general state sum_k eta_k e^{i theta_k} psi_k
 with the phases theta_k affine in the chart coordinates (PHASE_FORMS), so one
 batched path serves all seven cases: the state and its exact chart partials
-up to order 0, 1 or 2 (StateFamily.states, tangents, hessians), from the
-phases, which contribute i theta_k', and the eigenbasis jet
-hamiltonian.first_order_jet.  state is the one-row case of states; the
-second partials serve the Gauss-equation curvature.  On the general orbit
+up to order 0, 1 or 2 (StateFamily.states, tangents, hessians).  They are
+kept as coefficients over the unperturbed frame e = (psi1, psi2, PSI3, PSI4)
+= hamiltonian.eigenbases(phi) until one contraction with e: the phases
+contribute i theta_k', the first-order rows hamiltonian.first_order_rows
+mix the coefficients at beta != 0, and the frame turns along phi as
+e' = (s/2) J e.  state is the one-row case of states; the second partials
+serve the Gauss-equation curvature.  On the general orbit
 (C1, C3, C7) states also takes one coefficient row per point, so a batch
 may mix coefficient sets.
 """
@@ -36,9 +39,11 @@ from .errors import CaseMismatchError
 from .hamiltonian import (
     PSI3,
     PSI4,
+    branch_sign,
     couplings,
+    eigenbases,
     eigvec_pair,
-    first_order_jet,
+    first_order_rows,
     half_angles,
     normalize_jet,
     perturbation_denominators,
@@ -54,11 +59,16 @@ from .model import (
 DEFAULT_FROZEN = {"omega": 0.9, "phi": 0.3, "c3": 0.35, "c_plus": 0.55}
 
 # Long batches are evaluated in blocks of BLOCK_ROWS rows, which bounds the
-# size of the stacked (rows, 4, 4) eigenbasis, and scans
+# size of the stacked (rows, 4, 4, 4, 4) second partials of the first-order
+# rows, and scans
 # (StateFamily.grid_concurrences) in C-order boxes of at most SCAN_BOX
 # points, which bounds their working set.
 BLOCK_ROWS = 512
 SCAN_BOX = 4096
+
+# The frame's turn along phi on each branch, psi1' = s psi2/2 and
+# psi2' = -s psi1/2: d e/d phi = (s/2) _J @ e, with _J @ _J = -1 on psi1, psi2.
+_J = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4])
 
 # Coordinates the eigenbasis is evaluated at, in this order.
 BASIS_COORDS = ("omega", "phi", "c3", "c_plus")
@@ -155,29 +165,6 @@ class StateFamily:
         shared by every family of the same case and embedding."""
         return _phase_table(self.case.label, self.case.l, self.embedding)
 
-    @cached_property
-    def _tangent_map(self):
-        """(8, dim) map onto the chart partials from the phase terms
-        amps_k psi_k (top rows, i lin) and the partials along BASIS_COORDS
-        (bottom rows, the basis block of the embedding)."""
-        lin, _, basis, _ = self._table
-        return np.concatenate([1j * lin, basis])
-
-    @cached_property
-    def _hessian_map(self):
-        """(36, dim^2) map onto the chart second partials, flattened, built
-        from the two blocks of _tangent_map: from the phase terms
-        amps_k psi_k ((i lin_km)(i lin_kn)), the mixed terms amps_k d_c psi_k
-        (i lin_km chart_cn in both orders) and the basis second partials
-        sum_k amps_k d_c d_d psi_k (chart_cm chart_dn)."""
-        phase, chart = self._tangent_map[:4], self._tangent_map[4:]
-        mixed = phase[:, None, :, None] * chart[None, :, None, :]
-        return np.concatenate([
-            (phase[:, :, None] * phase[:, None, :]).reshape(4, -1),
-            (mixed + mixed.transpose(0, 1, 3, 2)).reshape(16, -1),
-            (chart[:, None, :, None] * chart[None, :, None, :]).reshape(16, -1),
-        ])
-
     def states(self, xs, etas=None) -> np.ndarray:
         """Normalized states at the rows of an (N, dim) batch, shape (N, 4).
         etas, an (N, 4) array of normalized coefficient rows such as
@@ -189,20 +176,19 @@ class StateFamily:
 
     def tangents(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """states(xs) and their exact partials along the chart, shape
-        (N, dim, 4), from one eigenbasis and its derivative per row."""
+        (N, dim, 4), from one frame per row."""
         return self._jet(xs, 1)
 
     def hessians(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """tangents(xs) and the exact second partials along the chart,
-        shape (N, dim, dim, 4), from one eigenbasis and its first and second
-        derivatives per row."""
+        shape (N, dim, dim, 4), from one frame per row."""
         return self._jet(xs, 2)
 
     def _jet(self, xs, order, etas=None):
         """The states at the rows of an (N, dim) batch and their chart
         partials up to order: order + 1 arrays of shapes
-        (N,) + (dim,) * k + (4,), filled in blocks of BLOCK_ROWS rows, with
-        the coefficient rows etas (see states) or self.eta."""
+        (N,) + (dim,) * k + (4,), in blocks of BLOCK_ROWS rows, with the
+        coefficient rows etas (see states) or self.eta."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ValueError(f"expected (N, {self.dim}) coordinates, got {xs.shape}")
@@ -214,52 +200,62 @@ class StateFamily:
             etas = np.asarray(etas, dtype=complex)
             if etas.shape != (len(xs), 4):
                 raise ValueError(f"expected ({len(xs)}, 4) coefficient rows, got {etas.shape}")
-        outs = [np.empty((len(xs),) + (self.dim,) * k + (4,), dtype=complex)
-                for k in range(order + 1)]
-        for start in range(0, len(xs), BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
-            rows = self.eta.as_array() if etas is None else etas[block]
-            for out, part in zip(outs, self._jet_block(xs[block], order, rows)):
-                out[block] = part
-        return tuple(outs)
+        eta = self.eta.as_array()
+        # an empty batch is one empty block
+        blocks = [self._jet_block(xs[k:k + BLOCK_ROWS], order,
+                                  eta if etas is None else etas[k:k + BLOCK_ROWS])
+                  for k in range(0, max(len(xs), 1), BLOCK_ROWS)]
+        return blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
 
     def _jet_block(self, xs, order, eta_rows):
-        """_jet on one block: the phased coefficients
-        amps_k = eta_k e^{i theta_k}, eta_rows (4,) or one row per point,
-        against the basis jet first_order_jet at the BASIS_COORDS, taken to
-        the chart by _tangent_map and _hessian_map, then normalized if
+        """_jet on one block, kept as coefficients over the unperturbed frame
+        e = eigenbases(phi) up to one contraction with e at the end: the
+        phased coefficients a_k = eta_k e^{i theta_k}, eta_rows (4,) or one
+        row per point, with chart partials i lin a; at beta != 0,
+        w = a @ rows with the first_order_rows taken to the chart; the
+        frame's turn along phi by the product rule; then normalized if
         beta != 0."""
         lin, offset, basis, basis0 = self._table
         coords = xs @ basis.T + basis0
-        amps = eta_rows * np.exp(1j * (xs @ lin.T + offset))
-        bases = first_order_jet(*coords.T, self.beta, order)
-        n = len(xs)
-        # stacked matmul keeps the summation order of a single amps @ basis
-        jet = [np.matmul(amps[:, None, :], bases[0])[:, 0]]
+        w = [eta_rows * np.exp(1j * (xs @ lin.T + offset))]
         if order >= 1:
-            # per state component: the phase terms amps_k psi_k and the basis
-            # partials sum_k amps_k d psi_k, side by side, taken to the chart
-            # in one (4 N, 8) @ (8, dim) product
-            phase_terms = amps[:, None, :] * bases[0].transpose(0, 2, 1)
-            parts = np.concatenate(
-                [phase_terms.reshape(-1, 4),
-                 np.matmul(amps[:, None, :], bases[1].reshape(n, 4, -1)).reshape(-1, 4)],
-                axis=1,
-            )
-            jet.append((parts @ self._tangent_map).reshape(n, 4, self.dim))
+            w.append(w[0][:, None, :] * (1j * lin.T))
         if order >= 2:
-            # per state component, the terms of _hessian_map side by side
-            parts = np.concatenate(
-                [phase_terms,
-                 (amps[:, None, :, None] * bases[1].transpose(0, 2, 1, 3)).reshape(n, 4, 16),
-                 np.matmul(amps[:, None, :], bases[2].reshape(n, 4, -1)).reshape(n, 4, 16)],
-                axis=2,
-            )
-            jet.append((parts @ self._hessian_map).reshape(n, 4, self.dim, self.dim))
+            w.append(w[1][:, :, None, :] * (1j * lin.T))
         if self.beta != 0.0:
-            jet = normalize_jet(*jet)
-        # component axis last
-        return [part.transpose(0, *range(2, part.ndim), 1) for part in jet]
+            rows = first_order_rows(*coords.T, self.beta, order)
+            a, n, dim = w, len(xs), self.dim
+            w = [np.matmul(a[0][:, None, :], rows[0])[:, 0]]
+            if order >= 1:
+                # the rows' chart partials, flattened past the row axis
+                drows = (basis.T @ rows[1]).reshape(n, 4, dim * 4)
+                w.append(a[1] @ rows[0] + (a[0][:, None, :] @ drows).reshape(n, dim, 4))
+            if order >= 2:
+                d2rows = basis.T @ (basis.T @ rows[2].reshape(n, 4, 4, 16)).reshape(n, 4, dim, 4, 4)
+                cross = (a[1] @ drows).reshape(n, dim, dim, 4)
+                w.append(a[2] @ rows[0][:, None] + cross + cross.swapaxes(1, 2)
+                         + (a[0][:, None, :] @ d2rows.reshape(n, 4, dim * dim * 4)).reshape(n, dim, dim, 4))
+        if order >= 1:
+            # d_mu e = t_mu J e with t = (s/2) times phi's chart gradient, so
+            # d_mu (w @ e) = (d_mu w + t_mu w J) @ e and d_mu d_nu (w @ e) =
+            # (d_mu d_nu w + t_mu d_nu w J + t_nu d_mu w J + t_mu t_nu w J J) @ e
+            t = np.multiply.outer(0.5 * branch_sign(coords[:, 1]), basis[1])
+            wj = w[0] @ _J
+            if order >= 2:
+                cross = t[:, :, None, None] * (w[1] @ _J)[:, None]
+                w[2] = (w[2] + cross + cross.swapaxes(1, 2)
+                        + (t[:, :, None] * t[:, None, :])[..., None] * (wj @ _J)[:, None, None])
+            w[1] = w[1] + t[:, :, None] * wj[:, None]
+        if self.beta != 0.0:
+            w = normalize_jet(*w)
+        e = eigenbases(coords[:, 1])
+        # a stacked matmul keeps the summation order of evolved_state's amps @ basis
+        jet = [np.matmul(w[0][:, None, :], e)[:, 0]]
+        if order >= 1:
+            jet.append(w[1] @ e)
+        if order >= 2:
+            jet.append(w[2] @ e[:, None])
+        return tuple(jet)
 
     def grid_concurrences(self, axes) -> np.ndarray:
         """Concurrences at the grid_points(axes) of one 1-D axis per chart

@@ -98,7 +98,7 @@ def _state_derivatives(family, xs, h, etas=None):
         psi_all = family.states(pts)
     else:
         psi_all = family.states(pts, np.repeat(etas, 1 + 4 * dim, axis=0))
-    psi_all = psi_all.reshape(n, 1 + 4 * dim, -1)
+    psi_all = psi_all.reshape(n, 1 + 4 * dim, 4)
     fp1, fm1, fp2, fm2 = (psi_all[:, 1 + k * dim:1 + (k + 1) * dim] for k in range(4))
     dpsi = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
     _require_finite(family, xs, dpsi)

@@ -108,18 +108,6 @@ def eigvec_pair(phi: float) -> tuple[np.ndarray, np.ndarray]:
     return psi1, psi2
 
 
-def eigenbases_dphi(phi) -> np.ndarray:
-    """d/dphi of eigenbases at each of an (N,) array of angles, shape
-    (N, 4, 4); the Bell rows are constant.  On each branch psi1' = s psi2/2
-    and psi2' = -s psi1/2 with s = branch_sign(phi), free of division.
-    """
-    s, cu, su = half_angles(phi)
-    dbases = np.zeros(np.shape(phi) + (4, 4), dtype=complex)
-    dbases[..., 0, 0], dbases[..., 0, 3] = 0.5 * su, -0.5 * s * cu
-    dbases[..., 1, 0], dbases[..., 1, 3] = -0.5 * cu, -0.5 * s * su
-    return dbases
-
-
 def analytic_energies(d: DerivedParams, c3: float) -> np.ndarray:
     return np.array(
         [c3 + d.omega, c3 - d.omega, -c3 + d.c_plus, -c3 - d.c_plus]
@@ -223,9 +211,8 @@ def perturbation_denominators(omega: float, c3: float, c_plus: float):
 
 
 # Gradients of the denominators 2c3 + omega - c_plus and 2c3 - omega - c_plus
-# over (omega, phi, c3, c_plus).
-_DDEN1 = np.array([1.0, 0.0, 2.0, -1.0])
-_DDEN2 = np.array([-1.0, 0.0, 2.0, -1.0])
+# over (omega, phi, c3, c_plus), one row each.
+_DDEN = np.array([[1.0, 0.0, 2.0, -1.0], [-1.0, 0.0, 2.0, -1.0]])
 
 
 def check_denominators(den1, den2):
@@ -249,8 +236,9 @@ def couplings(den1, den2, s, cu, su):
 
 def normalize_jet(v, *partials):
     """u = v/|v| over the last axis and the partials of u, one for each
-    array of partials of v given: dv of shape v.shape + (C,), one column per
-    partial, and d2v of shape v.shape + (C, C).  With p_c = Re<u|dv_c>,
+    array of partials of v given, the component axis last: dv of shape
+    v.shape[:-1] + (C, K), one row per partial, and d2v of shape
+    v.shape[:-1] + (C, C, K).  With p_c = Re<u|dv_c>,
 
         du_c = (dv_c - u p_c)/|v|
         d2u_cd = (d2v_cd - du_c p_d - du_d p_c - u (Re<du_d|dv_c> + Re<u|d2v_cd>))/|v|
@@ -261,84 +249,60 @@ def normalize_jet(v, *partials):
     if not partials:
         return (u,)
     dv = partials[0]
-    p = np.sum(u.conj()[..., None] * dv, axis=-2, keepdims=True).real
-    du = (dv - u[..., None] * p) / norm[..., None]
+    p = (dv @ u.conj()[..., None]).real
+    du = (dv - p * u[..., None, :]) / norm[..., None]
     if len(partials) == 1:
         return u, du
     d2v = partials[1]
-    p = p[..., 0, :]
-    q = (np.einsum("...kc,...kd->...cd", du.conj(), dv).real
-         + np.einsum("...k,...kcd->...cd", u.conj(), d2v).real)
-    d2u = (d2v - du[..., :, None] * p[..., None, None, :]
-           - du[..., None, :] * p[..., None, :, None] - u[..., None, None] * q[..., None, :, :])
+    q = (dv @ du.conj().swapaxes(-1, -2)).real + (d2v @ u.conj()[..., None, :, None])[..., 0].real
+    d2u = (d2v - du[..., :, None, :] * p[..., None, :, :] - du[..., None, :, :] * p[..., None]
+           - u[..., None, None, :] * q[..., None])
     return u, du, d2u / norm[..., None, None]
 
 
-def first_order_jet(omega, phi, c3, c_plus, beta: float, order: int = 0) -> tuple:
-    """Eigenvector rows psi1..psi4 at chart points given as (N,) arrays,
-    shape (N, 4, 4), corrected to first order in the x-field
-    beta(s1 x 1 + 1 x s1), and their exact partials along
-    (omega, phi, c3, c_plus) up to the given order: order + 1 arrays of
-    shapes (N, 4, 4) + (4,) * k, indexed (point, row, component,
-    coordinate, ...).
+def _coupling_rows(k1, k2):
+    """The rows of k1 C1 + k2 C2 over the frame (psi1, psi2, PSI3, PSI4),
+    where C_l couples psi_l to PSI3, for couplings of shape (N,) + S: shape
+    (N, 4) + S + (4,)."""
+    rows = np.zeros(k1.shape[:1] + (4,) + k1.shape[1:] + (4,))
+    rows[:, 0, ..., 2], rows[:, 1, ..., 2] = k1, k2
+    rows[:, 2, ..., 0], rows[:, 2, ..., 1] = -k1, -k2
+    return rows
 
-    The perturbation couples psi1, psi2 to psi3 only; psi4 is annihilated by
-    it and stays exact.  Each corrected row is normalized.  Raises
-    ResonanceError if any point has a denominator 2c3 +- omega - c_plus
-    within RESONANCE_THRESHOLD.
+
+def first_order_rows(omega, phi, c3, c_plus, beta: float, order: int = 0) -> tuple:
+    """The eigenvector rows corrected to first order in the x-field
+    beta(s1 x 1 + 1 x s1), as real coefficients over the unperturbed frame
+    e = eigenbases(phi), at chart points given as (N,) arrays: the rows of
+    I + beta (k1 C1 + k2 C2),
+
+        psi1 + beta k1 PSI3,   psi2 + beta k2 PSI3,
+        PSI3 - beta (k1 psi1 + k2 psi2),   PSI4,
+
+    each normalized, and their exact partials along (omega, phi, c3,
+    c_plus) with the frame held fixed, up to the given order: order + 1
+    arrays of shapes (N, 4) + (4,) * k + (4,), indexed (point, row,
+    coordinate, ..., frame component).  The perturbed eigenbasis is
+    rows @ e.  Raises ResonanceError if any point has a denominator
+    2c3 +- omega - c_plus within RESONANCE_THRESHOLD.
     """
-    phi = np.asarray(phi, dtype=float)
-    bases = eigenbases(phi)
-    jet = [bases]
+    s, cu, su = half_angles(phi)
+    den = np.array(perturbation_denominators(omega, c3, c_plus))
+    k = np.array(couplings(*den, s, cu, su))
+    jet = [np.eye(4) + beta * _coupling_rows(*k)]
     if order >= 1:
-        dbases = np.zeros((len(phi), 4, 4, 4), dtype=complex)
-        dbases[..., 1] = eigenbases_dphi(phi)
-        jet.append(dbases)
+        # k = num/den with constant denominator gradients; along phi the
+        # numerators turn as the frame does, num' = (s/2)(num2, -num1)
+        dk = -k[..., None] * _DDEN[:, None] / den[..., None]
+        dk[..., 1] += 0.5 * s * np.array([k[1] * den[1], -k[0] * den[0]]) / den
+        jet.append(beta * _coupling_rows(*dk))
     if order >= 2:
-        # psi1, psi2 are trigonometric in phi/2 on each branch
-        d2bases = np.zeros((len(phi), 4, 4, 4, 4), dtype=complex)
-        d2bases[:, :2, :, 1, 1] = -0.25 * bases[:, :2]
-        jet.append(d2bases)
-    if beta == 0.0:
-        return tuple(jet)
-    psi1, psi2 = bases[:, 0].copy(), bases[:, 1].copy()
-    den1, den2 = perturbation_denominators(omega, c3, c_plus)
-    k1, k2 = (k[:, None] for k in couplings(den1, den2, *half_angles(phi)))
-    # the unnormalized first-order rows psi1..psi3
-    bases[:, 0] = psi1 + beta * k1 * PSI3
-    bases[:, 1] = psi2 + beta * k2 * PSI3
-    bases[:, 2] = PSI3 - beta * (k1 * psi1 + k2 * psi2)
-    if order == 0:
-        return normalize_jet(bases)
-    dpsi1, dpsi2 = dbases[:, 0, :, 1].copy(), dbases[:, 1, :, 1].copy()
-    # dk/d(omega, phi, c3, c_plus): the constant denominator gradients, plus
-    # the phi term of the numerators
-    dk1 = -k1 * _DDEN1 / den1[:, None]
-    dk2 = -k2 * _DDEN2 / den2[:, None]
-    dk1[:, 1] += math.sqrt(2) * (dpsi1[:, 0] + dpsi1[:, 3]).real / den1
-    dk2[:, 1] += math.sqrt(2) * (dpsi2[:, 0] + dpsi2[:, 3]).real / den2
-    dbases[:, 0] += beta * PSI3[:, None] * dk1[:, None]
-    dbases[:, 1] += beta * PSI3[:, None] * dk2[:, None]
-    dbases[:, 2] = -beta * (psi1[..., None] * dk1[:, None] + psi2[..., None] * dk2[:, None])
-    dbases[:, 2, :, 1] -= beta * (k1 * dpsi1 + k2 * dpsi2)
-    if order == 1:
-        return normalize_jet(bases, dbases)
-    # k = n/den with n'' = -n/4 along phi and constant den gradients:
-    # d2k = (d2n - dk dden - dden dk)/den
-    d2k1 = -(dk1[:, :, None] * _DDEN1 + _DDEN1[:, None] * dk1[:, None]) / den1[:, None, None]
-    d2k2 = -(dk2[:, :, None] * _DDEN2 + _DDEN2[:, None] * dk2[:, None]) / den2[:, None, None]
-    d2k1[:, 1, 1] -= 0.25 * k1[:, 0]
-    d2k2[:, 1, 1] -= 0.25 * k2[:, 0]
-    d2bases[:, 0] += beta * PSI3[:, None, None] * d2k1[:, None]
-    d2bases[:, 1] += beta * PSI3[:, None, None] * d2k2[:, None]
-    d2bases[:, 2] = -beta * (psi1[..., None, None] * d2k1[:, None]
-                             + psi2[..., None, None] * d2k2[:, None])
-    # the products of the phi partials of psi1, psi2 with dk, both orders
-    cross = beta * (dpsi1[..., None] * dk1[:, None] + dpsi2[..., None] * dk2[:, None])
-    d2bases[:, 2, :, 1] -= cross
-    d2bases[:, 2, :, :, 1] -= cross
-    d2bases[:, 2, :, 1, 1] += 0.25 * beta * (k1 * psi1 + k2 * psi2)
-    return normalize_jet(bases, dbases, d2bases)
+        # d2k = (d2num - dk dden - dden dk)/den with d2num = -num/4 on phi phi
+        d2k = -(dk[..., :, None] * _DDEN[:, None, None] + _DDEN[:, None, :, None] * dk[..., None, :])
+        d2k /= den[..., None, None]
+        d2k[..., 1, 1] -= 0.25 * k
+        jet.append(beta * _coupling_rows(*d2k))
+    return normalize_jet(*jet)
 
 
 def perturbed_eigenstates(p: HamiltonianParams, beta: float) -> Spectrum:
@@ -347,8 +311,8 @@ def perturbed_eigenstates(p: HamiltonianParams, beta: float) -> Spectrum:
     if beta == 0.0:
         return spec
     d = derive_params(p)
-    states = first_order_jet(
+    rows = first_order_rows(
         np.array([d.omega]), np.array([d.phi]), np.array([p.c3]),
         np.array([d.c_plus]), beta,
     )[0][0]
-    return Spectrum(spec.energies.copy(), states)
+    return Spectrum(spec.energies.copy(), rows @ spec.states)

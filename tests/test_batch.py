@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from qorbits.entanglement import concurrence, concurrences
 from qorbits.errors import ResonanceError
 from qorbits.families import BLOCK_ROWS, evolved_state, family_for_case
-from qorbits.fubini_study import numeric_fs_metric, numeric_fs_metrics
+from qorbits.fubini_study import (
+    analytic_metrics_c7,
+    numeric_fs_metric,
+    numeric_fs_metrics,
+    tangent_fs_metrics,
+)
 from qorbits.hamiltonian import BRANCH_SNAP, branch_sign
 from qorbits.model import InitialCoefficients, classify
 
@@ -184,6 +189,37 @@ def test_tangents_reject_resonance_and_bad_shape(rng):
         f.tangents(np.array([[omega, 0.3, c3, 2 * c3 + omega]]))
     with pytest.raises(ValueError):
         f.tangents(np.zeros(4))
+
+
+# the batch functions at N = 0, each with the shapes of its outputs
+EMPTY_BATCH = {
+    "states": (lambda f, xs: f.states(xs), [(0, 4)]),
+    "tangents": (lambda f, xs: f.tangents(xs), [(0, 4), (0, 4, 4)]),
+    "hessians": (lambda f, xs: f.hessians(xs), [(0, 4), (0, 4, 4), (0, 4, 4, 4)]),
+    "numeric_fs_metrics": (numeric_fs_metrics, [(0, 4, 4)]),
+    "tangent_fs_metrics": (tangent_fs_metrics, [(0, 4, 4)]),
+    "analytic_metrics_c7": (lambda f, xs: analytic_metrics_c7(np.empty((0, 4)), xs), [(0, 4, 4)]),
+    "concurrences": (lambda f, xs: concurrences(f.states(xs)), [(0,)]),
+}
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+@pytest.mark.parametrize("name", sorted(EMPTY_BATCH))
+def test_empty_batch(rng, name, beta):
+    fn, shapes = EMPTY_BATCH[name]
+    out = fn(family(rng, "C7", beta), np.empty((0, 4)))
+    out = out if isinstance(out, tuple) else (out,)
+    assert [part.shape for part in out] == shapes
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_hessians_are_c_contiguous(rng, beta):
+    # one-row calls return a block's arrays as computed, longer ones their
+    # concatenation; neither is a strided view
+    f = family(rng, "C7", beta)
+    xs = well_posed(f, rng.uniform(-1.3, 1.3, size=(3 * BLOCK_ROWS, 4)))
+    for rows in (xs[:1], xs[:BLOCK_ROWS + 3]):
+        assert all(part.flags.c_contiguous for part in f.hessians(rows))
 
 
 def test_states_rejects_bad_shape(rng):

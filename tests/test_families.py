@@ -443,7 +443,7 @@ def test_grid_states_evaluate_no_eigenbasis_at_beta_zero(monkeypatch, rng):
     def forbidden(*args, **kwargs):
         raise AssertionError("called at beta = 0")
 
-    for module, name in ((hamiltonian, "eigenbases"), (families, "first_order_jet"),
+    for module, name in ((hamiltonian, "eigenbases"), (families, "first_order_rows"),
                          (families, "couplings")):
         monkeypatch.setattr(module, name, forbidden)
     assert np.max(np.abs(f.grid_concurrences(axes) - want)) <= 1e-14

@@ -5,16 +5,21 @@ import pytest
 
 from qorbits.errors import DegenerateChartError, ResonanceError
 from qorbits.hamiltonian import (
+    BRANCH_SNAP,
+    PSI3,
     PSI4,
     analytic_spectrum,
     branch_sign,
     build_hamiltonian,
+    couplings,
     eigenbases,
-    eigenbases_dphi,
     eigvec_pair,
+    first_order_rows,
+    half_angles,
     jacobi_eigh,
     match_states,
     numeric_spectrum,
+    perturbation_denominators,
     perturbed_eigenstates,
 )
 from qorbits.model import HamiltonianParams
@@ -96,23 +101,34 @@ def test_eigvec_pair_matches_printed_form(rng):
         assert abs(psi2[0] - a2) < 1e-12 and abs(psi2[3] - d2) < 1e-12
 
 
-def test_eigenbases_dphi_matches_central_differences(rng):
+# the frame's turn along phi: psi1' = s psi2/2, psi2' = -s psi1/2, the Bell
+# rows constant
+_J = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+
+
+def test_eigenbases_turn_matches_central_differences(rng):
     phis = rng.uniform(-np.pi, np.pi, size=200)
     phis = phis[np.abs(np.cos(phis)) > 0.05]
     h = 1e-6
     fd = (eigenbases(phis + h) - eigenbases(phis - h)) / (2 * h)
-    assert np.max(np.abs(eigenbases_dphi(phis) - fd)) < 1e-8
+    turn = 0.5 * branch_sign(phis)[:, None, None] * (_J @ eigenbases(phis))
+    assert np.max(np.abs(turn - fd)) < 1e-8
 
 
-def test_eigenbases_dphi_finite_at_pure_field_limit():
-    # at sin(phi) = +-1 the cos/sqrt(1 -+ sin) form divides by zero; the
-    # division-free rows take the one-sided derivative of the principal branch
-    d = eigenbases_dphi(np.array([math.pi / 2, -math.pi / 2]))
-    assert np.allclose(d[0, 0], [0, 0, 0, -0.5], atol=1e-15)
-    assert np.allclose(d[0, 1], [-0.5, 0, 0, 0], atol=1e-15)
-    assert np.allclose(d[1, 0], [0.5, 0, 0, 0], atol=1e-15)
-    assert np.allclose(d[1, 1], [0, 0, 0, -0.5], atol=1e-15)
-    assert not d[:, 2:].any()
+@pytest.mark.parametrize("phi", [math.pi / 2, -math.pi / 2, math.pi / 2 - 0.5 * BRANCH_SNAP],
+                         ids=["half_pi", "minus_half_pi", "snap_band"])
+def test_eigenbases_turn_at_pure_field_limit(phi):
+    # at sin(phi) = +-1 the cos/sqrt(1 -+ sin) form divides by zero, and in
+    # the BRANCH_SNAP band the angle sits just past cos(phi) = 0; the turn
+    # is the one-sided derivative of the principal branch, which branch_sign
+    # picks, taken from inside it
+    assert branch_sign(phi) == 1.0
+    h = -math.copysign(1e-4, phi)
+    e = eigenbases(phi + h * np.arange(3))
+    fd = (-3 * e[0] + 4 * e[1] - e[2]) / (2 * h)
+    turn = 0.5 * (_J @ e[0])
+    assert np.max(np.abs(turn - fd)) < 1e-7
+    assert not turn[2:].any()
 
 
 def test_branch_sign_boundary():
@@ -172,6 +188,25 @@ def test_match_states_overlap():
     perm = match_states(ana.states, num.states)
     for k, idx in enumerate(perm):
         assert abs(np.vdot(num.states[idx], ana.states[k])) > 1 - 1e-10
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.3])
+def test_first_order_rows_over_the_frame(rng, beta):
+    # rows @ e against the normalized first-order vectors
+    # (psi1 + beta k1 PSI3, psi2 + beta k2 PSI3, PSI3 - beta(k1 psi1 + k2 psi2), PSI4)
+    # built one point at a time from eigvec_pair and couplings
+    omega, phi, c3, c_plus = rng.uniform(-3, 3, size=(4, 40))
+    rows = first_order_rows(omega, phi, c3, c_plus, beta)[0]
+    assert rows.dtype == float and rows.shape == (40, 4, 4)
+    got = rows @ eigenbases(phi)
+    for k in range(len(phi)):
+        psi1, psi2 = eigvec_pair(phi[k])
+        k1, k2 = couplings(*perturbation_denominators(omega[k], c3[k], c_plus[k]),
+                           *half_angles(phi[k]))
+        want = np.array([psi1 + beta * k1 * PSI3, psi2 + beta * k2 * PSI3,
+                         PSI3 - beta * (k1 * psi1 + k2 * psi2), PSI4])
+        want /= np.linalg.norm(want, axis=1, keepdims=True)
+        assert np.max(np.abs(got[k] - want)) <= 1e-15, k
 
 
 def test_perturbed_beta_zero_is_analytic():
