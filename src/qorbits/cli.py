@@ -173,13 +173,27 @@ def parse_grid(text: str) -> dict:
     grid = {}
     for part in text.split(","):
         name, _, spec = part.partition("=")
+        name = name.strip()
+        if name in grid:
+            raise ValueError(f"grid repeats coordinate {name!r}")
         try:
             a, b, n = spec.split(":")
-            grid[name.strip()] = (float(a), float(b), int(n))
+            grid[name] = (float(a), float(b), int(n))
         except ValueError:
-            raise ValueError(f"grid part {part!r} is not {name.strip()}=start:stop:count, "
+            raise ValueError(f"grid part {part!r} is not {name}=start:stop:count, "
                              "with an integer count") from None
     return grid
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of --beta, --gamma and --chi: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"needs a finite number, got {text!r}")
+    return value
 
 
 def _params_from_args(args) -> HamiltonianParams:
@@ -207,6 +221,9 @@ def _point(args, dim):
     vals = [float(x) for x in args.point.split(",")]
     if len(vals) != dim:
         raise ValueError(f"--point needs {dim} coordinates for this chart")
+    for k, v in enumerate(vals):
+        if not math.isfinite(v):
+            raise ValueError(f"--point coordinate {k} is not finite: {v}")
     return np.array(vals)
 
 
@@ -611,7 +628,7 @@ def _suite_curvature(args, rng, checks):
     # stencil on its tangent-metric field, at a well-conditioned point
     f, xi = _conditioned_c7_point(rng, gamma)
     stencil = curvature_at(
-        MetricField(4, None, None, lambda xs: tangent_fs_metrics(f, xs, gamma)), xi
+        MetricField(4, lambda xs: tangent_fs_metrics(f, xs, gamma)), xi
     ).scalar
     dev = abs(gauss_curvature(f, xi, gamma).scalar - stencil) / abs(stencil)
     checks.append(_check("curvature-gauss-vs-stencil", dev, dev < 1e-6))
@@ -696,11 +713,11 @@ COMMANDS = {
 OPTIONS = {
     "--b": dict(type=float, default=0.0, help="z-field strength"),
     "--c": dict(default="1,0,0", help="couplings c1,c2,c3"),
-    "--beta": dict(type=float, default=0.0, help="x-field perturbation"),
+    "--beta": dict(type=_finite_float, default=0.0, help="x-field perturbation"),
     "--eta": dict(default=None, help="initial coefficients e1,e2,e3,e4"),
     "--case": dict(default=None, help="case label C1..C7 (checked)"),
     "--point": dict(default=None, help="chart point, comma separated"),
-    "--gamma": dict(type=float, default=1.0, help="metric scale factor"),
+    "--gamma": dict(type=_finite_float, default=1.0, help="metric scale factor"),
     "--h-metric": dict(type=float, default=1e-5, help="step of the finite-difference metric"),
     "--h-curv": dict(
         type=float, default=1e-3,
@@ -711,7 +728,7 @@ OPTIONS = {
     "--format": dict(choices=("json", "csv"), default="json", help="csv needs --grid"),
     "--seed": dict(type=int, default=1234),
     "--suite": dict(choices=("all", *SUITES), default="all", help="verify suite"),
-    "--chi": dict(type=float, default=0.0, help="relative phase of tables"),
+    "--chi": dict(type=_finite_float, default=0.0, help="relative phase of tables"),
     "--out": dict(default=None, help="output path (default stdout)"),
 }
 _FAMILY_POINT = ("--eta", "--case", "--beta", "--point")

@@ -32,41 +32,35 @@ SINGULARITY_TOL = 1e-10
 class MetricField:
     """Metric tensor as a function of chart coordinates.
 
-    evaluator maps a coordinate vector to a (dim, dim) array; domain, when
-    given, is a per-coordinate (lo, hi) box inside which finite differences
-    are trusted; batch_evaluator, when given, maps an (N, dim) batch of
-    coordinate vectors to an (N, dim, dim) array in one call.  family, set by
-    from_family, is the state family whose Fubini-Study metric (scale gamma)
-    the field is; curvature_at then takes the exact Gauss equation.
+    evaluator maps an (N, dim) batch of coordinate vectors to an
+    (N, dim, dim) array of metrics in one call.  family, set by from_family,
+    is the state family whose Fubini-Study metric (scale gamma) the field
+    is; curvature_at then takes the exact Gauss equation.
     """
 
     dim: int
     evaluator: object
-    domain: tuple[tuple[float, float], ...] | None = None
-    batch_evaluator: object = None
     family: object = None
     gamma: float = 1.0
 
     def __call__(self, xi) -> np.ndarray:
-        g = self.evaluator(np.asarray(xi, dtype=float))
-        g = g.entries if isinstance(g, MetricTensor) else np.asarray(g, dtype=float)
-        if g.shape != (self.dim, self.dim):
-            raise ValueError(f"evaluator returned shape {g.shape}")
-        return g
+        """The metric at one point xi, shape (dim, dim): the one-row case of
+        metrics."""
+        return self.metrics(np.asarray(xi, dtype=float)[None])[0]
 
     def metrics(self, xs) -> np.ndarray:
-        """Metrics at the N rows of xs, shape (N, dim, dim): one call of
-        batch_evaluator, or one evaluator call per row without it."""
+        """Metrics at the N rows of xs, shape (N, dim, dim), from one
+        evaluator call."""
         xs = np.asarray(xs, dtype=float)
-        if self.batch_evaluator is None:
-            return np.array([self(x) for x in xs]).reshape(len(xs), self.dim, self.dim)
-        g = np.asarray(self.batch_evaluator(xs), dtype=float)
+        g = np.asarray(self.evaluator(xs), dtype=float)
         if g.shape != (len(xs), self.dim, self.dim):
-            raise ValueError(f"batch evaluator returned shape {g.shape}")
+            raise ValueError(
+                f"evaluator returned shape {g.shape}, not {(len(xs), self.dim, self.dim)}"
+            )
         return g
 
     @classmethod
-    def from_family(cls, family, gamma: float = 1.0, domain=None) -> "MetricField":
+    def from_family(cls, family, gamma: float = 1.0) -> "MetricField":
         """The Fubini-Study metric field of a StateFamily from its exact
         tangents (tangent_fs_metrics); its curvature is exact
         (gauss_curvature).  Wrap numeric_fs_metrics in a MetricField for a
@@ -77,23 +71,7 @@ class MetricField:
                 f"from_family needs a StateFamily, got {type(family).__name__}; "
                 "wrap its metrics in a MetricField instead"
             )
-        return cls(
-            len(family.chart),
-            lambda xi: tangent_fs_metrics(family, xi[None], gamma)[0],
-            domain,
-            lambda xs: tangent_fs_metrics(family, xs, gamma),
-            family,
-            gamma,
-        )
-
-    def check_interior(self, xi, margin: float):
-        if self.domain is None:
-            return
-        for k, (lo, hi) in enumerate(self.domain):
-            if not (lo + margin <= xi[k] <= hi - margin):
-                raise ValueError(
-                    f"point {xi} not interior to domain with margin {margin}"
-                )
+        return cls(len(family.chart), lambda xs: tangent_fs_metrics(family, xs, gamma), family, gamma)
 
 
 @dataclass(frozen=True)
@@ -200,9 +178,7 @@ def curvature_at(
         raise ValueError(f"curvature step h must be finite and positive, got {h}")
     xi = np.asarray(xi, dtype=float)
     if mf.family is not None and mf.dim > 1:
-        mf.check_interior(xi, 0.0)
         return gauss_curvature(mf.family, xi, mf.gamma)
-    mf.check_interior(xi, 2.0 * h)
     if mf.dim == 1:
         cond = _condition_number(np.linalg.eigvalsh(mf.metrics(xi[None])), xi[None])
         z = np.zeros((1,) * 4)
@@ -286,17 +262,15 @@ def gauss_curvature(family, xi, gamma: float = 1.0) -> CurvatureReport:
 
 
 def sphere_metric_field(radius: float) -> MetricField:
-    """Round 2-sphere diag(r^2, r^2 sin^2 theta) in (theta, phi); R = 2/r^2.
-    Its evaluator takes one point (2,) or a batch (N, 2)."""
+    """Round 2-sphere diag(r^2, r^2 sin^2 theta) in (theta, phi); R = 2/r^2."""
 
-    def ev(xi):
-        xi = np.asarray(xi, dtype=float)
-        g = np.zeros(xi.shape[:-1] + (2, 2))
-        g[..., 0, 0] = radius**2
-        g[..., 1, 1] = radius**2 * np.sin(xi[..., 0]) ** 2
+    def ev(xs):
+        g = np.zeros((len(xs), 2, 2))
+        g[:, 0, 0] = radius**2
+        g[:, 1, 1] = radius**2 * np.sin(xs[:, 0]) ** 2
         return g
 
-    return MetricField(2, ev, batch_evaluator=ev)
+    return MetricField(2, ev)
 
 
 def g0_uniform_metric(omega, alpha12: float, gamma: float = 1.0) -> np.ndarray:
@@ -340,13 +314,8 @@ def analytic_g0_and_ricci(omega: float, alpha12: float, gamma: float = 1.0):
 
 
 def g0_uniform_field(alpha12: float, gamma: float = 1.0) -> MetricField:
-    """g0_uniform_metric as a metric field, evaluated one point or one batch
-    of points per call."""
-    return MetricField(
-        4,
-        lambda xi: g0_uniform_metric(xi[0], alpha12, gamma),
-        batch_evaluator=lambda xs: g0_uniform_metric(xs[:, 0], alpha12, gamma),
-    )
+    """g0_uniform_metric as a metric field."""
+    return MetricField(4, lambda xs: g0_uniform_metric(xs[:, 0], alpha12, gamma))
 
 
 def _pert_core(omega: float) -> float:

@@ -103,7 +103,7 @@ class InitialCoefficients:
 
     def __post_init__(self):
         norm2 = sum(self.abs2.tolist())
-        if abs(norm2 - 1.0) > _NORM_TOL:
+        if not abs(norm2 - 1.0) <= _NORM_TOL:
             raise ValueError(
                 f"coefficients must be normalized: |eta|^2 = {norm2!r}"
             )
@@ -161,8 +161,11 @@ class InitialCoefficients:
 
 def unit_row(v) -> np.ndarray:
     """One coefficient row v scaled to unit norm by its 1-D np.linalg.norm,
-    the scaling InitialCoefficients.normalized applies."""
+    the scaling InitialCoefficients.normalized applies.  Raises ValueError
+    for a row whose norm is zero or not finite (a NaN or infinite entry)."""
     n = np.linalg.norm(v)
+    if not math.isfinite(n):
+        raise ValueError(f"coefficients must be finite with a finite norm, got {v}")
     if n == 0:
         raise ValueError("cannot normalize the zero vector")
     return v / n

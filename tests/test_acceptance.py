@@ -48,6 +48,8 @@ from qorbits.families import (
 from qorbits.fubini_study import (
     analytic_metric_c7,
     analytic_metric_case,
+    analytic_metrics_c7,
+    analytic_metrics_case,
     numeric_fs_metric,
     phase_twisted,
     pushforward_c7,
@@ -162,8 +164,9 @@ def test_criterion_04_case_geometries():
     # C3: round sphere of radius gamma/2, FD scalar curvature 8/gamma^2
     eta3 = InitialCoefficients.normalized(S2, S2 * cmath.exp(0.4j), 0, 0)
 
-    def ev3(xi):
-        return analytic_metric_c7(eta3, [xi[0], xi[1], 0.0, 0.0], gamma).entries[:2, :2]
+    def ev3(xs):
+        xs = np.column_stack([xs, np.zeros((len(xs), 2))])
+        return analytic_metrics_c7(eta3.as_array(), xs, gamma)[:, :2, :2]
 
     r3 = curvature_at(MetricField(2, ev3), np.array([0.3, 0.2])).scalar
     c3_ok = abs(r3 - 8.0 / gamma**2) < 1e-3
@@ -171,7 +174,7 @@ def test_criterion_04_case_geometries():
     # C4: flat torus
     eta4 = InitialCoefficients.normalized(*CASE_ETAS["C4"])
     f4 = family_for_case(classify(eta4), eta4)
-    mf4 = MetricField(2, lambda xi: analytic_metric_case(f4, xi, gamma).entries)
+    mf4 = MetricField(2, lambda xs: analytic_metrics_case(f4, xs, gamma))
     r4 = curvature_at(mf4, np.array([0.3, 0.4])).scalar
     c4_ok = abs(r4) < 1e-6
 
@@ -420,8 +423,8 @@ def test_criterion_09_perturbed_curvature_closed_form():
         dev14 = abs(closed0 - 14.0) / 14.0
         closed_b = perturbed_scalar_curvature_closed_form(w, beta, 1.0)
 
-        def ev(xi):
-            return perturbed_metric_analytic(eta, xi, 1.0, beta).entries
+        def ev(xs):
+            return [perturbed_metric_analytic(eta, xi, 1.0, beta).entries for xi in xs]
 
         numeric_b = curvature_at(MetricField(4, ev), np.array([w, 0.0, 0.0, 0.0])).scalar
         rows.append((w, closed0, dev14, closed_b, numeric_b))

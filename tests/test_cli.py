@@ -377,7 +377,28 @@ def test_parse_helpers():
 def test_evolve_nan_point_is_bad_config(capsys):
     argv = ["evolve", "--eta", "0.5,0.5,0.5,0.5", "--point", "nan,0.3,0.2,0.4"]
     assert main(argv) == 2
-    assert "not normalized" in capsys.readouterr().err
+    assert "coordinate 0 is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["perturb", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,0.2,0.4",
+          "--beta", "inf"], "--beta: needs a finite number"),
+        (["metric", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,0.2,0.4",
+          "--gamma", "nan"], "--gamma: needs a finite number"),
+        (["verify", "--suite", "tables", "--chi", "nan"], "--chi: needs a finite number"),
+        (["verify", "--suite", "tables", "--chi", "x"], "--chi: needs a finite number"),
+        (["perturb", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,nan,0.4"],
+         "coordinate 2 is not finite"),
+        (["metric", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,inf,0.2,0.4"],
+         "coordinate 1 is not finite"),
+        (["classify", "--eta", "nan,0.5,0.5,0.5"], "coefficients must be finite"),
+    ],
+)
+def test_non_finite_numbers_are_bad_config(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 # parts that are not name=start:stop:count with numeric endpoints and an
@@ -386,7 +407,9 @@ MALFORMED_GRIDS = ("phi=0:1:2.7", "phi=0:1", "phi", "phi=a:1:3")
 
 
 @pytest.mark.parametrize(
-    "grid", ["ph=0:6.2832:5", "phi=0:nan:3", "phi=0:1:0", "phi=0:1:inf", *MALFORMED_GRIDS]
+    "grid",
+    ["ph=0:6.2832:5", "phi=0:nan:3", "phi=0:1:0", "phi=0:1:inf", "phi=0:1:3,phi=0:2:2",
+     *MALFORMED_GRIDS],
 )
 def test_concurrence_bad_grid_is_bad_config(grid, capsys):
     assert main(["concurrence", "--eta", "1,0,0,0", "--grid", grid]) == 2
@@ -394,6 +417,8 @@ def test_concurrence_bad_grid_is_bad_config(grid, capsys):
     assert "grid" in err
     if grid in MALFORMED_GRIDS:
         assert "phi=start:stop:count" in err
+    if "," in grid:
+        assert "repeats coordinate 'phi'" in err
 
 
 def _per_row_samples(f, rng):

@@ -23,7 +23,8 @@ from qorbits.errors import (
 from qorbits.families import family_for_case
 from qorbits.fubini_study import (
     analytic_metric_c7,
-    numeric_fs_metric,
+    analytic_metrics_c7,
+    analytic_metrics_case,
     numeric_fs_metrics,
     phase_twisted,
     tangent_fs_metrics,
@@ -47,8 +48,14 @@ def test_sphere_einstein_identity():
     assert np.max(np.abs(rep.ricci - 0.5 * rep.scalar * g)) < 1e-5
 
 
+def _constant_field(g):
+    """The metric field equal to the matrix g everywhere."""
+    g = np.asarray(g, dtype=float)
+    return MetricField(len(g), lambda xs: np.broadcast_to(g, (len(xs),) + g.shape))
+
+
 def test_flat_constant_metric():
-    mf = MetricField(2, lambda xi: np.diag([0.16, 2.0736]))
+    mf = _constant_field(np.diag([0.16, 2.0736]))
     rep = curvature_at(mf, np.array([0.3, 0.4]))
     assert abs(rep.scalar) < 1e-8
     assert np.max(np.abs(rep.riemann)) < 1e-8
@@ -92,14 +99,14 @@ def test_richardson_consistency():
 
 
 def test_dim1_flat_note():
-    mf = MetricField(1, lambda xi: np.array([[0.25]]))
+    mf = _constant_field([[0.25]])
     rep = curvature_at(mf, np.array([0.3]))
     assert rep.scalar == 0.0
     assert "flat" in rep.note
 
 
 def test_singular_metric_rejected():
-    mf = MetricField(2, lambda xi: np.diag([1.0, 0.0]))
+    mf = _constant_field(np.diag([1.0, 0.0]))
     with pytest.raises(SingularMetricError):
         curvature_at(mf, np.array([0.1, 0.2]))
 
@@ -109,8 +116,11 @@ def test_singular_metric_at_stencil_centre_rejected():
     h = 1e-3
     xi = np.array([0.3, 0.2])
 
-    def ev(x):
-        return np.diag([1.0, 0.0 if abs(x[0] - (xi[0] + h)) < h / 4 else 1.0])
+    def ev(xs):
+        g = np.zeros((len(xs), 2, 2))
+        g[:, 0, 0] = 1.0
+        g[:, 1, 1] = np.where(np.abs(xs[:, 0] - (xi[0] + h)) < h / 4, 0.0, 1.0)
+        return g
 
     mf = MetricField(2, ev)
     assert np.all(np.linalg.eigvalsh(mf(xi)) > 0.5)
@@ -127,16 +137,44 @@ def test_curvature_step_validated(h):
 @pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_stencil_evaluates_each_point_once(dim, richardson):
-    # 4 d^2 + 2 d + 1 distinct points with Richardson, 2 d^2 + 2 d + 1 without
-    seen = []
+    # 4 d^2 + 2 d + 1 distinct points with Richardson, 2 d^2 + 2 d + 1
+    # without, all in one evaluator call
+    calls = []
 
-    def ev(x):
-        seen.append(tuple(x))
-        return np.diag(1.0 + 0.1 * np.cos(x))
+    def ev(xs):
+        calls.append(list(map(tuple, xs)))
+        return (1.0 + 0.1 * np.cos(xs))[:, :, None] * np.eye(dim)
 
     curvature_at(MetricField(dim, ev), np.full(dim, 0.3), richardson=richardson)
     expected = {2: (21, 13), 3: (43, 25), 4: (73, 41)}[dim][0 if richardson else 1]
-    assert len(seen) == len(set(seen)) == expected
+    assert len(calls) == 1
+    assert len(calls[0]) == len(set(calls[0])) == expected
+
+
+def test_evaluator_shape_checked():
+    # a per-point evaluator handed a batch returns the wrong shape, named in
+    # the error: np.diag of an (N, 2) batch is its diagonal, np.eye(2) one
+    # matrix for the whole batch
+    per_point = MetricField(2, lambda xi: np.diag(1.0 + 0.1 * np.cos(xi)))
+    with pytest.raises(ValueError, match=r"shape \(1,\)"):
+        per_point(np.array([0.3, 0.2]))
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        curvature_at(per_point, np.array([0.3, 0.2]))
+    with pytest.raises(ValueError, match=r"shape \(2, 2\), not \(21, 2, 2\)"):
+        curvature_at(MetricField(2, lambda xi: np.eye(2)), np.array([0.3, 0.2]))
+
+
+@pytest.mark.parametrize("field", ["family", "g0", "sphere"])
+def test_one_point_call_is_one_row_of_metrics(field):
+    mf, xi = {
+        "family": (MetricField.from_family(_uniform_c7_family(), 1.3), [0.7, 0.3, 0.2, 0.4]),
+        "g0": (g0_uniform_field(0.8, 1.7), [0.5, 0.3, 0.2, 0.4]),
+        "sphere": (sphere_metric_field(1.3), [0.9, 0.4]),
+    }[field]
+    xi = np.array(xi)
+    g = mf(xi)
+    assert g.shape == (mf.dim, mf.dim)
+    assert np.array_equal(g, mf.metrics(xi[None])[0])
 
 
 # scalar curvatures from evaluating every Christoffel centre's metrics
@@ -201,33 +239,16 @@ def test_numeric_field_scalar_matches_per_centre_reference():
     # by up to 1e-4 relative when the stencil points move by an ulp, so
     # sharing points must leave the h/2 step's points where they were
     f = _uniform_c7_family()
-    _assert_matches_per_centre_reference(MetricField(
-        f.dim,
-        lambda xi: numeric_fs_metric(f, xi).entries,
-        None,
-        lambda xs: numeric_fs_metrics(f, xs),
-    ))
+    _assert_matches_per_centre_reference(
+        MetricField(f.dim, lambda xs: numeric_fs_metrics(f, xs)))
 
 
 def test_tangent_field_scalar_matches_per_centre_reference():
     # the exact tangent field is far less sensitive to the stencil's floats;
-    # built from its evaluators, with no family, it keeps the stencil route
+    # built from its evaluator, with no family, it keeps the stencil route
     f = _uniform_c7_family()
-    _assert_matches_per_centre_reference(MetricField(
-        f.dim,
-        lambda xi: tangent_fs_metrics(f, xi[None])[0],
-        None,
-        lambda xs: tangent_fs_metrics(f, xs),
-    ))
-
-
-def test_domain_margin_enforced():
-    mf = MetricField(
-        2, lambda xi: np.diag([1.0, 1.0]), domain=((0.0, 1.0), (0.0, 1.0))
-    )
-    with pytest.raises(ValueError):
-        curvature_at(mf, np.array([0.999, 0.5]), h=1e-3)
-    curvature_at(mf, np.array([0.5, 0.5]), h=1e-3)
+    _assert_matches_per_centre_reference(
+        MetricField(f.dim, lambda xs: tangent_fs_metrics(f, xs)))
 
 
 def test_g0_point_values():
@@ -260,28 +281,6 @@ def test_g0_batch_equals_per_point_calls(rng):
             np.column_stack([omegas, rng.uniform(-1, 1, size=(50, 3))])))
 
 
-@pytest.mark.parametrize(
-    "fld, xi",
-    [
-        (sphere_metric_field(0.5), (1.1, 0.7)),
-        (sphere_metric_field(1.3), (0.9, 0.4)),
-        (g0_uniform_field(0.0), (0.35, 0.3, 0.2, 0.4)),
-        (g0_uniform_field(0.8, 1.7), (0.5, 0.3, 0.2, 0.4)),
-    ],
-)
-def test_closed_form_field_batch_evaluator_equals_per_point(fld, xi):
-    # one metrics call of the batch evaluator against one evaluator call
-    # per stencil point: the same Richardson curvature, bitwise
-    per_point = MetricField(fld.dim, fld.evaluator)
-    assert fld.batch_evaluator is not None and per_point.batch_evaluator is None
-    xi = np.array(xi)
-    for richardson in (True, False):
-        a = curvature_at(fld, xi, richardson=richardson)
-        b = curvature_at(per_point, xi, richardson=richardson)
-        for name in ("christoffel", "riemann", "ricci", "scalar", "metric_condition"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
-
-
 @pytest.mark.parametrize("gamma", [1.0, 1.4])
 def test_g0_curvature_fourteen(gamma):
     fld = g0_uniform_field(0.0, gamma)
@@ -312,10 +311,9 @@ def test_c3_sphere_curvature():
         1 / math.sqrt(2), np.exp(0.4j) / math.sqrt(2), 0, 0
     )
     for gamma in (1.0, 2.0):
-        def ev(xi, gamma=gamma):
-            return analytic_metric_c7(eta, [xi[0], xi[1], 0.0, 0.0], gamma).entries[
-                :2, :2
-            ]
+        def ev(xs, gamma=gamma):
+            xs = np.column_stack([xs, np.zeros((len(xs), 2))])
+            return analytic_metrics_c7(eta.as_array(), xs, gamma)[:, :2, :2]
 
         mf = MetricField(2, ev)
         rep = curvature_at(mf, np.array([0.3, 0.2]))
@@ -326,9 +324,7 @@ def test_c4_flat_torus():
     eta = InitialCoefficients.normalized(0.8, 0, 0.6, 0)
     f = family_for_case(classify(eta), eta)
     # cataloged constant metric: exactly flat under the engine
-    from qorbits.fubini_study import analytic_metric_case
-
-    mf = MetricField(2, lambda xi: analytic_metric_case(f, xi).entries)
+    mf = MetricField(2, lambda xs: analytic_metrics_case(f, xs))
     rep = curvature_at(mf, np.array([0.3, 0.4]))
     assert abs(rep.scalar) < 1e-8
     # family route from exact tangent metrics: flat as well
@@ -371,7 +367,7 @@ def test_perturbed_curvature_pole():
 def _stencil_field(f):
     """The family's tangent-metric field built from evaluators: the
     finite-difference stencil route, the oracle of gauss_curvature."""
-    return MetricField(f.dim, None, None, lambda xs: tangent_fs_metrics(f, xs))
+    return MetricField(f.dim, lambda xs: tangent_fs_metrics(f, xs))
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.7])
@@ -443,11 +439,6 @@ def test_family_field_routes_to_gauss():
     exact = gauss_curvature(f, xi, 1.3)
     assert rep.scalar == exact.scalar and rep.h == 0.0
     assert np.array_equal(rep.riemann, exact.riemann)
-    # the domain is checked at margin 0: its edge is a valid point
-    box = tuple((x, x + 1.0) for x in xi)
-    curvature_at(MetricField.from_family(f, domain=box), xi)
-    with pytest.raises(ValueError, match="interior"):
-        curvature_at(MetricField.from_family(f, domain=box), xi - 1e-9)
     # the dim-1 branch is unchanged
     eta = InitialCoefficients.normalized(0, 0, 0.6, 0.8)
     c1 = family_for_case(classify(eta), eta)

@@ -419,7 +419,7 @@ def test_slice_family_fields_have_exact_zero_curvature():
 def test_tangent_field_curvature_matches_finite_difference_field():
     eta = InitialCoefficients.normalized(0.6, 0.3 + 0.4j, 0.5, -0.2j)
     f = family_for_case(classify(eta), eta)
-    fd = MetricField(f.dim, None, None, lambda xs: numeric_fs_metrics(f, xs))
+    fd = MetricField(f.dim, lambda xs: numeric_fs_metrics(f, xs))
     for xi in ([0.7, 0.3, 0.2, 0.4], [-0.4, 0.9, 0.6, -1.1]):
         xi = np.array(xi)
         exact = curvature_at(MetricField.from_family(f), xi).scalar

@@ -72,6 +72,17 @@ def test_coefficients_normalization_enforced():
     assert abs(eta.eta1 - 1 / math.sqrt(2)) < 1e-15
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan)])
+def test_non_finite_coefficients_refused(bad):
+    # NaN compares False with any tolerance: the norm test must still refuse it
+    with pytest.raises(ValueError, match="normalized"):
+        InitialCoefficients(bad, 0.5, 0.5, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        InitialCoefficients.normalized(bad, 1, 0, 0)
+    with pytest.raises(ValueError, match="finite"):
+        unit_row(np.array([0.5, bad, 0.5, 0.5], dtype=complex))
+
+
 def test_derived_coefficient_combinations():
     eta = InitialCoefficients.normalized(0.6, 0.2j, 0.5, 0.6)
     a = eta.abs2
