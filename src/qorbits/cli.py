@@ -158,11 +158,23 @@ def _parse_complex(token: str) -> complex:
     return complex(token)
 
 
+def _parse_items(text: str, option: str, noun: str, parse) -> list:
+    """The comma-separated items of an option's text, each read by parse;
+    an item parse refuses raises ValueError naming the option, the item's
+    index and its text."""
+    vals = []
+    for k, part in enumerate(text.split(",")):
+        try:
+            vals.append(parse(part))
+        except ValueError:
+            raise ValueError(f"{option} {noun} {k} is not a number: {part!r}") from None
+    return vals
+
+
 def parse_eta(text: str, warn=None) -> InitialCoefficients:
-    parts = text.split(",")
-    if len(parts) != 4:
+    vals = _parse_items(text, "--eta", "coefficient", _parse_complex)
+    if len(vals) != 4:
         raise ValueError("--eta needs 4 comma-separated complex numbers")
-    vals = [_parse_complex(t) for t in parts]
     norm = math.sqrt(sum(abs(v) ** 2 for v in vals))
     if abs(norm - 1.0) > 1e-9 and warn is not None:
         warn(f"eta normalized (input norm was {norm:.12g})")
@@ -197,8 +209,10 @@ def _finite_float(text: str) -> float:
 
 
 def _params_from_args(args) -> HamiltonianParams:
-    c1, c2, c3 = (float(x) for x in args.c.split(","))
-    return HamiltonianParams(args.b, c1, c2, c3, beta=args.beta)
+    vals = _parse_items(args.c, "--c", "coupling", float)
+    if len(vals) != 3:
+        raise ValueError(f"--c needs 3 comma-separated numbers c1,c2,c3, got {args.c!r}")
+    return HamiltonianParams(args.b, *vals, beta=args.beta)
 
 
 def _eta(args, warn) -> InitialCoefficients:
@@ -218,7 +232,7 @@ def _family_from_args(args, warn):
 def _point(args, dim):
     if args.point is None:
         raise ValueError("--point is required for this command")
-    vals = [float(x) for x in args.point.split(",")]
+    vals = _parse_items(args.point, "--point", "coordinate", float)
     if len(vals) != dim:
         raise ValueError(f"--point needs {dim} coordinates for this chart")
     for k, v in enumerate(vals):

@@ -207,10 +207,14 @@ def curvature_at(
 
 def gauss_curvature(family, xi, gamma: float = 1.0) -> CurvatureReport:
     """Exact curvature tensors at a point of a state family's Fubini-Study
-    metric gamma^2 Re QGT, from family.hessians: the family is a submanifold
-    of CP^3, of constant holomorphic sectional curvature 4/gamma^2, so the
-    Gauss equation gives its curvature from the state and its first and
-    second chart partials at the point.
+    metric gamma^2 Re QGT, from family.frame_jet: the family is a
+    submanifold of CP^3, of constant holomorphic sectional curvature
+    4/gamma^2, so the Gauss equation gives its curvature from the state and
+    its first and second chart partials at the point.  Every quantity below
+    is built from Hermitian inner products <.|.>, and the frame_jet
+    coefficients stand for the states over a real orthonormal frame e
+    (e e^T = 1), so each <.|.> is the same on the coefficients as on the
+    states: the states are never formed.
 
     With P = 1 - |psi><psi|, e_m = P d_m psi, a_m = Im<psi|d_m psi>,
     g + i W = <e|e> and D_mn = P d_m d_n psi - i (a_m e_n + a_n e_m):
@@ -225,10 +229,11 @@ def gauss_curvature(family, xi, gamma: float = 1.0) -> CurvatureReport:
     SingularMetricError for a singular metric.
     """
     xi = np.asarray(xi, dtype=float)
-    psi, dpsi, d2psi = family.hessians(xi[None])
+    psi, dpsi, d2psi = family.frame_jet(xi[None], 2)
     dim = dpsi.shape[1]
-    # coordinate m is named if d_m psi or any d_m d_n psi is not finite
-    _require_finite(family, xi[None], np.concatenate([dpsi, d2psi.reshape(1, dim, -1)], axis=2))
+    if not (np.isfinite(dpsi).all() and np.isfinite(d2psi).all()):
+        # coordinate m is named if d_m psi or any d_m d_n psi is not finite
+        _require_finite(family, xi[None], np.concatenate([dpsi, d2psi.reshape(1, dim, -1)], axis=2))
     psi, dpsi, d2psi = psi[0], dpsi[0], d2psi[0].reshape(dim * dim, 4)
     overlap = dpsi @ psi.conj()  # <psi|d_m psi>
     e = dpsi - overlap[:, None] * psi

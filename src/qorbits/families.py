@@ -16,15 +16,17 @@ another embedding (sliced_family, constrained_two_param_family).
 Evaluation.  Every case is the general state sum_k eta_k e^{i theta_k} psi_k
 with the phases theta_k affine in the chart coordinates (PHASE_FORMS), so one
 batched path serves all seven cases: the state and its exact chart partials
-up to order 0, 1 or 2 (StateFamily.states, tangents, hessians).  They are
-kept as coefficients over the unperturbed frame e = (psi1, psi2, PSI3, PSI4)
-= hamiltonian.eigenbases(phi) until one contraction with e: the phases
-contribute i theta_k', the first-order rows hamiltonian.first_order_rows
-mix the coefficients at beta != 0, and the frame turns along phi as
-e' = (s/2) J e.  state is the one-row case of states; the second partials
-serve the Gauss-equation curvature.  On the general orbit
-(C1, C3, C7) states also takes one coefficient row per point, so a batch
-may mix coefficient sets.
+up to order 0, 1 or 2 as coefficients over the unperturbed frame
+e = (psi1, psi2, PSI3, PSI4) = hamiltonian.eigenbases(phi)
+(StateFamily.frame_jet): the phases contribute i theta_k', the first-order
+rows hamiltonian.first_order_rows mix the coefficients at beta != 0, and
+the frame turns along phi as e' = (s/2) J e.  e is real and orthonormal,
+so inner products of coefficients are those of the states: the
+Fubini-Study metric and the Gauss-equation curvature read frame_jet.
+states, tangents and hessians are the only methods that contract with e,
+as the last step of each block; state is the one-row case of states.  On
+the general orbit (C1, C3, C7) states also takes one coefficient row per
+point, so a batch may mix coefficient sets.
 """
 
 from __future__ import annotations
@@ -172,23 +174,31 @@ class StateFamily:
         row.  It is taken only where the phase forms are the general orbit
         (C1, C3, C7): there sum_k eta_k e^{i theta_k} psi_k is the evolved
         state for every eta."""
-        return self._jet(xs, 0, etas)[0]
+        return self._jet(xs, 0, etas, self._state_block)[0]
 
     def tangents(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """states(xs) and their exact partials along the chart, shape
         (N, dim, 4), from one frame per row."""
-        return self._jet(xs, 1)
+        return self._jet(xs, 1, None, self._state_block)
 
     def hessians(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """tangents(xs) and the exact second partials along the chart,
         shape (N, dim, dim, 4), from one frame per row."""
-        return self._jet(xs, 2)
+        return self._jet(xs, 2, None, self._state_block)
 
-    def _jet(self, xs, order, etas=None):
+    def frame_jet(self, xs, order):
         """The states at the rows of an (N, dim) batch and their chart
-        partials up to order: order + 1 arrays of shapes
-        (N,) + (dim,) * k + (4,), in blocks of BLOCK_ROWS rows, with the
-        coefficient rows etas (see states) or self.eta."""
+        partials up to order, as coefficients over the unperturbed frame
+        e = eigenbases(phi): order + 1 complex arrays of shapes
+        (N,) + (dim,) * k + (4,), whose products with e are the states and
+        partials.  e is real and orthonormal, so every Hermitian inner
+        product of the coefficients is that of the states they stand for."""
+        return self._jet(xs, order, None, self._frame_block)
+
+    def _jet(self, xs, order, etas, block):
+        """block(rows, order, eta_rows) over the rows of an (N, dim) batch
+        in blocks of BLOCK_ROWS rows, joined, with the coefficient rows
+        etas (see states) or self.eta."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ValueError(f"expected (N, {self.dim}) coordinates, got {xs.shape}")
@@ -202,19 +212,16 @@ class StateFamily:
                 raise ValueError(f"expected ({len(xs)}, 4) coefficient rows, got {etas.shape}")
         eta = self.eta.as_array()
         # an empty batch is one empty block
-        blocks = [self._jet_block(xs[k:k + BLOCK_ROWS], order,
-                                  eta if etas is None else etas[k:k + BLOCK_ROWS])
+        blocks = [block(xs[k:k + BLOCK_ROWS], order, eta if etas is None else etas[k:k + BLOCK_ROWS])
                   for k in range(0, max(len(xs), 1), BLOCK_ROWS)]
         return blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
 
-    def _jet_block(self, xs, order, eta_rows):
-        """_jet on one block, kept as coefficients over the unperturbed frame
-        e = eigenbases(phi) up to one contraction with e at the end: the
-        phased coefficients a_k = eta_k e^{i theta_k}, eta_rows (4,) or one
-        row per point, with chart partials i lin a; at beta != 0,
-        w = a @ rows with the first_order_rows taken to the chart; the
-        frame's turn along phi by the product rule; then normalized if
-        beta != 0."""
+    def _frame_block(self, xs, order, eta_rows):
+        """The frame_jet of one block: the phased coefficients
+        a_k = eta_k e^{i theta_k}, eta_rows (4,) or one row per point, with
+        chart partials i lin a; at beta != 0, w = a @ rows with the
+        first_order_rows taken to the chart; the frame's turn along phi by
+        the product rule; then normalized if beta != 0."""
         lin, offset, basis, basis0 = self._table
         coords = xs @ basis.T + basis0
         w = [eta_rows * np.exp(1j * (xs @ lin.T + offset))]
@@ -248,14 +255,21 @@ class StateFamily:
             w[1] = w[1] + t[:, :, None] * wj[:, None]
         if self.beta != 0.0:
             w = normalize_jet(*w)
-        e = eigenbases(coords[:, 1])
+        return tuple(w)
+
+    def _state_block(self, xs, order, eta_rows):
+        """_frame_block contracted with e = eigenbases(phi), phi as
+        _frame_block reads it."""
+        jet = self._frame_block(xs, order, eta_rows)
+        _, _, basis, basis0 = self._table
+        e = eigenbases((xs @ basis.T + basis0)[:, 1])
         # a stacked matmul keeps the summation order of evolved_state's amps @ basis
-        jet = [np.matmul(w[0][:, None, :], e)[:, 0]]
+        out = [np.matmul(jet[0][:, None, :], e)[:, 0]]
         if order >= 1:
-            jet.append(w[1] @ e)
+            out.append(jet[1] @ e)
         if order >= 2:
-            jet.append(w[2] @ e[:, None])
-        return tuple(jet)
+            out.append(jet[2] @ e[:, None])
+        return tuple(out)
 
     def grid_concurrences(self, axes) -> np.ndarray:
         """Concurrences at the grid_points(axes) of one 1-D axis per chart

@@ -6,7 +6,7 @@ Both numeric routes compute the real part of the quantum geometric tensor
 
     g_mn = gamma^2 Re( <d_m psi|d_n psi> - <d_m psi|psi><psi|d_n psi> ).
 
-tangent_fs_metrics takes the state partials from StateFamily.tangents;
+tangent_fs_metrics takes the state partials from StateFamily.frame_jet;
 numeric_fs_metrics takes them from 4th-order central differences of the
 family states, works for any object with states, and is the independent,
 gauge-invariant ground truth.  Closed forms are transcribed from the
@@ -134,9 +134,11 @@ def numeric_fs_metrics(
 
 def tangent_fs_metrics(family, xs, gamma: float = 1.0) -> np.ndarray:
     """Fubini-Study metrics, shape (N, dim, dim), at the N rows of xs, from
-    the exact state partials of family.tangents(xs): one state evaluation
-    per point and no step size."""
-    psi, dpsi = family.tangents(xs)
+    the exact state partials of family.frame_jet(xs, 1): one jet per point
+    and no step size.  The metric is made of Hermitian inner products,
+    which the real orthonormal frame of the coefficients preserves, so the
+    states are never formed."""
+    psi, dpsi = family.frame_jet(xs, 1)
     _require_finite(family, xs, dpsi)
     return _qgt_metrics(psi, dpsi, gamma)
 

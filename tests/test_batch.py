@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qorbits import families
+from qorbits.curvature import gauss_curvature
 from qorbits.entanglement import concurrence, concurrences
 from qorbits.errors import ResonanceError
-from qorbits.families import BLOCK_ROWS, evolved_state, family_for_case
+from qorbits.families import BLOCK_ROWS, StateFamily, evolved_state, family_for_case
 from qorbits.fubini_study import (
     analytic_metrics_c7,
     numeric_fs_metric,
     numeric_fs_metrics,
     tangent_fs_metrics,
 )
-from qorbits.hamiltonian import BRANCH_SNAP, branch_sign
+from qorbits.hamiltonian import BRANCH_SNAP, branch_sign, eigenbases
 from qorbits.model import InitialCoefficients, classify
 
 from conftest import random_eta, well_posed
@@ -157,6 +159,40 @@ def test_block_rows_equal_one_row_calls(rng, beta):
             one = (f.states(row), *f.tangents(row), *f.hessians(row))
             for part, single in zip(batch, one):
                 assert np.array_equal(part[k], single[0]), (case, k)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_frame_jet_in_the_frame_is_the_state_jet(rng, beta):
+    # states, tangents and hessians are frame_jet contracted with
+    # e = eigenbases(phi), bitwise, on both sides of a block boundary
+    for case in CASES:
+        f = family(rng, case, beta)
+        xs = well_posed(f, rng.uniform(-1.3, 1.3, size=(3 * BLOCK_ROWS, f.dim)))[:BLOCK_ROWS + 3]
+        assert len(xs) == BLOCK_ROWS + 3
+        phi = xs @ np.array(f.embedding[0][1]) + f.embedding[1][1]
+        e = eigenbases(phi)
+        w, dw, d2w = f.frame_jet(xs, 2)
+        assert np.array_equal(w, f.frame_jet(xs, 0)[0])
+        got = (np.matmul(w[:, None, :], e)[:, 0], dw @ e, d2w @ e[:, None])
+        for want in ((f.states(xs),), f.tangents(xs), f.hessians(xs)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), case
+
+
+def test_metrics_and_curvature_form_no_state(monkeypatch, rng):
+    # tangent_fs_metrics and gauss_curvature read frame_jet coefficients
+    # only: no frame, no states
+    f = family(rng, "C7", 1e-3)
+    xs = well_posed(f, rng.uniform(-1.2, 1.2, size=(20, 4)), 0.3)[:3]
+    want = tangent_fs_metrics(f, xs), gauss_curvature(f, xs[0]).riemann
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("states formed")
+
+    monkeypatch.setattr(families, "eigenbases", forbidden)
+    for name in ("states", "tangents", "hessians"):
+        monkeypatch.setattr(StateFamily, name, forbidden)
+    assert np.array_equal(tangent_fs_metrics(f, xs), want[0])
+    assert np.array_equal(gauss_curvature(f, xs[0]).riemann, want[1])
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e-3])

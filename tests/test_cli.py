@@ -401,6 +401,23 @@ def test_non_finite_numbers_are_bad_config(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["metric", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,,0.2,0.4"],
+         "--point coordinate 1 is not a number: ''"),
+        (["classify", "--eta", "0.5,x,0.5,0.5"], "--eta coefficient 1 is not a number: 'x'"),
+        (["classify", "--eta", "0.5,0.5,0.5,1@y"], "--eta coefficient 3 is not a number: '1@y'"),
+        (["spectrum", "--c", "1,0"], "--c needs 3 comma-separated numbers c1,c2,c3, got '1,0'"),
+        (["spectrum", "--c", "1,0,z"], "--c coupling 2 is not a number: 'z'"),
+    ],
+)
+def test_unparsable_numbers_name_their_option(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
 # parts that are not name=start:stop:count with numeric endpoints and an
 # integer count
 MALFORMED_GRIDS = ("phi=0:1:2.7", "phi=0:1", "phi", "phi=a:1:3")

@@ -385,7 +385,7 @@ def test_tangent_metrics_name_singular_coordinate():
     class Bad:
         chart = ("good", "bad")
 
-        def tangents(self, xs):
+        def frame_jet(self, xs, order):
             psi = np.tile([1.0, 0, 0, 0], (len(xs), 1)).astype(complex)
             dpsi = np.zeros((len(xs), 2, 4), dtype=complex)
             dpsi[1:, 1, 3] = np.inf

@@ -131,6 +131,20 @@ def test_eigenbases_turn_at_pure_field_limit(phi):
     assert not turn[2:].any()
 
 
+def test_eigenbases_are_real_orthogonal():
+    # the frame the state jets are coefficients over: real, and e e^T = 1,
+    # so Hermitian inner products of coefficients are those of the states;
+    # on a sweep through both seams cos(phi) = 0, their BRANCH_SNAP bands
+    # and +-pi
+    seams = [s * math.pi / 2 + d for s in (1, -1) for d in (0.0, 0.5 * BRANCH_SNAP, -0.5 * BRANCH_SNAP,
+                                                              -BRANCH_SNAP, BRANCH_SNAP, 1e-9, -1e-9)]
+    phis = np.concatenate([np.linspace(-math.pi, math.pi, 401), seams,
+                           np.nextafter([math.pi, -math.pi], 0.0)])
+    e = eigenbases(phis)
+    assert not e.imag.any()
+    assert np.max(np.abs(e @ e.transpose(0, 2, 1) - np.eye(4))) <= 1e-15
+
+
 def test_branch_sign_boundary():
     assert branch_sign(math.pi / 2) == 1.0
     assert branch_sign(3 * math.pi / 2) == 1.0
