@@ -34,10 +34,8 @@ from .fubini_study import (
     MetricTensor,
     analytic_metric_c7,
     analytic_metric_case,
-    diagonalize_metric,
     numeric_fs_metric,
     numeric_fs_metrics,
-    pushforward_c7,
     tangent_fs_metrics,
     two_param_metric,
 )

@@ -198,13 +198,20 @@ def parse_grid(text: str) -> dict:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of --beta, --gamma and --chi: a finite float."""
+    """argparse type of --beta and --chi: a finite float."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"needs a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of --gamma: a finite float above 0 (0 zeroes every metric)."""
+    if (value := _finite_float(text)) <= 0.0:
+        raise argparse.ArgumentTypeError(f"needs a number above 0, got {text!r}")
     return value
 
 
@@ -731,7 +738,7 @@ OPTIONS = {
     "--eta": dict(default=None, help="initial coefficients e1,e2,e3,e4"),
     "--case": dict(default=None, help="case label C1..C7 (checked)"),
     "--point": dict(default=None, help="chart point, comma separated"),
-    "--gamma": dict(type=_finite_float, default=1.0, help="metric scale factor"),
+    "--gamma": dict(type=_positive_float, default=1.0, help="metric scale factor, above 0"),
     "--h-metric": dict(type=float, default=1e-5, help="step of the finite-difference metric"),
     "--h-curv": dict(
         type=float, default=1e-3,

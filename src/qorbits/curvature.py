@@ -61,11 +61,10 @@ class MetricField:
 
     @classmethod
     def from_family(cls, family, gamma: float = 1.0) -> "MetricField":
-        """The Fubini-Study metric field of a StateFamily from its exact
-        tangents (tangent_fs_metrics); its curvature is exact
-        (gauss_curvature).  Wrap numeric_fs_metrics in a MetricField for a
-        finite-difference field.  Raises TypeError for any other family
-        object."""
+        """The Fubini-Study metric field of a StateFamily from its order-1
+        frame_jet (tangent_fs_metrics), with exact curvature from its order-2
+        frame_jet (gauss_curvature).  Wrap numeric_fs_metrics in a MetricField
+        for a finite-difference field; any other family object raises TypeError."""
         if not isinstance(family, StateFamily):
             raise TypeError(
                 f"from_family needs a StateFamily, got {type(family).__name__}; "
@@ -172,7 +171,11 @@ def curvature_at(
     field they come from nested central differences: every distinct metric
     of the stencil is evaluated once, in one mf.metrics call, and with
     richardson=True the h and h/2 evaluations are combined as
-    (4 T(h/2) - T(h))/3, removing the leading O(h^2) error.
+    (4 T(h/2) - T(h))/3, removing the leading O(h^2) error.  The nested
+    differences divide the metric's rounding error by (h/2)^2: over
+    numeric_fs_metrics at its default step the scalar was up to 1.4e-2 off
+    gauss_curvature's (C5-C7, beta = 1e-3, scalars 6.6-8.6), so prefer
+    MetricField.from_family.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"curvature step h must be finite and positive, got {h}")

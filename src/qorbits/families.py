@@ -15,18 +15,17 @@ another embedding (sliced_family, constrained_two_param_family).
 
 Evaluation.  Every case is the general state sum_k eta_k e^{i theta_k} psi_k
 with the phases theta_k affine in the chart coordinates (PHASE_FORMS), so one
-batched path serves all seven cases: the state and its exact chart partials
-up to order 0, 1 or 2 as coefficients over the unperturbed frame
-e = (psi1, psi2, PSI3, PSI4) = hamiltonian.eigenbases(phi)
-(StateFamily.frame_jet): the phases contribute i theta_k', the first-order
-rows hamiltonian.first_order_rows mix the coefficients at beta != 0, and
-the frame turns along phi as e' = (s/2) J e.  e is real and orthonormal,
-so inner products of coefficients are those of the states: the
-Fubini-Study metric and the Gauss-equation curvature read frame_jet.
-states, tangents and hessians are the only methods that contract with e,
-as the last step of each block; state is the one-row case of states.  On
-the general orbit (C1, C3, C7) states also takes one coefficient row per
-point, so a batch may mix coefficient sets.
+batched jet serves all seven cases, StateFamily.frame_jet: the state and its
+exact chart partials up to order 0, 1 or 2 as coefficients over the
+unperturbed frame e = (psi1, psi2, PSI3, PSI4) = hamiltonian.eigenbases(phi).
+The phases contribute i theta_k', the first-order rows
+hamiltonian.first_order_rows mix the coefficients at beta != 0, and the frame
+turns along phi as e' = (s/2) J e.  e is real and orthonormal, so inner
+products of coefficients are those of the states: the Fubini-Study metric and
+the Gauss-equation curvature read frame_jet.  states, frame_jet of order 0
+contracted with e block by block, is where a family forms its states; state
+is its one-row case.  On the general orbit (C1, C3, C7) both take one
+coefficient row per point, so a batch may mix coefficient sets.
 """
 
 from __future__ import annotations
@@ -168,37 +167,29 @@ class StateFamily:
         return _phase_table(self.case.label, self.case.l, self.embedding)
 
     def states(self, xs, etas=None) -> np.ndarray:
-        """Normalized states at the rows of an (N, dim) batch, shape (N, 4).
-        etas, an (N, 4) array of normalized coefficient rows such as
-        InitialCoefficients.as_array() gives, stands in for self.eta row by
-        row.  It is taken only where the phase forms are the general orbit
-        (C1, C3, C7): there sum_k eta_k e^{i theta_k} psi_k is the evolved
-        state for every eta."""
-        return self._jet(xs, 0, etas, self._state_block)[0]
+        """Normalized states at the rows of an (N, dim) batch, shape (N, 4):
+        frame_jet(xs, 0, etas) contracted with e = eigenbases(phi) in place,
+        BLOCK_ROWS rows at a time, so at most one block's frame is held."""
+        xs = np.asarray(xs, dtype=float)
+        out = self.frame_jet(xs, 0, etas)[0]
+        _, _, basis, basis0 = self._table
+        for k in range(0, len(xs), BLOCK_ROWS):
+            rows = slice(k, k + BLOCK_ROWS)
+            e = eigenbases((xs[rows] @ basis.T + basis0)[:, 1])
+            # a stacked matmul keeps the summation order of evolved_state's amps @ basis
+            out[rows] = np.matmul(out[rows, None, :], e)[:, 0]
+        return out
 
-    def tangents(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """states(xs) and their exact partials along the chart, shape
-        (N, dim, 4), from one frame per row."""
-        return self._jet(xs, 1, None, self._state_block)
-
-    def hessians(self, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """tangents(xs) and the exact second partials along the chart,
-        shape (N, dim, dim, 4), from one frame per row."""
-        return self._jet(xs, 2, None, self._state_block)
-
-    def frame_jet(self, xs, order):
+    def frame_jet(self, xs, order, etas=None):
         """The states at the rows of an (N, dim) batch and their chart
         partials up to order, as coefficients over the unperturbed frame
-        e = eigenbases(phi): order + 1 complex arrays of shapes
-        (N,) + (dim,) * k + (4,), whose products with e are the states and
-        partials.  e is real and orthonormal, so every Hermitian inner
-        product of the coefficients is that of the states they stand for."""
-        return self._jet(xs, order, None, self._frame_block)
-
-    def _jet(self, xs, order, etas, block):
-        """block(rows, order, eta_rows) over the rows of an (N, dim) batch
-        in blocks of BLOCK_ROWS rows, joined, with the coefficient rows
-        etas (see states) or self.eta."""
+        e = eigenbases(phi), in blocks of BLOCK_ROWS rows: order + 1 complex
+        arrays of shapes (N,) + (dim,) * k + (4,), whose products with e are
+        the states and partials.  e is real and orthonormal, so every
+        Hermitian inner product of the coefficients is that of the states.
+        etas, (N, 4) normalized rows as InitialCoefficients.as_array() gives,
+        stands in for self.eta row by row on the general orbit (C1, C3, C7),
+        whose phase forms give the evolved state for every eta."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ValueError(f"expected (N, {self.dim}) coordinates, got {xs.shape}")
@@ -212,7 +203,7 @@ class StateFamily:
                 raise ValueError(f"expected ({len(xs)}, 4) coefficient rows, got {etas.shape}")
         eta = self.eta.as_array()
         # an empty batch is one empty block
-        blocks = [block(xs[k:k + BLOCK_ROWS], order, eta if etas is None else etas[k:k + BLOCK_ROWS])
+        blocks = [self._frame_block(xs[k:k + BLOCK_ROWS], order, eta if etas is None else etas[k:k + BLOCK_ROWS])
                   for k in range(0, max(len(xs), 1), BLOCK_ROWS)]
         return blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
 
@@ -256,20 +247,6 @@ class StateFamily:
         if self.beta != 0.0:
             w = normalize_jet(*w)
         return tuple(w)
-
-    def _state_block(self, xs, order, eta_rows):
-        """_frame_block contracted with e = eigenbases(phi), phi as
-        _frame_block reads it."""
-        jet = self._frame_block(xs, order, eta_rows)
-        _, _, basis, basis0 = self._table
-        e = eigenbases((xs @ basis.T + basis0)[:, 1])
-        # a stacked matmul keeps the summation order of evolved_state's amps @ basis
-        out = [np.matmul(jet[0][:, None, :], e)[:, 0]]
-        if order >= 1:
-            out.append(jet[1] @ e)
-        if order >= 2:
-            out.append(jet[2] @ e[:, None])
-        return tuple(out)
 
     def grid_concurrences(self, axes) -> np.ndarray:
         """Concurrences at the grid_points(axes) of one 1-D axis per chart
@@ -479,10 +456,6 @@ class PeriodicityCheck:
 class PeriodicityReport:
     case: str
     checks: tuple[PeriodicityCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def check_periodicity(

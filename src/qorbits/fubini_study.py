@@ -162,10 +162,10 @@ def numeric_fs_metric(
 # Closed forms.  Each takes a batch: one chart point per row of xs, shape
 # (N, dim), and one coefficient row per point, etas of shape (N, 4) as
 # StateFamily.states takes them, or a single (4,) row shared by every point.
-# One point xi of shape (dim,) gives one (dim, dim) metric: the one-point
-# forms call the batch forms so.  Coordinates and coefficients are read as
-# x.T[k], which is a numpy scalar for one point, where x[..., k] would be a
-# 0-d array, several times slower to compute with.
+# One point xi of shape (dim,) gives one (dim, dim) metric: analytic_metric_c7
+# and analytic_metric_case call the batch forms so.  Coordinates and
+# coefficients are read as x.T[k], which is a numpy scalar for one point,
+# where x[..., k] would be a 0-d array, several times slower to compute with.
 
 # coordinates of each case's printed closed-form metric
 CLOSED_FORM_CHARTS = {
@@ -384,8 +384,7 @@ class DiagonalizingTransform:
 
     with the substitution J = (eta12_plus/2) cos(theta) replacing omega' by
     theta.  k1..k3 are evaluated at the working point because J depends on
-    omega there.  Each is a float at one point (diagonalize_metric) and an
-    array of one value per point for a batch (diagonalize_metrics).
+    omega there.  Each holds one value per point of diagonalize_metrics.
     """
 
     k1: float
@@ -416,15 +415,6 @@ def diagonalize_metrics(etas, omega, phi=0.0) -> DiagonalizingTransform:
         k3=j / (2.0 * p12),
         k4=2.0 * p12 * m34 / d34,
     )
-
-
-def diagonalize_metric(
-    eta: InitialCoefficients, omega: float, phi: float = 0.0
-) -> DiagonalizingTransform:
-    """Transform coefficients k1..k4 at the given chart point: the one-point
-    case of diagonalize_metrics."""
-    t = diagonalize_metrics(eta.as_array(), omega, phi)
-    return DiagonalizingTransform(*(float(k) for k in (t.k1, t.k2, t.k3, t.k4)))
 
 
 def pushforwards_c7(etas, xs, gamma: float = 1.0) -> np.ndarray:
@@ -458,14 +448,6 @@ def pushforwards_c7(etas, xs, gamma: float = 1.0) -> np.ndarray:
         _batch_shape(etas, xs),
     )
     return jac.swapaxes(-1, -2) @ g @ jac
-
-
-def pushforward_c7(
-    eta: InitialCoefficients, xi, gamma: float = 1.0
-) -> MetricTensor:
-    """The closed-form C7 metric pushed through the diagonalizing transform
-    at one point: the one-row case of pushforwards_c7."""
-    return MetricTensor(pushforwards_c7(eta.as_array(), xi, gamma), gamma, CLOSED_FORM_CHARTS["C7"])
 
 
 def two_param_metric(

@@ -68,9 +68,6 @@ class PerturbedMetric:
     def entries(self) -> np.ndarray:
         return self.base.entries + self.beta * self.correction
 
-    def assembled(self) -> MetricTensor:
-        return MetricTensor(self.entries, self.base.gamma, self.base.coords)
-
 
 def metric_correction_closed_form(
     eta: InitialCoefficients, xi, gamma: float = 1.0

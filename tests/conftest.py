@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qorbits.hamiltonian import eigenbases
 from qorbits.model import InitialCoefficients
 
 
@@ -33,3 +34,17 @@ def well_posed(f, xs, margin=0.05):
     den = 2 * c3 - c_plus + np.array([[1.0], [-1.0]]) * omega
     ok = (np.min(np.abs(den), axis=0) >= margin) & (np.abs(np.cos(phi)) >= 0.05)
     return xs[ok]
+
+
+def state_jet(f, xs, order):
+    """f.frame_jet(xs, order) contracted with the frame e = eigenbases(phi)
+    over the whole batch: the states at the rows of xs and their chart
+    partials up to order, shapes (N,) + (dim,) * k + (4,)."""
+    w = f.frame_jet(xs, order)
+    e = eigenbases(xs @ np.array(f.embedding[0][1]) + f.embedding[1][1])
+    out = [np.matmul(w[0][:, None, :], e)[:, 0]]
+    if order >= 1:
+        out.append(w[1] @ e)
+    if order >= 2:
+        out.append(w[2] @ e[:, None])
+    return tuple(out)

@@ -2,6 +2,7 @@
 eigenbasis and the batched concurrence."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -20,10 +21,10 @@ from qorbits.fubini_study import (
     numeric_fs_metrics,
     tangent_fs_metrics,
 )
-from qorbits.hamiltonian import BRANCH_SNAP, branch_sign, eigenbases
+from qorbits.hamiltonian import BRANCH_SNAP, branch_sign
 from qorbits.model import InitialCoefficients, classify
 
-from conftest import random_eta, well_posed
+from conftest import random_eta, state_jet, well_posed
 
 CASES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
 
@@ -101,7 +102,8 @@ def test_c7_rows_equal_evolved_state_bitwise(rng):
 
 @pytest.mark.parametrize("beta", [0.0, 0.3])
 def test_tangents_match_central_differences(rng, beta):
-    # psi is the states() row; dpsi the exact chart partials.  A large beta
+    # psi is the states() row; dpsi the exact chart partials of the order-1
+    # frame jet, contracted with the frame.  A large beta
     # makes the terms of the first-order couplings show above the
     # finite-difference error
     h = 1e-5
@@ -109,7 +111,7 @@ def test_tangents_match_central_differences(rng, beta):
         f = family(rng, case, beta)
         xs = well_posed(f, rng.uniform(-1.3, 1.3, size=(3 * BLOCK_ROWS, f.dim)), 0.5)
         assert len(xs) > BLOCK_ROWS
-        psi, dpsi = f.tangents(xs)
+        psi, dpsi = state_jet(f, xs, 1)
         assert np.array_equal(psi, f.states(xs))
         fd = np.stack(
             [(f.states(xs + h * e) - f.states(xs - h * e)) / (2 * h) for e in np.eye(f.dim)],
@@ -123,20 +125,21 @@ def test_tangents_match_central_differences(rng, beta):
 # 1.3e-10 and 7.0e-9)
 @pytest.mark.parametrize("beta, tol", [(0.0, 3e-12), (1e-3, 1e-9), (0.3, 5e-8)])
 def test_hessians_match_central_differences_of_tangents(rng, beta, tol):
-    # psi and dpsi are the tangents() rows; d2psi against 4th-order central
-    # differences of the exact tangents, over more than one block of rows
+    # psi and dpsi are the order-1 jet's rows; d2psi, of the order-2 frame
+    # jet contracted with the frame, against 4th-order central differences
+    # of the exact tangents, over more than one block of rows
     h = 1e-3
     for case in CASES:
         f = family(rng, case, beta)
         xs = well_posed(f, rng.uniform(-1.3, 1.3, size=(3 * BLOCK_ROWS, f.dim)), 0.5)
         assert len(xs) > BLOCK_ROWS
-        psi, dpsi, d2psi = f.hessians(xs)
-        tangents = f.tangents(xs)
+        psi, dpsi, d2psi = state_jet(f, xs, 2)
+        tangents = state_jet(f, xs, 1)
         assert np.array_equal(psi, tangents[0]) and np.array_equal(dpsi, tangents[1])
         assert d2psi.shape == (len(xs), f.dim, f.dim, 4)
         fd = np.stack(
-            [(-f.tangents(xs + 2 * h * e)[1] + 8 * f.tangents(xs + h * e)[1]
-              - 8 * f.tangents(xs - h * e)[1] + f.tangents(xs - 2 * h * e)[1]) / (12 * h)
+            [(-state_jet(f, xs + 2 * h * e, 1)[1] + 8 * state_jet(f, xs + h * e, 1)[1]
+              - 8 * state_jet(f, xs - h * e, 1)[1] + state_jet(f, xs - 2 * h * e, 1)[1]) / (12 * h)
              for e in np.eye(f.dim)],
             axis=1,
         )
@@ -146,36 +149,34 @@ def test_hessians_match_central_differences_of_tangents(rng, beta, tol):
 
 @pytest.mark.parametrize("beta", [0.0, 1e-3])
 def test_block_rows_equal_one_row_calls(rng, beta):
-    # states, tangents and hessians share one block loop: the rows on both
-    # sides of a block boundary equal the one-row calls bitwise
+    # states and the frame jets of orders 1 and 2 run in blocks: the rows on
+    # both sides of a block boundary equal the one-row calls bitwise
     for case in CASES:
         f = family(rng, case, beta)
         xs = well_posed(f, rng.uniform(-1.3, 1.3, size=(3 * BLOCK_ROWS, f.dim)))
         xs = xs[:BLOCK_ROWS + 3]
         assert len(xs) == BLOCK_ROWS + 3
-        batch = (f.states(xs), *f.tangents(xs), *f.hessians(xs))
+        batch = (f.states(xs), *f.frame_jet(xs, 1), *f.frame_jet(xs, 2))
         for k in (0, BLOCK_ROWS - 1, BLOCK_ROWS, len(xs) - 1):
             row = xs[k:k + 1]
-            one = (f.states(row), *f.tangents(row), *f.hessians(row))
+            one = (f.states(row), *f.frame_jet(row, 1), *f.frame_jet(row, 2))
             for part, single in zip(batch, one):
                 assert np.array_equal(part[k], single[0]), (case, k)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e-3])
 def test_frame_jet_in_the_frame_is_the_state_jet(rng, beta):
-    # states, tangents and hessians are frame_jet contracted with
-    # e = eigenbases(phi), bitwise, on both sides of a block boundary
+    # states is frame_jet of order 0 contracted with e = eigenbases(phi),
+    # bitwise, on both sides of a block boundary, and the jets of lower
+    # order are the leading parts of those of higher order
     for case in CASES:
         f = family(rng, case, beta)
         xs = well_posed(f, rng.uniform(-1.3, 1.3, size=(3 * BLOCK_ROWS, f.dim)))[:BLOCK_ROWS + 3]
         assert len(xs) == BLOCK_ROWS + 3
-        phi = xs @ np.array(f.embedding[0][1]) + f.embedding[1][1]
-        e = eigenbases(phi)
         w, dw, d2w = f.frame_jet(xs, 2)
         assert np.array_equal(w, f.frame_jet(xs, 0)[0])
-        got = (np.matmul(w[:, None, :], e)[:, 0], dw @ e, d2w @ e[:, None])
-        for want in ((f.states(xs),), f.tangents(xs), f.hessians(xs)):
-            assert all(np.array_equal(a, b) for a, b in zip(got, want)), case
+        assert all(np.array_equal(a, b) for a, b in zip(f.frame_jet(xs, 1), (w, dw))), case
+        assert np.array_equal(state_jet(f, xs, 0)[0], f.states(xs)), case
 
 
 def test_metrics_and_curvature_form_no_state(monkeypatch, rng):
@@ -189,8 +190,7 @@ def test_metrics_and_curvature_form_no_state(monkeypatch, rng):
         raise AssertionError("states formed")
 
     monkeypatch.setattr(families, "eigenbases", forbidden)
-    for name in ("states", "tangents", "hessians"):
-        monkeypatch.setattr(StateFamily, name, forbidden)
+    monkeypatch.setattr(StateFamily, "states", forbidden)
     assert np.array_equal(tangent_fs_metrics(f, xs), want[0])
     assert np.array_equal(gauss_curvature(f, xs[0]).riemann, want[1])
 
@@ -222,16 +222,17 @@ def test_tangents_reject_resonance_and_bad_shape(rng):
     f = family(rng, "C7", beta=1e-3)
     omega, c3 = 0.9, 0.4
     with pytest.raises(ResonanceError):
-        f.tangents(np.array([[omega, 0.3, c3, 2 * c3 + omega]]))
+        f.frame_jet(np.array([[omega, 0.3, c3, 2 * c3 + omega]]), 1)
     with pytest.raises(ValueError):
-        f.tangents(np.zeros(4))
+        f.frame_jet(np.zeros(4), 1)
 
 
-# the batch functions at N = 0, each with the shapes of its outputs
+# the batch functions at N = 0, each with the shapes of its outputs; the
+# frame jets of orders 1 and 2 under the names of the jets they give
 EMPTY_BATCH = {
     "states": (lambda f, xs: f.states(xs), [(0, 4)]),
-    "tangents": (lambda f, xs: f.tangents(xs), [(0, 4), (0, 4, 4)]),
-    "hessians": (lambda f, xs: f.hessians(xs), [(0, 4), (0, 4, 4), (0, 4, 4, 4)]),
+    "tangents": (lambda f, xs: f.frame_jet(xs, 1), [(0, 4), (0, 4, 4)]),
+    "hessians": (lambda f, xs: f.frame_jet(xs, 2), [(0, 4), (0, 4, 4), (0, 4, 4, 4)]),
     "numeric_fs_metrics": (numeric_fs_metrics, [(0, 4, 4)]),
     "tangent_fs_metrics": (tangent_fs_metrics, [(0, 4, 4)]),
     "analytic_metrics_c7": (lambda f, xs: analytic_metrics_c7(np.empty((0, 4)), xs), [(0, 4, 4)]),
@@ -250,12 +251,30 @@ def test_empty_batch(rng, name, beta):
 
 @pytest.mark.parametrize("beta", [0.0, 1e-3])
 def test_hessians_are_c_contiguous(rng, beta):
-    # one-row calls return a block's arrays as computed, longer ones their
-    # concatenation; neither is a strided view
+    # the order-2 frame jet: one-row calls return a block's arrays as
+    # computed, longer ones their concatenation; neither is a strided view
     f = family(rng, "C7", beta)
     xs = well_posed(f, rng.uniform(-1.3, 1.3, size=(3 * BLOCK_ROWS, 4)))
     for rows in (xs[:1], xs[:BLOCK_ROWS + 3]):
-        assert all(part.flags.c_contiguous for part in f.hessians(rows))
+        assert all(part.flags.c_contiguous for part in f.frame_jet(rows, 2))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_states_hold_one_block_of_the_frame(rng, beta):
+    # states contracts one block at a time: its peak over 20,000 rows
+    # (2.57 MB measured at both betas: the coefficients' blocks and their
+    # concatenation) stays below one whole-batch (N, 4, 4) complex frame,
+    # which a whole-batch contraction exceeds (7.8 MB measured)
+    f = family(rng, "C7", beta)
+    xs = well_posed(f, rng.uniform(-1.3, 1.3, size=(30_000, 4)))[:20_000]
+    assert len(xs) == 20_000
+    tracemalloc.start()
+    try:
+        f.states(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(xs) * 4 * 4 * 16
 
 
 def test_states_rejects_bad_shape(rng):
@@ -287,5 +306,5 @@ def test_batch_properties(case, seed, n, beta):
     assert np.all((c >= 0) & (c <= 1 + 1e-12))
     k = int(rng.integers(n))
     assert np.array_equal(f.state(xs[k]), rows[k])
-    tangents = f.tangents(xs)
-    assert all(np.array_equal(a, b) for a, b in zip(f.hessians(xs)[:2], tangents))
+    tangents = f.frame_jet(xs, 1)
+    assert all(np.array_equal(a, b) for a, b in zip(f.frame_jet(xs, 2)[:2], tangents))

@@ -29,7 +29,7 @@ from qorbits.fubini_study import (
     analytic_metric_c7,
     analytic_metric_case,
     numeric_fs_metric,
-    pushforward_c7,
+    pushforwards_c7,
 )
 from qorbits.model import InitialCoefficients, classify
 
@@ -243,7 +243,7 @@ def _metric_suite_per_point_draws(rng, gamma):
             continue
         n_done += 1
         xi = np.array([omega, 0.3, 0.2, 0.4])
-        gp = pushforward_c7(eta, xi, gamma).entries
+        gp = pushforwards_c7(eta.as_array(), xi, gamma)
         gd = analytic_metric_case(family_for_case(classify(eta), eta), xi, gamma).entries
         worst_off = max(worst_off, float(np.max(np.abs(gp - np.diag(np.diag(gp))))))
         worst_diag = max(worst_diag, float(np.max(np.abs(np.diag(gp) - np.diag(gd)))))
@@ -416,6 +416,24 @@ def test_unparsable_numbers_name_their_option(argv, message, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
+
+
+@pytest.mark.parametrize("gamma", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metric", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,0.2,0.4"],
+        ["verify", "--suite", "metric"],
+        ["verify", "--suite", "perturbation", "--seed", "3"],
+    ],
+    ids=["metric", "verify-metric", "verify-perturbation"],
+)
+def test_non_positive_gamma_is_bad_config(argv, gamma, capsys):
+    # gamma = 0 made every metric zero: verify's perturbation suite passed
+    # its refuted checks at deviation 0 and its metric suite read NaN
+    assert main(argv + ["--gamma", gamma]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"--gamma: needs a number above 0, got '{gamma}'" in err
 
 
 # parts that are not name=start:stop:count with numeric endpoints and an

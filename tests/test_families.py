@@ -29,7 +29,7 @@ from qorbits.families import (
 from qorbits.hamiltonian import BRANCH_SNAP, branch_sign, eigenbases, half_angles
 from qorbits.model import CaseClass, InitialCoefficients, classify
 
-from conftest import random_eta, well_posed
+from conftest import random_eta, state_jet, well_posed
 
 S2 = 1 / math.sqrt(2)
 
@@ -210,13 +210,13 @@ def test_slice_matches_base_family_at_embedded_points(case, seed, beta):
     xs[:, keep] = rng.uniform(-3, 3, size=(8, len(keep)))
     xs[:, held] = [fixed[n] for n, h in zip(f.chart, held) if h]
     assume(len(well_posed(f, xs)) == len(xs))
-    psi_s, dpsi_s, d2psi_s = s.hessians(xs[:, keep])
-    psi, dpsi, d2psi = f.hessians(xs)
+    psi_s, dpsi_s, d2psi_s = state_jet(s, xs[:, keep], 2)
+    psi, dpsi, d2psi = state_jet(f, xs, 2)
     assert np.max(np.abs(psi_s - psi)) < 6e-15
     assert np.max(np.abs(dpsi_s - dpsi[:, keep])) < 7e-15
     assert np.max(np.abs(d2psi_s - d2psi[:, keep][:, :, keep])) < 2e-14
     assert np.array_equal(s.states(xs[:, keep]), psi_s)
-    assert np.array_equal(s.tangents(xs[:, keep])[1], dpsi_s)
+    assert np.array_equal(state_jet(s, xs[:, keep], 1)[1], dpsi_s)
 
 
 def test_sliced_family_rejects_unknown_coordinate():

@@ -21,12 +21,10 @@ from qorbits.fubini_study import (
     analytic_metric_case,
     analytic_metrics_c7,
     analytic_metrics_case,
-    diagonalize_metric,
     diagonalize_metrics,
     numeric_fs_metric,
     numeric_fs_metrics,
     phase_twisted,
-    pushforward_c7,
     pushforwards_c7,
     tangent_fs_metrics,
     two_param_metric,
@@ -177,14 +175,14 @@ def test_diagonalize_c7_pushforward(rng):
         done += 1
         xi = np.array([omega, 0.3, 0.2, 0.4])
         gamma = 1.3
-        gp = pushforward_c7(eta, xi, gamma)
+        gp = pushforwards_c7(eta.as_array(), xi, gamma)
         f = family_for_case(classify(eta), eta)
         diag_expected = np.diag(analytic_metric_case(f, xi, gamma).entries)
-        off = gp.entries - np.diag(np.diag(gp.entries))
+        off = gp - np.diag(np.diag(gp))
         worst_off = max(worst_off, float(np.max(np.abs(off))))
         worst_diag = max(
             worst_diag,
-            float(np.max(np.abs(np.diag(gp.entries) - diag_expected))),
+            float(np.max(np.abs(np.diag(gp) - diag_expected))),
         )
     assert worst_off < 1e-10
     assert worst_diag < 1e-10
@@ -192,14 +190,14 @@ def test_diagonalize_c7_pushforward(rng):
 
 def test_diagonalize_balanced_pair_kills_k1_k2():
     eta = InitialCoefficients.normalized(0.5, 0.5j, 0.6, 0.4)
-    t = diagonalize_metric(eta, omega=0.6)
+    t = diagonalize_metrics(eta.as_array(), 0.6)
     assert t.k1 == 0.0
     assert t.k2 == 0.0
 
 
 def test_diagonalize_k4_zero_for_balanced_34():
     eta = InitialCoefficients.normalized(0.6, 0.4, 0.5, 0.5)
-    t = diagonalize_metric(eta, omega=0.3)
+    t = diagonalize_metrics(eta.as_array(), 0.3)
     assert t.k4 == 0.0
     f = family_for_case(classify(eta), eta)
     g = analytic_metric_case(f, np.array([0.3, 0.2, 0.1, 0.5]))
@@ -216,7 +214,7 @@ def test_diagonalize_singular_transform():
     # J = Im(eta1 conj(eta2) e^{-2iw}) = Im(-0.25i e^{-2iw}); at w = 0:
     # J = -0.25 = -eta12+/2 -> 4J^2 - (eta12+)^2 = 0
     with pytest.raises(SingularTransformError):
-        diagonalize_metric(eta, omega=0.0)
+        diagonalize_metrics(eta.as_array(), 0.0)
 
 
 def test_case_closed_forms_document_known_ratios(rng):
@@ -462,11 +460,11 @@ def test_batch_closed_forms_equal_per_point_calls(rng):
         )
         assert np.array_equal(
             pushforwards_c7(rows, xs, gamma),
-            [pushforward_c7(eta, x, gamma).entries for eta, x in zip(etas, xs)],
+            [pushforwards_c7(eta.as_array(), x, gamma) for eta, x in zip(etas, xs)],
         )
     t = diagonalize_metrics(rows, xs[:, 0], xs[:, 1])
     for k, (eta, x) in enumerate(zip(etas, xs)):
-        one = diagonalize_metric(eta, x[0], x[1])
+        one = diagonalize_metrics(eta.as_array(), x[0], x[1])
         assert (t.k1[k], t.k2[k], t.k3[k], t.k4[k]) == (one.k1, one.k2, one.k3, one.k4)
     # one (4,) row serves every point
     assert np.array_equal(
@@ -508,12 +506,12 @@ def test_batch_with_one_singular_row_raises_the_one_point_error(rng):
     k0 = InitialCoefficients.normalized(0.6, 0.3j, 0.5, 0.4)
     for eta, match in ((d12, "transform singular"), (k0, "K = ")):
         with pytest.raises(SingularTransformError, match=match):
-            pushforward_c7(eta, xi)
+            pushforwards_c7(eta.as_array(), xi)
         bad_rows, bad_xs = rows.copy(), xs.copy()
         bad_rows[5], bad_xs[5] = eta.as_array(), xi
         assert match in _raises_without_warnings(SingularTransformError, pushforwards_c7, bad_rows, bad_xs)
     bad_rows[5] = d12.as_array()
-    one = _raises_without_warnings(SingularTransformError, diagonalize_metric, d12, 0.0, 0.3)
+    one = _raises_without_warnings(SingularTransformError, diagonalize_metrics, d12.as_array(), 0.0, 0.3)
     batch = _raises_without_warnings(
         SingularTransformError, diagonalize_metrics, bad_rows, bad_xs[:, 0], 0.3
     )

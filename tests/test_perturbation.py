@@ -245,7 +245,6 @@ def test_perturbed_metric_assembles_symmetric(rng):
     pm = perturbed_metric_analytic(eta, xi, beta=1e-3)
     g = pm.entries
     assert np.max(np.abs(g - g.T)) < 1e-14
-    assert np.allclose(pm.assembled().entries, g)
 
 
 def test_batched_beta_derivative_equals_single_point(rng):
