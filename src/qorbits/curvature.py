@@ -228,9 +228,12 @@ def gauss_curvature(family, xi, gamma: float = 1.0) -> CurvatureReport:
                  + Re<II_rm|II_sn> - Re<II_rn|II_sm>,
 
     reported with its first index raised (the module's sign convention).
-    Raises ChartSingularityError for a non-finite partial and
-    SingularMetricError for a singular metric.
+    Raises ValueError for gamma not finite and positive,
+    ChartSingularityError for a non-finite partial and SingularMetricError
+    for a singular metric.
     """
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"metric scale gamma must be finite and positive, got {gamma}")
     xi = np.asarray(xi, dtype=float)
     psi, dpsi, d2psi = family.frame_jet(xi[None], 2)
     dim = dpsi.shape[1]

@@ -17,6 +17,7 @@ surfaced by the comparison utilities, never patched here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,6 +110,8 @@ def _qgt_metrics(psi, dpsi, gamma: float) -> np.ndarray:
     """gamma^2 Re(<d_m psi|d_n psi> - <d_m psi|psi><psi|d_n psi>), shape
     (N, dim, dim), from states psi (N, 4) and their partials dpsi
     (N, dim, 4)."""
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"metric scale gamma must be finite and positive, got {gamma}")
     overlaps = dpsi @ psi[:, :, None].conj()  # <d_m psi|psi>^*, shape (N, dim, 1)
     qgt = dpsi.conj() @ dpsi.transpose(0, 2, 1) - overlaps.conj() * overlaps.transpose(0, 2, 1)
     g = gamma * gamma * qgt.real

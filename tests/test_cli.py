@@ -12,12 +12,7 @@ import qorbits
 from qorbits.cli import (
     COMMAND_OPTIONS,
     COMMANDS,
-    DEFAULT_CASE_ETAS,
     OPTIONS,
-    SUITE_OPTIONS,
-    SUITES,
-    _suite_metric,
-    _table_samples,
     build_parser,
     main,
     parse_eta,
@@ -32,6 +27,7 @@ from qorbits.fubini_study import (
     pushforwards_c7,
 )
 from qorbits.model import InitialCoefficients, classify
+from qorbits.verify import DEFAULT_CASE_ETAS, SUITE_OPTIONS, SUITES, _table_samples, suite_metric
 
 
 def run_cli(capsys, *argv):
@@ -204,8 +200,7 @@ def test_metric_oracle_equals_the_per_point_loop(options):
     # family and one stencil per point it replaced, bitwise
     args = build_parser().parse_args(["verify", "--suite", "metric", *options])
     for seed in range(10):
-        checks = []
-        _suite_metric(args, np.random.default_rng(seed), checks)
+        checks = suite_metric(np.random.default_rng(seed), gamma=args.gamma, h_metric=args.h_metric)
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(50):
@@ -248,8 +243,8 @@ def _metric_suite_per_point_draws(rng, gamma):
         worst_off = max(worst_off, float(np.max(np.abs(gp - np.diag(np.diag(gp))))))
         worst_diag = max(worst_diag, float(np.max(np.abs(np.diag(gp) - np.diag(gd)))))
     # the gauge-invariance points, one per case family
-    for text in DEFAULT_CASE_ETAS.values():
-        rng.uniform(0.2, 1.0, size=classify(parse_eta(text)).dimension)
+    for coeffs in DEFAULT_CASE_ETAS.values():
+        rng.uniform(0.2, 1.0, size=classify(InitialCoefficients.normalized(*coeffs)).dimension)
     return worst_off, worst_diag
 
 
@@ -257,9 +252,8 @@ def _metric_suite_per_point_draws(rng, gamma):
 def test_metric_suite_draws_as_the_per_point_loop(options):
     args = build_parser().parse_args(["verify", "--suite", "metric", *options])
     for seed in range(10):
-        checks = []
         rng = np.random.default_rng(seed)
-        _suite_metric(args, rng, checks)
+        checks = suite_metric(rng, gamma=args.gamma, h_metric=args.h_metric)
         ref = np.random.default_rng(seed)
         worst_off, worst_diag = _metric_suite_per_point_draws(ref, args.gamma)
         assert rng.bit_generator.state == ref.bit_generator.state, seed
@@ -473,8 +467,8 @@ def _per_row_samples(f, rng):
 @pytest.mark.parametrize("seed", [0, 1, 37])
 def test_table_samples_match_per_row_uniform(seed):
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    for text in DEFAULT_CASE_ETAS.values():
-        eta = parse_eta(text)
+    for coeffs in DEFAULT_CASE_ETAS.values():
+        eta = InitialCoefficients.normalized(*coeffs)
         f = family_for_case(classify(eta), eta)
         got = _table_samples(f, fast)
         assert got.tobytes() == _per_row_samples(f, slow).tobytes(), f.case.label

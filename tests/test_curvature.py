@@ -506,3 +506,15 @@ def test_gauss_typed_errors(rng):
     omega, c3 = 0.9, 0.4
     with pytest.raises(ResonanceError):
         gauss_curvature(f, np.array([omega, 0.3, c3, 2 * c3 + omega]))
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize(
+    "coeffs, xi", [((0.5, 0.5, 0.5, 0.5), [0.7, 0.3, 0.2, 0.4]), ((1, 0, 0, 0), [0.3])]
+)
+def test_family_curvature_refuses_metric_scale(gamma, coeffs, xi):
+    # the exact (Gauss) route at dim 4, the tangent metric at dim 1
+    eta = InitialCoefficients.normalized(*coeffs)
+    mf = MetricField.from_family(family_for_case(classify(eta), eta), gamma=gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        curvature_at(mf, np.array(xi))

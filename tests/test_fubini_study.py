@@ -532,3 +532,15 @@ def test_batch_case_rows_are_classified(rng):
     eta5 = random_eta(rng, "C5")
     with pytest.raises(CaseMismatchError):
         analytic_metrics_case(family_for_case(classify(eta5), eta5), xs[:, :3], 1.0, rows)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+def test_metric_scale_must_be_finite_and_positive(gamma):
+    # gamma = 0 zeroed every metric; the closed forms stay as printed
+    eta = InitialCoefficients(0.5, 0.5, 0.5, 0.5)
+    f = family_for_case(classify(eta), eta)
+    xi = np.array([0.7, 0.3, 0.2, 0.4])
+    with pytest.raises(ValueError, match="gamma"):
+        numeric_fs_metric(f, xi, gamma=gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        tangent_fs_metrics(f, xi[None], gamma)

@@ -261,3 +261,12 @@ def test_audit_with_no_admissible_point_raises():
     eta = InitialCoefficients.normalized(0.3 + 0.2j, 0.5, 0.1 - 0.4j, 0.6)
     with pytest.raises(NoAdmissiblePointsError, match="resonance.*cos"):
         audit_metric_correction(eta, [np.array([0.5, 2.0, 0.1, 0.2])])
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+def test_audit_refuses_metric_scale(gamma, rng):
+    # at gamma = 0 both sides were zero and the refuted components agreed
+    eta = random_eta(rng)
+    pts = [resonance_free_point(rng) for _ in range(4)]
+    with pytest.raises(ValueError, match="gamma"):
+        audit_metric_correction(eta, pts, gamma=gamma)
