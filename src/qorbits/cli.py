@@ -122,12 +122,12 @@ def _parse_items(text: str, option: str, noun: str, parse) -> list:
     return vals
 
 
-def parse_eta(text: str, warn=None) -> InitialCoefficients:
+def parse_eta(text: str, warn) -> InitialCoefficients:
     vals = _parse_items(text, "--eta", "coefficient", _parse_complex)
     if len(vals) != 4:
         raise ValueError("--eta needs 4 comma-separated complex numbers")
     norm = math.sqrt(sum(abs(v) ** 2 for v in vals))
-    if abs(norm - 1.0) > 1e-9 and warn is not None:
+    if abs(norm - 1.0) > 1e-9:
         warn(f"eta normalized (input norm was {norm:.12g})")
     return InitialCoefficients.normalized(*vals)
 
@@ -408,7 +408,7 @@ def cmd_verify(args, warn) -> dict:
         if not read and getattr(args, flag[2:].replace("-", "_")) != OPTIONS[flag]["default"]:
             readers = ", ".join(n for n, opts in verify.SUITE_OPTIONS.items() if flag in opts)
             raise ValueError(f"{flag} is read only by the suites {readers}, not {args.suite}")
-    eta = None if args.eta is None else parse_eta(args.eta)
+    eta = None if args.eta is None else parse_eta(args.eta, warn)
     checks = verify.run(
         selected, args.seed, eta=eta, gamma=args.gamma, h_metric=args.h_metric, chi=args.chi
     )

@@ -101,34 +101,32 @@ def _condition_number(evals, points) -> float:
 
 
 @lru_cache(maxsize=None)
-def _curvature_stencil(dim: int, richardson: bool):
+def _curvature_stencil(dim: int):
     """The distinct metric points of the curvature stencil and where each
     step reads them.
 
     A step of k half-units (k = 1 is h/2, k = 2 is h) forms Christoffel
     symbols at the 2 dim + 1 centres 0, +k e_mu, -k e_mu, and reads the
-    metrics at centre c at c, c + k e_nu, c - k e_nu, in that order.  One
-    step has 2 dim^2 + 2 dim + 1 distinct points, steps 1 and 2 together
-    4 dim^2 + 2 dim + 1.
+    metrics at centre c at c, c + k e_nu, c - k e_nu, in that order.  Steps 1
+    and 2 together read 4 dim^2 + 2 dim + 1 distinct points.
 
-    Returns ks, the steps (1 then 2 with Richardson, else 2); each distinct
-    point as a centre plus a step from it, both integer offsets in units of
-    h/2; and rows, for each k, the (2 dim + 1, 2 dim + 1) indices of the
-    metrics read.  A point both steps read takes the h/2 step's centre and
-    step, so it is evaluated at the same float as when each step had its own
-    stencil: on a finite-difference metric field (numeric_fs_metrics) the
-    metric's rounding noise at the h/2 step dominates the result, and moving
-    its points by an ulp moves a curvature by up to 1e-4 relative.
+    Returns each distinct point as a centre plus a step from it, both
+    integer offsets in units of h/2, and rows, for k = 1 then 2, the
+    (2 dim + 1, 2 dim + 1) indices of the metrics read.  A point both steps
+    read takes the h/2 step's centre and step, so it is evaluated at the
+    same float as when each step had its own stencil: on a finite-difference
+    metric field (numeric_fs_metrics) the metric's rounding noise at the h/2
+    step dominates the result, and moving its points by an ulp moves a
+    curvature by up to 1e-4 relative.
     """
     unit = np.concatenate([np.zeros((1, dim), int), np.eye(dim, dtype=int),
                            -np.eye(dim, dtype=int)])
     n = 2 * dim + 1
-    ks = (1, 2) if richardson else (2,)
-    centre = np.concatenate([np.repeat(k * unit, n, axis=0) for k in ks])
-    step = np.concatenate([np.tile(k * unit, (n, 1)) for k in ks])
+    centre = np.concatenate([np.repeat(k * unit, n, axis=0) for k in (1, 2)])
+    step = np.concatenate([np.tile(k * unit, (n, 1)) for k in (1, 2)])
     _, first, rows = np.unique(centre + step, axis=0, return_index=True,
                                return_inverse=True)
-    return ks, centre[first], step[first], rows.reshape(len(ks), n, n)
+    return centre[first], step[first], rows.reshape(2, n, n)
 
 
 def _stencil_tensors(g_all, rows, ginv, step):
@@ -158,21 +156,15 @@ def _stencil_tensors(g_all, rows, ginv, step):
     return gamma, riemann, ricci, scalar
 
 
-def curvature_at(
-    mf: MetricField,
-    xi,
-    h: float = DEFAULT_CURVATURE_STEP,
-    richardson: bool = True,
-) -> CurvatureReport:
+def curvature_at(mf: MetricField, xi, h: float = DEFAULT_CURVATURE_STEP) -> CurvatureReport:
     """Curvature tensors at a point.
 
-    On a family field (MetricField.from_family) of dim > 1 they are exact,
-    from gauss_curvature, and h and richardson are unused.  On any other
-    field they come from nested central differences: every distinct metric
-    of the stencil is evaluated once, in one mf.metrics call, and with
-    richardson=True the h and h/2 evaluations are combined as
-    (4 T(h/2) - T(h))/3, removing the leading O(h^2) error.  The nested
-    differences divide the metric's rounding error by (h/2)^2: over
+    On a family field (MetricField.from_family) they are exact, from
+    gauss_curvature, and h is unused.  On any other field they come from
+    nested central differences at steps h and h/2, combined as
+    (4 T(h/2) - T(h))/3 to remove the leading O(h^2) error; every distinct
+    metric of the stencil is evaluated once, in one mf.metrics call.  The
+    nested differences divide the metric's rounding error by (h/2)^2: over
     numeric_fs_metrics at its default step the scalar was up to 1.4e-2 off
     gauss_curvature's (C5-C7, beta = 1e-3, scalars 6.6-8.6), so prefer
     MetricField.from_family.
@@ -180,31 +172,18 @@ def curvature_at(
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"curvature step h must be finite and positive, got {h}")
     xi = np.asarray(xi, dtype=float)
-    if mf.family is not None and mf.dim > 1:
+    if mf.family is not None:
         return gauss_curvature(mf.family, xi, mf.gamma)
-    if mf.dim == 1:
-        cond = _condition_number(np.linalg.eigvalsh(mf.metrics(xi[None])), xi[None])
-        z = np.zeros((1,) * 4)
-        return CurvatureReport(
-            xi, np.zeros((1, 1, 1)), z, np.zeros((1, 1)), 0.0, h, cond,
-            note="dim-1 manifolds are intrinsically flat",
-        )
-    ks, centre, step, rows = _curvature_stencil(mf.dim, richardson)
+    centre, step, rows = _curvature_stencil(mf.dim)
     points = (xi + centre * (0.5 * h)) + step * (0.5 * h)
     g_all = mf.metrics(points)
     # every Christoffel centre, the point itself first
     centres = rows[:, :, 0].ravel()
     cond = _condition_number(np.linalg.eigvalsh(g_all[centres]), points[centres])
     ginv = np.linalg.inv(g_all[centres[0]])
-    # T(h) is the last step's; with Richardson the first is T(h/2)
-    tensors = [_stencil_tensors(g_all, r, ginv, k * (0.5 * h)) for k, r in zip(ks, rows)]
-    gam, rie, ric, sca = tensors[-1]
-    if richardson:
-        gam2, rie2, ric2, sca2 = tensors[0]
-        gam = (4.0 * gam2 - gam) / 3.0
-        rie = (4.0 * rie2 - rie) / 3.0
-        ric = (4.0 * ric2 - ric) / 3.0
-        sca = (4.0 * sca2 - sca) / 3.0
+    # T(h/2) and T(h), each (Christoffel, Riemann, Ricci, scalar)
+    half, full = (_stencil_tensors(g_all, r, ginv, k * (0.5 * h)) for k, r in zip((1, 2), rows))
+    gam, rie, ric, sca = ((4.0 * a - b) / 3.0 for a, b in zip(half, full))
     return CurvatureReport(xi, gam, rie, ric, float(sca), h, cond)
 
 

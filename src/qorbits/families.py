@@ -112,27 +112,24 @@ def evolved_state(eta: InitialCoefficients, coords) -> np.ndarray:
     return amps @ basis
 
 
-def chart_embedding(chart, frozen: dict | None = None):
-    """The embedding (E, e0) of a chart that reads each chart coordinate off
-    its own column and holds every other EMBED_COORDS entry at its frozen
-    value: frozen, then DEFAULT_FROZEN, then 0 for c.  Without frozen it
-    depends on the chart alone and is built once per chart."""
-    if not frozen:
-        return _default_embedding(tuple(chart))
-    refs = {**DEFAULT_FROZEN, **frozen}
+@lru_cache(maxsize=64)
+def _chart_embedding(chart):
     E = np.zeros((len(EMBED_COORDS), len(chart)))
     e0 = np.zeros(len(EMBED_COORDS))
     for k, name in enumerate(EMBED_COORDS):
         if name in chart:
             E[k, chart.index(name)] = 1.0
         else:
-            e0[k] = float(refs.get(name, 0.0))
+            e0[k] = DEFAULT_FROZEN.get(name, 0.0)
     return _embedding_tuples(E, e0)
 
 
-@lru_cache(maxsize=64)
-def _default_embedding(chart):
-    return chart_embedding(chart, DEFAULT_FROZEN)
+def chart_embedding(chart):
+    """The embedding (E, e0) of a chart that reads each chart coordinate off
+    its own column and holds every other EMBED_COORDS entry at its
+    DEFAULT_FROZEN value, 0 for c.  It is built once per chart; a family
+    with other reference values takes its own embedding (sliced_family)."""
+    return _chart_embedding(tuple(chart))
 
 
 def _embedding_tuples(E, e0):
@@ -368,12 +365,7 @@ def _phase_table(label, l, embedding):
     return table
 
 
-def family_for_case(
-    case: CaseClass,
-    eta: InitialCoefficients,
-    beta: float = 0.0,
-    frozen: dict | None = None,
-) -> StateFamily:
+def family_for_case(case: CaseClass, eta: InitialCoefficients, beta: float = 0.0) -> StateFamily:
     """Build the StateFamily for a classified case.
 
     Raises CaseMismatchError if `case` does not match classify(eta).
@@ -381,7 +373,7 @@ def family_for_case(
     found = classify(eta)
     if found != case:
         raise CaseMismatchError(f"eta classifies as {found}, not {case}")
-    return StateFamily(case, eta, case.chart, beta, chart_embedding(case.chart, frozen))
+    return StateFamily(case, eta, case.chart, beta, chart_embedding(case.chart))
 
 
 def sliced_family(f: StateFamily, fixed: dict) -> StateFamily:
@@ -407,6 +399,9 @@ def constrained_two_param_family(alpha: float, eta: InitialCoefficients) -> Stat
     e0 = np.array([0.0, math.pi / 2.0, 0.0, 0.0, 0.0])
     return StateFamily(CaseClass("C7"), eta, ("omega", "c_plus"), 0.0, _embedding_tuples(E, e0))
 
+
+# Random base points per periodicity shift.
+PERIODICITY_POINTS = 20
 
 # Periodicity shifts per case: (chart-coordinate increments, expected phase).
 PERIODICITY_SHIFTS = {
@@ -458,12 +453,10 @@ class PeriodicityReport:
     checks: tuple[PeriodicityCheck, ...]
 
 
-def check_periodicity(
-    f: StateFamily, n_points: int = 20, rng=None
-) -> PeriodicityReport:
-    """Sample random base points and measure the overlap of psi(xi) with
-    psi(xi + P) against the expected pure phase, for every listed shift of
-    the family's case.
+def check_periodicity(f: StateFamily, rng=None) -> PeriodicityReport:
+    """Sample PERIODICITY_POINTS random base points and measure the overlap
+    of psi(xi) with psi(xi + P) against the expected pure phase, for every
+    listed shift of the family's case.
 
     Failures are reported, never raised.  Base phi values keep a margin from
     cos(phi) = 0, where the branch sign flips one eigenvector and the state
@@ -478,12 +471,12 @@ def check_periodicity(
     # each shift's base points and their shifted copies, all in one batch
     blocks = []
     for shift, _ in shifts:
-        xs = rng.uniform(lo, -lo, size=(n_points, f.dim))
+        xs = rng.uniform(lo, -lo, size=(PERIODICITY_POINTS, f.dim))
         xs_shift = xs.copy()
         for name, inc in shift.items():
             xs_shift[:, f.chart.index(name)] += inc
         blocks += [xs, xs_shift]
-    psi = f.states(np.concatenate(blocks)).reshape(len(shifts), 2, n_points, 4)
+    psi = f.states(np.concatenate(blocks)).reshape(len(shifts), 2, PERIODICITY_POINTS, 4)
     checks = []
     for (shift, phase), (base, moved) in zip(shifts, psi):
         # <psi(xi)|psi(xi+P)> equals the quoted phase when

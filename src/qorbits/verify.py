@@ -56,7 +56,7 @@ def suite_periodicity(rng, eta=None) -> list:
         fams = [_default_family(label) for label in DEFAULT_CASE_ETAS]
     checks = []
     for f in fams:
-        rep = families.check_periodicity(f, n_points=20, rng=rng)
+        rep = families.check_periodicity(f, rng)
         for chk in rep.checks:
             name = f"periodicity-{f.case.label}-{'+'.join(chk.shift)}"
             checks.append(record(name, chk.max_phase_error, chk.passed))
@@ -64,7 +64,11 @@ def suite_periodicity(rng, eta=None) -> list:
 
 
 def suite_metric(rng, gamma=1.0, h_metric=fubini_study.DEFAULT_METRIC_STEP) -> list:
-    """Closed-form metrics against the finite-difference oracle (step h_metric)."""
+    """Closed-form metrics against the finite-difference oracle.  h_metric
+    is the oracle's step on the 50 random C7 points of
+    metric-c7-oracle-agreement only; the gauge-invariance, flat-slice, C4
+    ratio and two-parameter checks keep the default step
+    (fubini_study.DEFAULT_METRIC_STEP), whose tolerances were set at it."""
     checks = []
     # closed form vs numeric over random C7 points, each with its own
     # coefficients, from one batch of stencil states and one closed-form call

@@ -39,6 +39,7 @@ from qorbits.entanglement import (
     verify_max_entangled_tables,
 )
 from qorbits.families import (
+    DEFAULT_FROZEN,
     PERIODICITY_SHIFTS,
     StateFamily,
     check_periodicity,
@@ -121,7 +122,7 @@ def test_criterion_02_periodicity():
     for label, vals in CASE_ETAS.items():
         eta = InitialCoefficients.normalized(*vals)
         f = family_for_case(classify(eta), eta)
-        rep = check_periodicity(f, n_points=20, rng=rng)
+        rep = check_periodicity(f, rng)
         n_conditions += len(rep.checks)
         worst = max(worst, max(c.max_phase_error for c in rep.checks))
     ok = worst < 1e-10
@@ -319,7 +320,6 @@ def test_criterion_07b_unmodified_cases():
     # eigenvectors of H + beta V.  The criterion asserts the corrected claim:
     # C1-C3, C4(1,4) and C4(2,4) unmodified; C4(1,3) and C4(2,3) modified.
     beta, beta_exact = 1e-2, 1e-3
-    frozen = {"omega": 0.9, "c3": 0.35, "c_plus": 0.55}
     closed_point = [0.9, 0.6, 0.35, 0.55]
     patterns = {
         "C1": ((0, 0, 0.8, 0.6), False),
@@ -336,13 +336,13 @@ def test_criterion_07b_unmodified_cases():
         case = classify(eta)
         xi = np.full(case.dimension, 0.6)
         lib = _beta_slope(
-            lambda b: family_for_case(case, eta, beta=b, frozen=frozen), beta, xi
+            lambda b: family_for_case(case, eta, beta=b), beta, xi
         )
         closed = float(np.max(np.abs(metric_correction_closed_form(eta, closed_point))))
         exact_dev = None
         if modified:
             exact = _beta_slope(
-                lambda b: _ExactEigenvectorC4(eta, case.l, case.j, b, frozen),
+                lambda b: _ExactEigenvectorC4(eta, case.l, case.j, b, DEFAULT_FROZEN),
                 beta_exact,
                 xi,
             )

@@ -112,6 +112,16 @@ def test_curvature_command_uniform(capsys):
     assert rep["results"]["note"] == "exact: Gauss equation"
 
 
+@pytest.mark.parametrize("eta, point", [("0,0,0.6,0.8", "0.3"), ("1,0,0,0", "0.4")], ids=["C1", "C2"])
+def test_curvature_command_dim1_takes_gauss(capsys, eta, point):
+    code, rep = run_json(capsys, "curvature", "--eta", eta, "--point", point)
+    assert code == 0
+    res = rep["results"]
+    assert res["note"] == "exact: Gauss equation"
+    assert res["scalar_curvature"] == 0.0 and res["ricci"] == [[0.0]]
+    assert res["metric_condition"] == 1.0
+
+
 @pytest.mark.parametrize("gamma", ["1", "0.6"])
 def test_verify_compares_gauss_with_stencil(capsys, gamma):
     code, rep = run_json(capsys, "verify", "--suite", "curvature", "--gamma", gamma)
@@ -173,6 +183,16 @@ def test_verify_periodicity_suite(capsys):
     assert rep["results"]["n_hard_failed"] == 0
     assert all(c["passed"] for c in rep["checks"])
     assert len(rep["checks"]) == 5  # the five C7 shifts
+    assert "warnings" not in rep  # a normalized --eta is taken as given
+
+
+def test_verify_eta_warns_when_normalized(capsys):
+    # as every other command that takes --eta
+    code, rep = run_json(
+        capsys, "verify", "--suite", "periodicity", "--eta", "0.6,0.3+0.4j,0.5,-0.2j"
+    )
+    assert code == 0
+    assert rep["warnings"] == ["eta normalized (input norm was 0.948683298051)"]
 
 
 def test_verify_all_soft_flags_only(capsys):
@@ -361,7 +381,9 @@ def test_eta_normalization_warning(capsys):
 
 
 def test_parse_helpers():
-    eta = parse_eta("0.5,0.5,0.5,0.5")
+    warned = []
+    eta = parse_eta("0.5,0.5,0.5,0.5", warned.append)
+    assert warned == []
     assert eta.eta12_plus == pytest.approx(0.5)
     grid = parse_grid("phi=0:3.14:11,c=0:1:5")
     assert grid["phi"] == (0.0, 3.14, 11)

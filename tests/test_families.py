@@ -125,7 +125,7 @@ def test_family_case_mismatch_rejected():
 def test_periodicity_all_cases(pattern, rng):
     eta = random_eta(rng, pattern)
     f = family_for_case(classify(eta), eta)
-    report = check_periodicity(f, n_points=20, rng=rng)
+    report = check_periodicity(f, rng)
     assert len(report.checks) == len(PERIODICITY_SHIFTS[pattern])
     for chk in report.checks:
         assert chk.max_phase_error < 1e-10, (pattern, chk.shift)
@@ -165,13 +165,18 @@ def test_perturbed_family_beta_zero_matches():
 
 def test_reduced_family_uses_frozen_references():
     # C1 under perturbation needs omega/c3/phi references for the corrected
-    # eigenvectors; different references give different states
+    # eigenvectors, held in its embedding; different references give
+    # different states
     eta = InitialCoefficients(0, 0, S2, S2)
-    case = classify(eta)
-    f1 = family_for_case(case, eta, beta=1e-2, frozen={"c3": 0.3, "omega": 0.9})
-    f2 = family_for_case(case, eta, beta=1e-2, frozen={"c3": 0.8, "omega": 0.9})
+    f = family_for_case(classify(eta), eta, beta=1e-2)
+
+    def with_c3(c3):
+        E, e0 = (np.array(a) for a in f.embedding)
+        e0[families.EMBED_COORDS.index("c3")] = c3
+        return dataclasses.replace(f, embedding=_embedding_tuples(E, e0))
+
     xi = np.array([0.4])
-    assert np.max(np.abs(f1.state(xi) - f2.state(xi))) > 1e-5
+    assert np.max(np.abs(with_c3(0.3).state(xi) - with_c3(0.8).state(xi))) > 1e-5
 
 
 def test_perturbed_family_continuous_at_negative_omega():
@@ -229,9 +234,8 @@ def test_sliced_family_rejects_unknown_coordinate():
 def test_chart_embedding_built_once_per_chart():
     chart = ("omega", "phi")
     assert chart_embedding(chart) is chart_embedding(list(chart))
-    assert chart_embedding(chart, {}) is chart_embedding(chart)
-    held = chart_embedding(chart, {"c3": 0.1})
-    assert held != chart_embedding(chart) and held[1][2] == 0.1
+    # omega, phi off their columns; c3, c_plus at DEFAULT_FROZEN, c at 0
+    assert chart_embedding(chart)[1] == (0.0, 0.0, 0.35, 0.55, 0.0)
 
 
 def test_families_share_one_phase_table_per_case_and_embedding(rng):
@@ -263,7 +267,7 @@ def test_periodicity_in_one_batch_equals_the_per_shift_loop(pattern, rng):
     eta = random_eta(rng, pattern)
     f = family_for_case(classify(eta), eta)
     batched, loop = np.random.default_rng(7), np.random.default_rng(7)
-    report = check_periodicity(f, n_points=20, rng=batched)
+    report = check_periodicity(f, batched)
     lo = np.array([-1.4 if name == "phi" else -3.0 for name in f.chart])
     shifts = PERIODICITY_SHIFTS[pattern]
     assert len(report.checks) == len(shifts)

@@ -109,8 +109,8 @@ def test_correction_vanishes_numerically_for_unmodified_cases(rng):
     ):
         eta = InitialCoefficients.normalized(*vals)
         case = classify(eta)
-        f_plus = family_for_case(case, eta, beta=beta, frozen={"omega": 0.9, "c3": 0.35, "c_plus": 0.55})
-        f_minus = family_for_case(case, eta, beta=-beta, frozen={"omega": 0.9, "c3": 0.35, "c_plus": 0.55})
+        f_plus = family_for_case(case, eta, beta=beta)
+        f_minus = family_for_case(case, eta, beta=-beta)
         xi = rng.uniform(0.3, 1.0, size=f_plus.dim)
         gp = numeric_fs_metric(f_plus, xi).entries
         gm = numeric_fs_metric(f_minus, xi).entries
@@ -125,9 +125,8 @@ def test_modified_c4_patterns_have_first_order_correction(vals, rng):
     eta = InitialCoefficients.normalized(*vals)
     case = classify(eta)
     beta = 1e-2
-    frozen = {"omega": 0.9, "c3": 0.35, "c_plus": 0.55}
-    fp = family_for_case(case, eta, beta=beta, frozen=frozen)
-    fm = family_for_case(case, eta, beta=-beta, frozen=frozen)
+    fp = family_for_case(case, eta, beta=beta)
+    fm = family_for_case(case, eta, beta=-beta)
     xi = np.array([0.4, 0.8])
     dgdb = np.max(
         np.abs(numeric_fs_metric(fp, xi).entries - numeric_fs_metric(fm, xi).entries)

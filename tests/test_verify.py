@@ -57,3 +57,13 @@ def test_run_gives_each_suite_only_the_options_it_reads():
     assert verify.run(["metric"], 3, gamma=0.7) != verify.run(["metric"], 3)
     with pytest.raises(TypeError, match="h_metrics"):
         verify.run(["metric"], 3, h_metrics=1e-4)
+
+
+def test_h_metric_sets_only_the_c7_oracle_batch():
+    # the other metric checks keep the default step their tolerances were
+    # set at (suite_metric)
+    default = verify.run(["metric"], 3)
+    stepped = verify.run(["metric"], 3, h_metric=1e-4)
+    assert [c["name"] for c in default] == [c["name"] for c in stepped]
+    changed = [a["name"] for a, b in zip(default, stepped) if a != b]
+    assert changed == ["metric-c7-oracle-agreement"]
