@@ -311,7 +311,8 @@ def cmd_curvature(args, warn) -> dict:
         "scalar_curvature": rep.scalar,
         "ricci": rep.ricci,
         "metric_condition": rep.metric_condition,
-        "h_curv": args.h_curv,
+        # the step curvature_at used: 0.0 on the exact Gauss route
+        "h_curv": rep.h,
         "beta": f.beta,
         "note": rep.note,
     }
@@ -327,6 +328,7 @@ def cmd_curvature(args, warn) -> dict:
         fld = g0_uniform_field(float(alphas[1] - alphas[0]), args.gamma)
         rep_cf = curvature_at(fld, xi, h=args.h_curv)
         results["closed_form_field_scalar"] = rep_cf.scalar
+        results["closed_form_field_h_curv"] = rep_cf.h
         dev_cf = abs(rep_cf.scalar - expected) / abs(expected)
         checks.append(verify.record("uniform-c7-scalar-curvature", dev_cf, dev_cf < 1e-3))
         # the family field's curvature is exact: within 1.4e-10 of 14 over
@@ -470,6 +472,12 @@ COMMAND_OPTIONS = {
 # parser defaults that differ from OPTIONS, per command: perturb evaluates
 # its first-order correction at a small nonzero beta
 COMMAND_DEFAULTS = {"perturb": {"beta": 1e-4}}
+# help texts that differ from OPTIONS, per (command, option): in verify the
+# metric step reaches one check alone
+COMMAND_HELP = {
+    ("verify", "--h-metric"): "step of the finite-difference metric in metric-c7-oracle-agreement, "
+                              "the one verify check that reads it",
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -486,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, options in COMMAND_OPTIONS.items():
         p = sub.add_parser(name, allow_abbrev=False)
         for flag in options + ("--out",):
-            p.add_argument(flag, **OPTIONS[flag])
+            help_text = COMMAND_HELP.get((name, flag), OPTIONS[flag].get("help"))
+            p.add_argument(flag, **dict(OPTIONS[flag], help=help_text))
         p.set_defaults(**COMMAND_DEFAULTS.get(name, {}))
     return parser
 

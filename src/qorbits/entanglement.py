@@ -305,6 +305,27 @@ class ConcurrenceScan:
         return np.array([a[i] for a, i in zip(self.axes, index)]), float(self.values[k])
 
 
+def _linspace(a, b, n: int) -> np.ndarray:
+    """np.linspace(a, b, n) for n >= 1, bitwise, with the endpoints taken
+    as floats: the same operations in the same order, without its
+    per-call dispatch."""
+    a, b = float(a), float(b)
+    y = np.arange(n, dtype=float)
+    delta = b - a
+    if n == 1:
+        y *= delta
+    elif delta / (n - 1) == 0.0:
+        # a zero step (equal endpoints, or an underflow), as np.linspace takes it
+        y /= n - 1
+        y *= delta
+    else:
+        y *= delta / (n - 1)
+    y += a
+    if n > 1:
+        y[-1] = b
+    return y
+
+
 def scan_concurrence(f: StateFamily, grid: dict) -> ConcurrenceScan:
     """Dense concurrence evaluation over an axis-aligned grid.
 
@@ -325,7 +346,7 @@ def scan_concurrence(f: StateFamily, grid: dict) -> ConcurrenceScan:
                 raise ValueError(f"grid endpoints of {name!r} must be finite, got {a!r}:{b!r}")
             if not (isinstance(n, numbers.Real) and math.isfinite(n) and n == int(n) and n >= 1):
                 raise ValueError(f"grid count of {name!r} must be at least 1 and an integer, got {n!r}")
-            axes.append(np.linspace(a, b, int(n)))
+            axes.append(_linspace(a, b, int(n)))
         else:
             axes.append(np.array([0.0]))
     return ConcurrenceScan(f.case.label, f.eta, dict(grid), tuple(axes), f.grid_concurrences(axes))

@@ -33,11 +33,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CaseMismatchError
 from .hamiltonian import (
+    BRANCH_SNAP,
     PSI3,
     PSI4,
     branch_sign,
@@ -159,9 +162,20 @@ class StateFamily:
 
     @cached_property
     def _table(self):
-        """The case's affine maps from chart points (see _phase_table),
-        shared by every family of the same case and embedding."""
+        """The case's PhaseTable, shared by every family of the same case
+        and embedding."""
         return _phase_table(self.case.label, self.case.l, self.embedding)
+
+    @cached_property
+    def _pair_amps(self) -> np.ndarray:
+        """The pair products a_i a_j of the amplitudes a = eta e^{i offset}
+        at the chart origin over _FORM_PAIRS, times _FORM_SIGNS, shape (5,):
+        the factor a scan at beta = 0 takes once per family (read-only)."""
+        amps = self.eta.as_array() * np.exp(1j * self._table.offset)
+        i, j = _FORM_PAIRS
+        pair_amps = _FORM_SIGNS * amps[i] * amps[j]
+        pair_amps.setflags(write=False)
+        return pair_amps
 
     def states(self, xs, etas=None) -> np.ndarray:
         """Normalized states at the rows of an (N, dim) batch, shape (N, 4):
@@ -169,7 +183,7 @@ class StateFamily:
         BLOCK_ROWS rows at a time, so at most one block's frame is held."""
         xs = np.asarray(xs, dtype=float)
         out = self.frame_jet(xs, 0, etas)[0]
-        _, _, basis, basis0 = self._table
+        basis, basis0 = self._table.basis, self._table.basis0
         for k in range(0, len(xs), BLOCK_ROWS):
             rows = slice(k, k + BLOCK_ROWS)
             e = eigenbases((xs[rows] @ basis.T + basis0)[:, 1])
@@ -210,7 +224,7 @@ class StateFamily:
         chart partials i lin a; at beta != 0, w = a @ rows with the
         first_order_rows taken to the chart; the frame's turn along phi by
         the product rule; then normalized if beta != 0."""
-        lin, offset, basis, basis0 = self._table
+        lin, offset, basis, basis0 = self._table[:4]
         coords = xs @ basis.T + basis0
         w = [eta_rows * np.exp(1j * (xs @ lin.T + offset))]
         if order >= 1:
@@ -249,41 +263,55 @@ class StateFamily:
         """Concurrences at the grid_points(axes) of one 1-D axis per chart
         coordinate, shape (N,), from the coefficients c of each state over
         the frame e = eigenbases(phi), which is never formed:
-        C = |sum_j w_j (c c)_j| / sum|c_k|^2 (_form_weights).  At beta = 0,
-        c_k = a_k = eta_k e^{i theta_k}, sum|c_k|^2 = 1 and each pair
-        product is one factor per axis value, so the grid is
-        (n_head, 5) @ (5, R): the head axes, up to the last one phi reads,
-        carry the weights, the later ones the R columns of the tail.  At
+        C = |sum_j w_j (c c)_j| / sum|c_k|^2 over the pairs _FORM_PAIRS
+        (_FORM_SIGNS, _form_weights).  At beta = 0, c_k = a_k =
+        eta_k e^{i theta_k}, sum|c_k|^2 = 1 and each pair product is the
+        family's _pair_amps times one factor per axis value, the
+        exponentials of the PhaseTable's pair phases (_axis_exps), so the
+        grid is (n_head, 5) @ (5, R): the head axes, up to the last one phi
+        reads, carry the weights, which read phi alone, and the later ones
+        the R columns of the tail, which carries the _pair_amps.  At
         beta != 0 the grid is all head, with c = (a1/N1 - beta k1 a3/N3,
         a2/N2 - beta k2 a3/N3, a3/N3 + beta (k1 a1/N1 + k2 a2/N2), a4) from
         the couplings k and the row norms N = sqrt(1 + beta^2 (k1^2, k2^2,
-        k1^2 + k2^2)).  The head is taken in C-order boxes (_boxes) of at
-        most SCAN_BOX points.  A non-finite value raises ValueError."""
+        k1^2 + k2^2)), and the tail is _FORM_SIGNS.  The head is taken in
+        C-order boxes (_boxes) of at most SCAN_BOX points.  A non-finite
+        value raises ValueError."""
         axes = [np.asarray(a, dtype=float) for a in axes]
         if len(axes) != self.dim or any(a.ndim != 1 for a in axes):
             raise ValueError(f"expected {self.dim} 1-D axes, got {[a.shape for a in axes]}")
-        lin, offset, basis, basis0 = self._table
-        amps = self.eta.as_array() * np.exp(1j * offset)
+        table = self._table
         shape = [len(a) for a in axes]
-        i, j = _FORM_PAIRS
-        t = self.dim if self.beta else max(np.flatnonzero(basis[1]), default=-1) + 1
-        factors = [np.exp(np.multiply.outer(1j * lin[:, mu], a)) for mu, a in enumerate(axes)]
-        # the BASIS_COORDS x @ basis.T + basis0 as one term per axis value
-        terms = [np.multiply.outer(basis[:, mu], a) for mu, a in enumerate(axes)]
-        tail = _box_values([f[i] * f[j] for f in factors[t:]], [slice(None)] * (self.dim - t),
-                           np.multiply, np.ones(5))
+        if self.beta:
+            t, tail = self.dim, _FORM_SIGNS[:, None]
+            amps = self.eta.as_array() * np.exp(1j * table.offset)
+            factors = _axis_exps(1j * table.lin, axes)
+            # the BASIS_COORDS x @ basis.T + basis0 as one term per axis value
+            terms = [np.multiply.outer(table.basis[:, mu], a) for mu, a in enumerate(axes)]
+        else:
+            t = len(table.head)
+            factors = _axis_exps(table.pairs, axes)
+            tail = _box_values(factors[t:], [slice(None)] * (self.dim - t), np.multiply, self._pair_amps)
+            # phi = x @ basis[1] + basis0[1] as one term per head-axis value
+            terms = [(r * a)[None] for r, a in zip(table.head, axes)]
         out = np.empty((math.prod(shape[:t]), tail.shape[1]))
         rows = max(1, SCAN_BOX // max(1, tail.shape[1]))
         start = 0
         for box in _boxes(shape[:t], SCAN_BOX):
-            c = _box_values(factors[:t], box, np.multiply, amps)
-            omega, phi, c3, c_plus = _box_values(terms[:t], box, np.add, np.zeros(4)) + basis0[:, None]
-            s, cu, su = half_angles(phi)
             if self.beta:
+                c = _box_values(factors, box, np.multiply, amps)
+                omega, phi, c3, c_plus = _box_values(terms, box, np.add, np.zeros(4)) + table.basis0[:, None]
+                s, cu, su = half_angles(phi)
                 bk1, bk2 = self.beta * np.array(couplings(*perturbation_denominators(omega, c3, c_plus), s, cu, su))
                 b1, b2, b3 = c[:3] / np.sqrt(1.0 + np.array([bk1**2, bk2**2, bk1**2 + bk2**2]))
                 c = np.array([b1 - bk1 * b3, b2 - bk2 * b3, b3 + bk1 * b1 + bk2 * b2, c[3]])
-            head = _form_weights(s, cu, su) * c[i] * c[j]
+                head = c[_FORM_PAIRS[0]] * c[_FORM_PAIRS[1]]
+                head[:3] *= _form_weights(s, 2.0 * cu * su, (cu - su) * (cu + su))
+            else:
+                head = _box_values(factors[:t], box, np.multiply, _ONES5)
+                phi = _box_values(terms, box, np.add, table.basis0[1:2])[0]
+                cos = np.cos(phi)
+                head[:3] *= _form_weights(np.where(cos < BRANCH_SNAP, -1.0, 1.0), np.abs(cos), np.sin(phi))
             block = out[start:start + len(phi)]
             for k in range(0, len(phi), rows):
                 np.abs(head[:, k:k + rows].T @ tail, out=block[k:k + rows])
@@ -317,15 +345,24 @@ def grid_points(axes) -> np.ndarray:
 # (c1^2, c2^2, c1 c2, c3^2, c4^2) as row and column indices of c
 _FORM_PAIRS = ([0, 1, 0, 2, 3], [0, 1, 1, 2, 3])
 
+# 2(ad - bc) of sum_k c_k e_k, e = eigenbases(phi), is sum_j w_j (c c)_j
+# over the pairs _FORM_PAIRS with the weights
+# w = _FORM_SIGNS * (s|cos phi|, s|cos phi|, s sin phi, 1, 1), s the
+# branch_sign; scans carry the signs with the pair amplitudes or the tail.
+_FORM_SIGNS = np.array([1.0, -1.0, -2.0, -1.0, 1.0])
+# the start of a head's pair factors at beta = 0
+_ONES5 = np.ones(5)
+_FORM_SIGNS.setflags(write=False)
+_ONES5.setflags(write=False)
 
-def _form_weights(s, cu, su) -> np.ndarray:
-    """The weights w, shape (5, N), for which 2(ad - bc) = sum_j w_j (c c)_j
-    over the pairs _FORM_PAIRS of the coefficients c of sum_k c_k e_k,
-    e = eigenbases(phi), from the half_angles of (N,) angles phi:
-    (s|cos phi|, -s|cos phi|, -2 s sin phi, -1, 1) with |cos phi| = 2 cu su
-    and sin phi = cu^2 - su^2; s|cos phi| = cos phi but in BRANCH_SNAP."""
-    cos = 2.0 * s * cu * su
-    return np.array([cos, -cos, -2.0 * s * (cu - su) * (cu + su), -np.ones_like(cos), np.ones_like(cos)])
+
+def _form_weights(s, abs_cos, sin) -> np.ndarray:
+    """The weights of the first three pairs, c1^2, c2^2 and c1 c2, before
+    _FORM_SIGNS, shape (3, N): (s|cos phi|, s|cos phi|, s sin phi) from the
+    (N,) branch signs s and |cos phi|, sin phi.  s|cos phi| = cos phi but
+    in the BRANCH_SNAP band."""
+    scos = s * abs_cos
+    return np.array([scos, scos, s * sin])
 
 
 def _boxes(shape, size):
@@ -340,26 +377,52 @@ def _boxes(shape, size):
             yield (slice(k, k + step),) + box
 
 
+def _axis_exps(rows, axes) -> list:
+    """The tables exp(np.multiply.outer(rows[:, mu], axes[mu])) of an
+    (m, len(axes)) array of rows, shape (m, len(axes[mu])) each, from one
+    exponential over the values of all axes."""
+    shape = [len(a) for a in axes]
+    values = np.exp(np.repeat(rows, shape, axis=1) * np.concatenate(axes))
+    return [values[:, end - n:end] for n, end in zip(shape, accumulate(shape))]
+
+
 def _box_values(tables, box, op, init) -> np.ndarray:
     """The values over the points of a box of a grid, in C-order, that op
     combines from init (m,) and one column per axis value of the per-axis
-    tables (m, len(axis)): shape (m, points)."""
-    out = np.asarray(init)[:, None]
+    tables (m, len(axis)): shape (m, points), a new array."""
+    out = np.array(init)[:, None]
     for table, part in zip(tables, box):
         out = op(out[:, :, None], table[:, None, part]).reshape(len(out), -1)
     return out
 
 
+class PhaseTable(NamedTuple):
+    """A case's affine maps from chart points x under one embedding: the
+    phases theta = x @ lin.T + offset and the BASIS_COORDS x @ basis.T +
+    basis0; the pair phases pairs = 1j (lin[i] + lin[j]) over _FORM_PAIRS,
+    shape (5, dim), whose exponentials are the scan's pair factors; and
+    head, phi's chart row basis[1] up to the last axis it reads, whose
+    length is the head of a scan at beta = 0 (empty if phi is held)."""
+
+    lin: np.ndarray
+    offset: np.ndarray
+    basis: np.ndarray
+    basis0: np.ndarray
+    pairs: np.ndarray
+    head: np.ndarray
+
+
 @lru_cache(maxsize=128)
-def _phase_table(label, l, embedding):
-    """The affine maps from chart points x: the phases
-    theta = x @ lin.T + offset and the BASIS_COORDS x @ E.T + e0, from the
-    phase forms of (label, l) over EMBED_COORDS composed with the embedding.
-    They depend on neither eta nor beta; the arrays are read-only because
-    families share them."""
+def _phase_table(label, l, embedding) -> PhaseTable:
+    """The PhaseTable of (label, l) from its phase forms over EMBED_COORDS
+    composed with the embedding.  It depends on neither eta nor beta; the
+    arrays are read-only because families share them."""
     E, e0 = (np.array(a, dtype=float) for a in embedding)
     forms = np.array(PHASE_FORMS[label, l], dtype=float)
-    table = forms @ E[_PHASE_ROWS], forms @ e0[_PHASE_ROWS], E[:4], e0[:4]
+    lin = forms @ E[_PHASE_ROWS]
+    i, j = _FORM_PAIRS
+    t = max(np.flatnonzero(E[1]), default=-1) + 1
+    table = PhaseTable(lin, forms @ e0[_PHASE_ROWS], E[:4], e0[:4], 1j * (lin[i] + lin[j]), E[1, :t])
     for a in table:
         a.setflags(write=False)
     return table

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +121,40 @@ def test_curvature_command_dim1_takes_gauss(capsys, eta, point):
     assert res["note"] == "exact: Gauss equation"
     assert res["scalar_curvature"] == 0.0 and res["ricci"] == [[0.0]]
     assert res["metric_condition"] == 1.0
+
+
+@pytest.mark.parametrize("h_curv", [None, "2e-3"])
+def test_curvature_reports_the_step_it_used(capsys, h_curv):
+    # the family curvature takes the exact Gauss route and no step; only
+    # the uniform-C7 closed-form field check reads --h-curv
+    step = [] if h_curv is None else ["--h-curv", h_curv]
+    code, rep = run_json(capsys, "curvature", "--eta", "0.8,0,0.6,0", "--point", "0.3,0.4", *step)
+    assert code == 0
+    res = rep["results"]
+    assert res["note"] == "exact: Gauss equation" and res["h_curv"] == 0.0
+    assert "closed_form_field_h_curv" not in res
+    code, rep = run_json(capsys, "curvature", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,0.2,0.4", *step)
+    assert code == 0
+    res = rep["results"]
+    assert res["h_curv"] == 0.0
+    assert res["closed_form_field_h_curv"] == (1e-3 if h_curv is None else 2e-3)
+    assert "closed_form_field_scalar" in res
+
+
+def _help_text(capsys, command, monkeypatch):
+    """The --help text of a command, one line, unwrapped at hyphens too."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"]) == 0
+    return re.sub(r"-\s+", "-", " ".join(capsys.readouterr().out.split()))
+
+
+def test_verify_help_names_the_one_check_the_metric_step_reaches(capsys, monkeypatch):
+    text = _help_text(capsys, "verify", monkeypatch)
+    assert ("--h-metric H_METRIC step of the finite-difference metric in "
+            "metric-c7-oracle-agreement, the one verify check that reads it") in text
+    # the metric command's step is the whole metric's, as its help says
+    text = _help_text(capsys, "metric", monkeypatch)
+    assert "--h-metric H_METRIC step of the finite-difference metric --out" in text
 
 
 @pytest.mark.parametrize("gamma", ["1", "0.6"])

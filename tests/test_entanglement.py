@@ -378,6 +378,22 @@ def test_scan_coordinates_come_from_the_axes(grid, rng):
     assert value == scan.values[k]
 
 
+def test_scan_axes_are_bitwise_linspace(rng):
+    # the scan builds its axes without np.linspace's per-call overhead but
+    # with its arithmetic: single points, equal endpoints, falling axes, a
+    # step that underflows, and random endpoints over twelve decades
+    eta = InitialCoefficients(1, 0, 0, 0)
+    f = family_for_case(classify(eta), eta)
+    cases = [(0.3, 0.3, 5), (2.0, -1.0, 1), (1.5, 1.5, 1), (2.0, -3.0, 7), (0.0, 5e-324, 3)]
+    for _ in range(300):
+        a, b = rng.uniform(-10.0, 10.0, 2) * 10.0 ** rng.integers(-6, 6, 2)
+        cases.append((float(a), float(b), int(rng.integers(1, 40))))
+    assert sum(a > b for a, b, _ in cases) > 100
+    for a, b, n in cases:
+        (axis,) = scan_concurrence(f, {"phi": (a, b, n)}).axes
+        assert axis.tobytes() == np.linspace(a, b, n).tobytes(), (a, b, n)
+
+
 def test_concurrences_of_component_first_states_are_bitwise_those_of_rows(rng):
     eta = random_eta(rng, "C7")
     f = family_for_case(classify(eta), eta)

@@ -11,6 +11,7 @@ from qorbits.entanglement import concurrence, concurrences
 from qorbits.errors import CaseMismatchError, ResonanceError
 from qorbits.families import (
     _FORM_PAIRS,
+    _FORM_SIGNS,
     BLOCK_ROWS,
     PERIODICITY_SHIFTS,
     SCAN_BOX,
@@ -359,6 +360,23 @@ def test_grid_states_on_the_constrained_family(beta, rng):
         _assert_grid_concurrences_match(f, axes)
 
 
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+@pytest.mark.parametrize("pattern", ["C4", "C5", "C6", "C7"])
+def test_grid_states_of_families_that_share_a_phase_table(pattern, beta, rng):
+    # the pair phases are cached per case and embedding, the pair
+    # amplitudes per family: two families of one phase table but not one
+    # eta, scanned alternately, each scan their own states
+    etas = [random_eta(rng, pattern) for _ in range(2)]
+    fams = [family_for_case(classify(eta), eta, beta=beta) for eta in etas]
+    assert fams[0]._table is fams[1]._table
+    for sizes in GRID_SIZES[fams[0].dim][:2] * 2:
+        axes = _grid_axes(fams[0], sizes)
+        for f in fams:
+            _assert_grid_concurrences_match(f, axes)
+    axes = _grid_axes(fams[0], GRID_SIZES[fams[0].dim][0])
+    assert np.max(np.abs(fams[0].grid_concurrences(axes) - fams[1].grid_concurrences(axes))) > 1e-3
+
+
 @pytest.mark.parametrize("c3", [0.25, -0.25])
 def test_grid_states_raise_at_a_resonance(c3, rng):
     # 2 c3 -+ omega - c_plus = 0 at omega = 0.5, c_plus = 0
@@ -457,8 +475,10 @@ def test_grid_states_evaluate_no_eigenbasis_at_beta_zero(monkeypatch, rng):
 def test_wootters_form_at_beta_zero(phi, rng):
     # ad - bc of psi = sum_k a_k psi_k is
     # (cos phi (a1^2 - a2^2) - 2 s sin phi a1 a2 - a3^2 + a4^2)/2 on both
-    # branches s = branch_sign(phi), which _form_weights gives over the
-    # pairs _FORM_PAIRS; in the BRANCH_SNAP band cos phi is s |cos phi|
+    # branches s = branch_sign(phi), which _FORM_SIGNS times _form_weights
+    # give over the pairs _FORM_PAIRS, from the half angles as at beta != 0
+    # and from cos and sin of phi as at beta = 0; in the BRANCH_SNAP band
+    # cos phi is s |cos phi|
     for angle in (phi, phi - 0.5 * BRANCH_SNAP):
         bases = eigenbases(np.array([angle]))
         a = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
@@ -469,6 +489,10 @@ def test_wootters_form_at_beta_zero(phi, rng):
         form = 0.5 * (s * abs(math.cos(angle)) * (a1**2 - a2**2) - 2 * s * math.sin(angle) * a1 * a2
                       - a3**2 + a4**2)
         i, j = _FORM_PAIRS
-        pairs = 0.5 * (a[:, i] * a[:, j]) @ _form_weights(*half_angles(np.array([angle])))[:, 0]
+        s, cu, su = half_angles(np.array([angle]))
+        trig = np.cos(np.array([angle])), np.sin(np.array([angle]))
         assert np.max(np.abs(form - direct)) <= 1e-14
-        assert np.max(np.abs(pairs - direct)) <= 1e-14
+        for weights in (_form_weights(s, 2 * cu * su, (cu - su) * (cu + su)),
+                        _form_weights(s, np.abs(trig[0]), trig[1])):
+            pairs = 0.5 * (a[:, i] * a[:, j]) @ (_FORM_SIGNS * np.append(weights[:, 0], [1.0, 1.0]))
+            assert np.max(np.abs(pairs - direct)) <= 1e-14
