@@ -129,30 +129,34 @@ def _curvature_stencil(dim: int):
     return centre[first], step[first], rows.reshape(2, n, n)
 
 
-def _stencil_tensors(g_all, rows, ginv, step):
-    """Christoffel, Riemann, Ricci and scalar from the metrics g_all read
-    through rows (see _curvature_stencil) with central differences of the
-    given step; ginv is the inverse metric at the point."""
+def _stencil_tensors(g_all, rows, steps):
+    """Christoffel, Riemann, Ricci and scalar at the point for each of the
+    steps, stacked along a leading step axis, from the metrics g_all read
+    through rows (see _curvature_stencil) with central differences of
+    those steps.  The inverse metrics of all Christoffel centres are one
+    stacked inverse, and the scalar takes the point's, the first
+    centre's."""
     dim = g_all.shape[1]
-    gc = g_all[rows]  # (centre, neighbour, dim, dim)
-    # dg[c, m, l, n] = d_m g_{ln} at centre c
-    dg = (gc[:, 1:dim + 1] - gc[:, dim + 1:]) / (2.0 * step)
-    ginv_c = np.linalg.inv(gc[:, 0])
+    gc = g_all[rows]  # (step, centre, neighbour, dim, dim)
+    two_h = 2.0 * steps[:, None, None, None, None]
+    # dg[k, c, m, l, n] = d_m g_{ln} at centre c
+    dg = (gc[:, :, 1:dim + 1] - gc[:, :, dim + 1:]) / two_h
+    ginv_c = np.linalg.inv(gc[:, :, 0])
     # Gamma^r_{mn} = 1/2 g^{rl} (d_m g_{ln} + d_n g_{lm} - d_l g_{mn})
-    t1 = np.einsum("crl,cmln->crmn", ginv_c, dg)
-    t3 = np.einsum("crl,clmn->crmn", ginv_c, dg)
-    christoffel = 0.5 * (t1 + t1.transpose(0, 1, 3, 2) - t3)
-    gamma = christoffel[0]
-    dgamma = (christoffel[1:dim + 1] - christoffel[dim + 1:]) / (2.0 * step)
+    t1 = (ginv_c[:, :, None] @ dg).swapaxes(2, 3)
+    t3 = (ginv_c @ dg.reshape(dg.shape[:3] + (-1,))).reshape(dg.shape)
+    christoffel = 0.5 * (t1 + t1.swapaxes(3, 4) - t3)
+    gamma = christoffel[:, 0]
+    # dgamma[k, m, r, n, s] = d_m Gamma^r_{ns}, as [k, r, s, m, n]
+    dgamma = ((christoffel[:, 1:dim + 1] - christoffel[:, dim + 1:]) / two_h).transpose(0, 2, 4, 1, 3)
+    # gamma_gamma[k, r, s, m, n] = Gamma^r_{ml} Gamma^l_{ns}
+    gamma_gamma = (gamma.reshape(len(steps), dim * dim, dim) @ gamma.reshape(len(steps), dim, dim * dim))
+    gamma_gamma = gamma_gamma.reshape((len(steps),) + (dim,) * 4).transpose(0, 1, 4, 2, 3)
     # R^r_{smn}
-    riemann = (
-        np.einsum("mrns->rsmn", dgamma)
-        - np.einsum("nrms->rsmn", dgamma)
-        + np.einsum("rml,lns->rsmn", gamma, gamma)
-        - np.einsum("rnl,lms->rsmn", gamma, gamma)
-    )
-    ricci = np.einsum("rsrn->sn", riemann)
-    scalar = float(np.einsum("sn,sn->", ginv, ricci))
+    riemann = dgamma - dgamma.swapaxes(3, 4) + gamma_gamma - gamma_gamma.swapaxes(3, 4)
+    ricci = riemann.trace(axis1=1, axis2=3)
+    ginv = ginv_c[0, 0]
+    scalar = ricci.reshape(len(steps), -1) @ ginv.reshape(-1)
     return gamma, riemann, ricci, scalar
 
 
@@ -180,10 +184,9 @@ def curvature_at(mf: MetricField, xi, h: float = DEFAULT_CURVATURE_STEP) -> Curv
     # every Christoffel centre, the point itself first
     centres = rows[:, :, 0].ravel()
     cond = _condition_number(np.linalg.eigvalsh(g_all[centres]), points[centres])
-    ginv = np.linalg.inv(g_all[centres[0]])
-    # T(h/2) and T(h), each (Christoffel, Riemann, Ricci, scalar)
-    half, full = (_stencil_tensors(g_all, r, ginv, k * (0.5 * h)) for k, r in zip((1, 2), rows))
-    gam, rie, ric, sca = ((4.0 * a - b) / 3.0 for a, b in zip(half, full))
+    # T(h/2) and T(h) stacked, each (Christoffel, Riemann, Ricci, scalar)
+    tensors = _stencil_tensors(g_all, rows, np.array([0.5 * h, h]))
+    gam, rie, ric, sca = ((4.0 * t[0] - t[1]) / 3.0 for t in tensors)
     return CurvatureReport(xi, gam, rie, ric, float(sca), h, cond)
 
 
@@ -221,18 +224,21 @@ def gauss_curvature(family, xi, gamma: float = 1.0) -> CurvatureReport:
         _require_finite(family, xi[None], np.concatenate([dpsi, d2psi.reshape(1, dim, -1)], axis=2))
     psi, dpsi, d2psi = psi[0], dpsi[0], d2psi[0].reshape(dim * dim, 4)
     overlap = dpsi @ psi.conj()  # <psi|d_m psi>
-    e = dpsi - overlap[:, None] * psi
+    e = dpsi - np.multiply.outer(overlap, psi)
     q = e.conj() @ e.T
     g, w = q.real, q.imag
     evals, evecs = np.linalg.eigh(g)
-    cond = _condition_number(gamma * gamma * evals[None], xi[None])
+    mags = [abs(gamma * gamma * v) for v in evals.tolist()]
+    if min(mags) < SINGULARITY_TOL:
+        raise SingularMetricError(f"metric singular at {xi}: eigenvalues {gamma * gamma * evals}")
+    cond = max(mags) / min(mags)
     # the inverse from the eigenpairs, then one Newton step, which brings
     # it to the accuracy of an LU inverse
     ginv = (evecs / evals) @ evecs.T
     ginv = 2.0 * ginv - ginv @ g @ ginv
     # D and II have one row per (m, n)
-    iae = (1j * overlap.imag)[:, None, None] * e  # i a_m e_n
-    d = (d2psi - (d2psi @ psi.conj())[:, None] * psi
+    iae = np.multiply.outer(1j * overlap.imag, e)  # i a_m e_n
+    d = (d2psi - np.multiply.outer(d2psi @ psi.conj(), psi)
          - (iae + iae.transpose(1, 0, 2)).reshape(-1, 4))
     christoffel = ginv @ (e.conj() @ d.T).real
     ii = d - christoffel.T @ e
@@ -240,10 +246,9 @@ def gauss_curvature(family, xi, gamma: float = 1.0) -> CurvatureReport:
     # rows (q_rm, II_rm), at [(r, m), (s, n)]
     rows = np.concatenate([q.reshape(-1, 1), ii], axis=1)
     prod = (rows.conj() @ rows.T).real.reshape((dim,) * 4).transpose(0, 2, 1, 3)
-    lowered = prod - prod.transpose(0, 1, 3, 2) + 2.0 * w[:, :, None, None] * w
+    lowered = prod - prod.transpose(0, 1, 3, 2) + 2.0 * np.multiply.outer(w, w)
     riemann = (ginv @ lowered.reshape(dim, -1)).reshape((dim,) * 4)
-    # Ricci_sn = g^rl R_lsrn, by one product over the pairs (l, r)
-    ricci = (ginv.reshape(-1) @ lowered.transpose(0, 2, 1, 3).reshape(dim * dim, -1)).reshape(dim, dim)
+    ricci = riemann.trace(axis1=0, axis2=2)
     scalar = float(ginv.reshape(-1) @ ricci.reshape(-1)) / (gamma * gamma)
     christoffel = christoffel.reshape((dim,) * 3)
     return CurvatureReport(

@@ -331,9 +331,10 @@ def scan_concurrence(f: StateFamily, grid: dict) -> ConcurrenceScan:
 
     grid maps chart coordinate names to (start, stop, count); missing
     coordinates are held at 0.  A name outside the chart, a non-finite
-    endpoint or a count that is not a finite integer of at least 1 raises
-    ValueError naming the coordinate.  The values come from one
-    StateFamily.grid_concurrences call, which never forms the states.
+    endpoint, a span stop - start that overflows or a count that is not a
+    finite integer of at least 1 raises ValueError naming the coordinate.
+    The values come from one StateFamily.grid_concurrences call, which
+    never forms the states.
     """
     unknown = [name for name in grid if name not in f.chart]
     if unknown:
@@ -344,6 +345,8 @@ def scan_concurrence(f: StateFamily, grid: dict) -> ConcurrenceScan:
             a, b, n = grid[name]
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError(f"grid endpoints of {name!r} must be finite, got {a!r}:{b!r}")
+            if not math.isfinite(b - a):
+                raise ValueError(f"grid span of {name!r} overflows, got {a!r}:{b!r}")
             if not (isinstance(n, numbers.Real) and math.isfinite(n) and n == int(n) and n >= 1):
                 raise ValueError(f"grid count of {name!r} must be at least 1 and an integer, got {n!r}")
             axes.append(_linspace(a, b, int(n)))

@@ -18,11 +18,15 @@ with the phases theta_k affine in the chart coordinates (PHASE_FORMS), so one
 batched jet serves all seven cases, StateFamily.frame_jet: the state and its
 exact chart partials up to order 0, 1 or 2 as coefficients over the
 unperturbed frame e = (psi1, psi2, PSI3, PSI4) = hamiltonian.eigenbases(phi).
-The phases contribute i theta_k', the first-order rows
-hamiltonian.first_order_rows mix the coefficients at beta != 0, and the frame
-turns along phi as e' = (s/2) J e.  e is real and orthonormal, so inner
-products of coefficients are those of the states: the Fubini-Study metric and
-the Gauss-equation curvature read frame_jet.  states, frame_jet of order 0
+The phases contribute i theta_k' and the frame turns along phi as
+e' = (s/2) J e, s the branch sign.  At beta = 0 the jet is therefore a fixed
+linear map of the phased coefficients a = eta e^{i theta} on each branch,
+a @ (k0 + s k1), with operators tabled once per case and embedding
+(PhaseTable).  At beta != 0 the first-order rows hamiltonian.first_order_rows
+mix the coefficients, and the jet is their product rule with the same
+tabled turn, normalized.  e is real and orthonormal, so inner products of
+coefficients are those of the states: the Fubini-Study metric and the
+Gauss-equation curvature read frame_jet.  states, frame_jet of order 0
 contracted with e block by block, is where a family forms its states; state
 is its one-row case.  On the general orbit (C1, C3, C7) both take one
 coefficient row per point, so a batch may mix coefficient sets.
@@ -171,11 +175,18 @@ class StateFamily:
         """The pair products a_i a_j of the amplitudes a = eta e^{i offset}
         at the chart origin over _FORM_PAIRS, times _FORM_SIGNS, shape (5,):
         the factor a scan at beta = 0 takes once per family (read-only)."""
-        amps = self.eta.as_array() * np.exp(1j * self._table.offset)
+        amps = self._eta_row * np.exp(1j * self._table.offset)
         i, j = _FORM_PAIRS
         pair_amps = _FORM_SIGNS * amps[i] * amps[j]
         pair_amps.setflags(write=False)
         return pair_amps
+
+    @cached_property
+    def _eta_row(self) -> np.ndarray:
+        """eta.as_array(), read-only: the coefficient row of every point."""
+        row = self.eta.as_array()
+        row.setflags(write=False)
+        return row
 
     def states(self, xs, etas=None) -> np.ndarray:
         """Normalized states at the rows of an (N, dim) batch, shape (N, 4):
@@ -212,52 +223,68 @@ class StateFamily:
             etas = np.asarray(etas, dtype=complex)
             if etas.shape != (len(xs), 4):
                 raise ValueError(f"expected ({len(xs)}, 4) coefficient rows, got {etas.shape}")
-        eta = self.eta.as_array()
-        # an empty batch is one empty block
+        eta = self._eta_row if etas is None else etas
+        if len(xs) <= BLOCK_ROWS:
+            # one block, an empty batch too
+            return self._frame_block(xs, order, eta)
         blocks = [self._frame_block(xs[k:k + BLOCK_ROWS], order, eta if etas is None else etas[k:k + BLOCK_ROWS])
-                  for k in range(0, max(len(xs), 1), BLOCK_ROWS)]
-        return blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
+                  for k in range(0, len(xs), BLOCK_ROWS)]
+        return tuple(map(np.concatenate, zip(*blocks)))
 
     def _frame_block(self, xs, order, eta_rows):
-        """The frame_jet of one block: the phased coefficients
-        a_k = eta_k e^{i theta_k}, eta_rows (4,) or one row per point, with
-        chart partials i lin a; at beta != 0, w = a @ rows with the
-        first_order_rows taken to the chart; the frame's turn along phi by
-        the product rule; then normalized if beta != 0."""
-        lin, offset, basis, basis0 = self._table[:4]
-        coords = xs @ basis.T + basis0
-        w = [eta_rows * np.exp(1j * (xs @ lin.T + offset))]
-        if order >= 1:
-            w.append(w[0][:, None, :] * (1j * lin.T))
-        if order >= 2:
-            w.append(w[1][:, :, None, :] * (1j * lin.T))
-        if self.beta != 0.0:
-            rows = first_order_rows(*coords.T, self.beta, order)
-            a, n, dim = w, len(xs), self.dim
-            w = [np.matmul(a[0][:, None, :], rows[0])[:, 0]]
-            if order >= 1:
-                # the rows' chart partials, flattened past the row axis
-                drows = (basis.T @ rows[1]).reshape(n, 4, dim * 4)
-                w.append(a[1] @ rows[0] + (a[0][:, None, :] @ drows).reshape(n, dim, 4))
-            if order >= 2:
-                d2rows = basis.T @ (basis.T @ rows[2].reshape(n, 4, 4, 16)).reshape(n, 4, dim, 4, 4)
-                cross = (a[1] @ drows).reshape(n, dim, dim, 4)
-                w.append(a[2] @ rows[0][:, None] + cross + cross.swapaxes(1, 2)
-                         + (a[0][:, None, :] @ d2rows.reshape(n, 4, dim * dim * 4)).reshape(n, dim, dim, 4))
-        if order >= 1:
-            # d_mu e = t_mu J e with t = (s/2) times phi's chart gradient, so
-            # d_mu (w @ e) = (d_mu w + t_mu w J) @ e and d_mu d_nu (w @ e) =
-            # (d_mu d_nu w + t_mu d_nu w J + t_nu d_mu w J + t_mu t_nu w J J) @ e
-            t = np.multiply.outer(0.5 * branch_sign(coords[:, 1]), basis[1])
-            wj = w[0] @ _J
-            if order >= 2:
-                cross = t[:, :, None, None] * (w[1] @ _J)[:, None]
-                w[2] = (w[2] + cross + cross.swapaxes(1, 2)
-                        + (t[:, :, None] * t[:, None, :])[..., None] * (wj @ _J)[:, None, None])
-            w[1] = w[1] + t[:, :, None] * wj[:, None]
-        if self.beta != 0.0:
-            w = normalize_jet(*w)
-        return tuple(w)
+        """The frame_jet of one block from the phased coefficients
+        a_k = eta_k e^{i theta_k}, eta_rows (4,) or one row per point.  At
+        beta = 0 the partials are a @ (k0 + s k1), the PhaseTable's
+        operators.  At beta != 0, w = a @ rows with the first_order_rows
+        taken to the chart and the chart partials i lin a of a, then the
+        frame's turn along phi by the product rule, then normalized."""
+        table = self._table
+        a = eta_rows * np.exp(1j * (xs @ table.lin.T + table.offset))
+        if self.beta == 0.0:
+            return (a,) if order == 0 else self._tabled_jet(xs, order, a)
+        n, dim = len(xs), self.dim
+        coords = xs @ table.basis.T + table.basis0
+        rows = first_order_rows(*coords.T, self.beta, order)
+        w = [np.matmul(a[:, None, :], rows[0])[:, 0]]
+        if order == 0:
+            return normalize_jet(*w)
+        da = a[:, None, :] * (1j * table.lin.T)
+        # the rows' chart partials, flattened past the row axis
+        drows = (table.basis.T @ rows[1]).reshape(n, 4, dim * 4)
+        w.append(da @ rows[0] + (a[:, None, :] @ drows).reshape(n, dim, 4))
+        if order == 2:
+            d2a = da[:, :, None, :] * (1j * table.lin.T)
+            d2rows = table.basis.T @ (table.basis.T @ rows[2].reshape(n, 4, 4, 16)).reshape(n, 4, dim, 4, 4)
+            cross = (da @ drows).reshape(n, dim, dim, 4)
+            w.append(d2a @ rows[0][:, None] + cross + cross.swapaxes(1, 2)
+                     + (a[:, None, :] @ d2rows.reshape(n, 4, dim * dim * 4)).reshape(n, dim, dim, 4))
+        # d_mu e = s T_mu e (PhaseTable.turn), so d_mu (w @ e) =
+        # (d_mu w + s w T_mu) @ e and d_mu d_nu (w @ e) =
+        # (d_mu d_nu w + s d_nu w T_mu + s d_mu w T_nu + w T_mu T_nu) @ e
+        s = branch_sign(coords[:, 1])[:, None]
+        if order == 2:
+            cross = s[:, None, None] * (w[1] @ table.turn).reshape(n, dim, dim, 4).swapaxes(1, 2)
+            w[2] = w[2] + cross + cross.swapaxes(1, 2) + (w[0] @ table.turn2).reshape(n, dim, dim, 4)
+        w[1] = w[1] + s[:, None] * (w[0] @ table.turn).reshape(n, dim, 4)
+        return normalize_jet(*w)
+
+    def _tabled_jet(self, xs, order, a):
+        """The frame_jet of one block at beta = 0, order 1 or 2, from the
+        phased coefficients a: one a @ (k0 + s k1) over the columns of
+        every partial; phi alone is evaluated, for s, and not at all where
+        the chart holds it and the frame does not turn."""
+        table = self._table
+        n, dim = len(xs), self.dim
+        cols = dim * 4 if order == 1 else table.k0.shape[1]
+        w = a @ table.k0[:, :cols]
+        if len(table.head):
+            phi = xs @ table.basis[1] + table.basis0[1]
+            w += (np.where(np.cos(phi) < BRANCH_SNAP, -1.0, 1.0)[:, None] * a) @ table.k1[:, :cols]
+        if order == 1:
+            return a, w.reshape(n, dim, 4)
+        # each order's partials as a C-contiguous array
+        return (a, np.ascontiguousarray(w[:, :dim * 4]).reshape(n, dim, 4),
+                np.ascontiguousarray(w[:, dim * 4:]).reshape(n, dim, dim, 4))
 
     def grid_concurrences(self, axes) -> np.ndarray:
         """Concurrences at the grid_points(axes) of one 1-D axis per chart
@@ -284,7 +311,7 @@ class StateFamily:
         shape = [len(a) for a in axes]
         if self.beta:
             t, tail = self.dim, _FORM_SIGNS[:, None]
-            amps = self.eta.as_array() * np.exp(1j * table.offset)
+            amps = self._eta_row * np.exp(1j * table.offset)
             factors = _axis_exps(1j * table.lin, axes)
             # the BASIS_COORDS x @ basis.T + basis0 as one term per axis value
             terms = [np.multiply.outer(table.basis[:, mu], a) for mu, a in enumerate(axes)]
@@ -400,9 +427,19 @@ class PhaseTable(NamedTuple):
     """A case's affine maps from chart points x under one embedding: the
     phases theta = x @ lin.T + offset and the BASIS_COORDS x @ basis.T +
     basis0; the pair phases pairs = 1j (lin[i] + lin[j]) over _FORM_PAIRS,
-    shape (5, dim), whose exponentials are the scan's pair factors; and
-    head, phi's chart row basis[1] up to the last axis it reads, whose
-    length is the head of a scan at beta = 0 (empty if phi is held)."""
+    shape (5, dim), whose exponentials are the scan's pair factors; head,
+    phi's chart row b1 = basis[1] up to the last axis it reads, whose
+    length is the head of a scan at beta = 0 (empty if phi is held).
+
+    The frame's turn along the chart, T_m = (b1_m/2) J, and its square
+    T_m T_n = (b1_m b1_n/4) J J, and the operators k0, k1 of the jet at
+    beta = 0: with P_m = diag(1j lin[:, m]) and s the branch sign, the
+    chart partials of a @ e, a = eta e^{i theta}, are a @ (k0 + s k1) @ e,
+    where the first-order columns of k0, k1 are P_m and T_m and the
+    second-order ones P_m P_n + T_m T_n and P_m T_n + P_n T_m.  Each
+    operator maps a coefficient row to the columns of all its partials,
+    shape (4, dim * 4) for turn, (4, dim**2 * 4) for turn2 and
+    (4, dim * 4 + dim**2 * 4) for k0 and k1."""
 
     lin: np.ndarray
     offset: np.ndarray
@@ -410,6 +447,16 @@ class PhaseTable(NamedTuple):
     basis0: np.ndarray
     pairs: np.ndarray
     head: np.ndarray
+    turn: np.ndarray
+    turn2: np.ndarray
+    k0: np.ndarray
+    k1: np.ndarray
+
+
+def _columns(ops) -> np.ndarray:
+    """Stacked (..., 4, 4) operators as one (4, n * 4) operator whose
+    column block k is the k-th operator in C-order."""
+    return ops.reshape(-1, 4, 4).transpose(1, 0, 2).reshape(4, -1)
 
 
 @lru_cache(maxsize=128)
@@ -422,7 +469,14 @@ def _phase_table(label, l, embedding) -> PhaseTable:
     lin = forms @ E[_PHASE_ROWS]
     i, j = _FORM_PAIRS
     t = max(np.flatnonzero(E[1]), default=-1) + 1
-    table = PhaseTable(lin, forms @ e0[_PHASE_ROWS], E[:4], e0[:4], 1j * (lin[i] + lin[j]), E[1, :t])
+    P = (1j * lin.T)[:, :, None] * np.eye(4)
+    T = (0.5 * E[1])[:, None, None] * _J
+    PT = P[:, None] @ T
+    TT = T[:, None] @ T
+    k0 = np.concatenate([_columns(P), _columns(P[:, None] @ P + TT)], axis=1)
+    k1 = np.concatenate([_columns(T), _columns(PT + PT.swapaxes(0, 1))], axis=1)
+    table = PhaseTable(lin, forms @ e0[_PHASE_ROWS], E[:4], e0[:4], 1j * (lin[i] + lin[j]), E[1, :t],
+                       _columns(T), _columns(TT), k0, k1)
     for a in table:
         a.setflags(write=False)
     return table

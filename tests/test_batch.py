@@ -14,7 +14,14 @@ from qorbits import families
 from qorbits.curvature import gauss_curvature
 from qorbits.entanglement import concurrence, concurrences
 from qorbits.errors import ResonanceError
-from qorbits.families import BLOCK_ROWS, StateFamily, evolved_state, family_for_case
+from qorbits.families import (
+    BLOCK_ROWS,
+    StateFamily,
+    constrained_two_param_family,
+    evolved_state,
+    family_for_case,
+    sliced_family,
+)
 from qorbits.fubini_study import (
     analytic_metrics_c7,
     numeric_fs_metric,
@@ -145,6 +152,48 @@ def test_hessians_match_central_differences_of_tangents(rng, beta, tol):
         )
         assert np.max(np.abs(d2psi - fd)) < tol, case
         assert np.max(np.abs(d2psi - d2psi.transpose(0, 2, 1, 3))) < 1e-14, case
+
+
+def _tabled_jet_families(rng):
+    """Families whose beta = 0 jets take every part of the phase table's
+    operators, by name: C1 (phi held, the frame does not turn), C2 (no
+    phase moves), C6 and C7, C7 with phi held on the cos(phi) < 0 branch
+    and with omega held, and the constrained two-parameter family (phi
+    held, a non-integer phase form)."""
+    c7 = family(rng, "C7")
+    return {
+        "C1": family(rng, "C1"),
+        "C2": family(rng, "C2"),
+        "C6": family(rng, "C6"),
+        "C7": c7,
+        "C7 phi held": sliced_family(c7, {"phi": 2.5}),
+        "C7 omega held": sliced_family(c7, {"omega": 0.4}),
+        "two-parameter": constrained_two_param_family(0.7, c7.eta),
+    }
+
+
+def test_tabled_jets_match_central_differences(rng):
+    # at beta = 0 the jets are one a @ (k0 + s k1) from the phase table:
+    # the order-2 jet against 4th-order central differences of the order-1
+    # jet, both contracted with the frame, with half the rows on the
+    # cos(phi) < 0 branch where phi moves; the bound is
+    # test_hessians_match_central_differences_of_tangents' at beta = 0
+    h = 1e-3
+    for name, f in _tabled_jet_families(rng).items():
+        xs = rng.uniform(-1.3, 1.3, size=(64, f.dim))
+        if "phi" in f.chart:
+            xs[::2, f.chart.index("phi")] += math.pi
+        phi = xs @ np.array(f.embedding[0][1]) + f.embedding[1][1]
+        assert (np.cos(phi) < 0).any() == ("phi" in f.chart or name == "C7 phi held"), name
+        psi, dpsi, d2psi = state_jet(f, xs, 2)
+        fd = np.stack(
+            [(-state_jet(f, xs + 2 * h * e, 1)[1] + 8 * state_jet(f, xs + h * e, 1)[1]
+              - 8 * state_jet(f, xs - h * e, 1)[1] + state_jet(f, xs - 2 * h * e, 1)[1]) / (12 * h)
+             for e in np.eye(f.dim)],
+            axis=1,
+        )
+        assert np.max(np.abs(d2psi - fd)) < 3e-12, name
+        assert np.array_equal(d2psi, d2psi.transpose(0, 2, 1, 3)), name
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e-3])

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -505,6 +506,16 @@ def test_concurrence_bad_grid_is_bad_config(grid, capsys):
         assert "phi=start:stop:count" in err
     if "," in grid:
         assert "repeats coordinate 'phi'" in err
+
+
+def test_concurrence_overflowing_grid_span_is_bad_config(capsys):
+    # finite endpoints whose span overflows: exit 2 naming the coordinate,
+    # with no RuntimeWarning on the way (it built a NaN axis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["concurrence", "--eta", "1,0,0,0", "--grid", "phi=-1e308:1e308:3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "grid span of 'phi' overflows" in err
 
 
 def _per_row_samples(f, rng):

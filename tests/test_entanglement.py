@@ -336,6 +336,9 @@ def test_scan_stationary_family_constant():
         ({"phi": (0.0, 1.0, math.inf)}, "count of 'phi' must be at least 1 and an integer"),
         ({"phi": (0.0, 1.0, math.nan)}, "count of 'phi' must be at least 1 and an integer"),
         ({"phi": (0.0, 1.0, 2.7)}, "count of 'phi' must be at least 1 and an integer"),
+        # finite endpoints whose span overflows, which made a NaN axis
+        ({"phi": (-1e308, 1e308, 3)}, "span of 'phi' overflows"),
+        ({"phi": (1e308, -1e308, 1)}, "span of 'phi' overflows"),
     ],
 )
 def test_scan_rejects_bad_grids(grid, match):

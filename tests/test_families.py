@@ -232,6 +232,27 @@ def test_sliced_family_rejects_unknown_coordinate():
         sliced_family(f, {"phi": 0.0, "c": 0.3})
 
 
+@pytest.mark.parametrize("case", ["C1", "C2", "C3", "C4", "C5", "C6", "C7"])
+def test_jet_operators_ride_in_the_shared_phase_table(rng, case):
+    # the beta = 0 jet's operators are built once per case and embedding,
+    # read-only, one column block per partial, and the first-order block of
+    # k1 is the frame's turn that the beta != 0 jet reads
+    eta = random_eta(rng, case)
+    f = family_for_case(classify(eta), eta)
+    table = f._table
+    other = random_eta(rng, case)
+    assert family_for_case(classify(other), other, beta=1e-3)._table is table
+    cols = f.dim * 4 + f.dim**2 * 4
+    assert table.k0.shape == table.k1.shape == (4, cols)
+    assert table.turn.shape == (4, f.dim * 4) and table.turn2.shape == (4, f.dim**2 * 4)
+    assert not any(a.flags.writeable for a in (table.turn, table.turn2, table.k0, table.k1))
+    assert np.array_equal(table.k1[:, :f.dim * 4], table.turn)
+    # every column has at most one nonzero entry, so each partial is one
+    # product per component, rounded the same in any batch
+    assert (np.count_nonzero(table.k0, axis=0) <= 1).all()
+    assert (np.count_nonzero(table.k1, axis=0) <= 1).all()
+
+
 def test_chart_embedding_built_once_per_chart():
     chart = ("omega", "phi")
     assert chart_embedding(chart) is chart_embedding(list(chart))
