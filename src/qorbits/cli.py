@@ -18,6 +18,8 @@ import argparse
 import cmath
 import functools
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -89,12 +91,17 @@ def dumps(obj, indent: int = 0) -> str:
 
 
 def _emit(text: str, out) -> None:
-    """Write a report to the --out path, or to stdout without one."""
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    """Write a report to the --out path, or to stdout without one.  An
+    existing regular file is rewritten in place and then cut to the report's
+    length, which costs less than truncating it first; a pipe, tty or
+    /dev/null takes a plain write."""
+    if not out:
         sys.stdout.write(text)
+        return
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,14 @@ def curvature_at(mf: MetricField, xi, h: float = DEFAULT_CURVATURE_STEP) -> Curv
     return CurvatureReport(xi, gam, rie, ric, float(sca), h, cond)
 
 
+@lru_cache(maxsize=None)
+def _upper_mirror(dim: int) -> np.ndarray:
+    """Flat indices that take a dim x dim array to its upper triangle
+    mirrored below the diagonal."""
+    k = np.arange(dim)
+    return np.minimum.outer(k, k) * dim + np.maximum.outer(k, k)
+
+
 def gauss_curvature(family, xi, gamma: float = 1.0) -> CurvatureReport:
     """Exact curvature tensors at a point of a state family's Fubini-Study
     metric gamma^2 Re QGT, from family.frame_jet: the family is a
@@ -250,6 +258,9 @@ def gauss_curvature(family, xi, gamma: float = 1.0) -> CurvatureReport:
     riemann = (ginv @ lowered.reshape(dim, -1)).reshape((dim,) * 4)
     ricci = riemann.trace(axis1=0, axis2=2)
     scalar = float(ginv.reshape(-1) @ ricci.reshape(-1)) / (gamma * gamma)
+    # the scalar is taken before the upper triangle is mirrored, so that
+    # Ricci is exactly symmetric
+    ricci = ricci.take(_upper_mirror(dim))
     christoffel = christoffel.reshape((dim,) * 3)
     return CurvatureReport(
         xi, christoffel, riemann, ricci, scalar, 0.0, cond, note="exact: Gauss equation"

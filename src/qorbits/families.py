@@ -585,26 +585,24 @@ def check_periodicity(f: StateFamily, rng=None) -> PeriodicityReport:
     # base phi in [-1.4, 1.4], every other coordinate in [-3, 3]
     lo = np.array([-1.4 if name == "phi" else -3.0 for name in f.chart])
     shifts = PERIODICITY_SHIFTS[f.case.label]
-    # each shift's base points and their shifted copies, all in one batch
-    blocks = []
-    for shift, _ in shifts:
-        xs = rng.uniform(lo, -lo, size=(PERIODICITY_POINTS, f.dim))
-        xs_shift = xs.copy()
+    # every shift's base points from one draw, which gives the values, in
+    # order, of one draw per shift; base points and shifted copies
+    # interleaved per shift in one batch of states
+    xs = rng.uniform(lo, -lo, size=(len(shifts), PERIODICITY_POINTS, f.dim))
+    incs = np.zeros((len(shifts), f.dim))
+    for k, (shift, _) in enumerate(shifts):
         for name, inc in shift.items():
-            xs_shift[:, f.chart.index(name)] += inc
-        blocks += [xs, xs_shift]
-    psi = f.states(np.concatenate(blocks)).reshape(len(shifts), 2, PERIODICITY_POINTS, 4)
-    checks = []
-    for (shift, phase), (base, moved) in zip(shifts, psi):
-        # <psi(xi)|psi(xi+P)> equals the quoted phase when
-        # psi(xi+P) = phase * psi(xi)
-        overlaps = np.sum(base.conj() * moved, axis=1)
-        checks.append(
-            PeriodicityCheck(
-                shift,
-                phase,
-                float(np.min(np.abs(overlaps))),
-                float(np.max(np.abs(overlaps - phase))),
-            )
-        )
+            incs[k, f.chart.index(name)] = inc
+    pts = np.stack([xs, xs + incs[:, None]], axis=1).reshape(-1, f.dim)
+    psi = f.states(pts).reshape(len(shifts), 2, PERIODICITY_POINTS, 4)
+    base, moved = psi[:, 0], psi[:, 1]
+    # <psi(xi)|psi(xi+P)> equals the quoted phase when psi(xi+P) = phase * psi(xi)
+    overlaps = np.sum(base.conj() * moved, axis=2)
+    phases = np.array([phase for _, phase in shifts], dtype=complex)
+    fidelity = np.abs(overlaps).min(axis=1).tolist()
+    error = np.abs(overlaps - phases[:, None]).max(axis=1).tolist()
+    checks = [
+        PeriodicityCheck(shift, phase, fid, err)
+        for (shift, phase), fid, err in zip(shifts, fidelity, error)
+    ]
     return PeriodicityReport(f.case.label, tuple(checks))

@@ -69,7 +69,11 @@ def _stencil_offsets(dim: int) -> np.ndarray:
 _lower_triangle = lru_cache(maxsize=None)(np.tril_indices)
 
 
-def _points(xs) -> np.ndarray:
+def _stencil_input(xs, h) -> np.ndarray:
+    """The (N, dim) points of a finite-difference metric, after checking its
+    step."""
+    if not (1e-7 <= h <= 1e-3):
+        raise ValueError("finite-difference step h must lie in [1e-7, 1e-3]")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
         raise ValueError(f"points must have shape (N, dim), got {xs.shape}")
@@ -88,17 +92,22 @@ def _require_finite(family, xs, dpsi):
     )
 
 
-def _state_derivatives(family, xs, h, etas=None):
-    """States at the rows of xs and their 4th-order central-difference
-    partials along the chart, from one batch of all N*(4*dim + 1) stencil
-    points, each with its point's coefficient row of etas if given: psi has
-    shape (N, 4), dpsi (N, dim, 4)."""
-    n, dim = xs.shape
+def _stencil_states(family, xs, h, etas=None):
+    """The N*(4*dim + 1) stencil points of the rows of xs, shape
+    (N*(4*dim + 1), dim), and the family's states there, from one batch,
+    each with its point's coefficient row of etas if given."""
+    dim = xs.shape[1]
     pts = (xs[:, None] + h * _stencil_offsets(dim)).reshape(-1, dim)
     if etas is None:
-        psi_all = family.states(pts)
-    else:
-        psi_all = family.states(pts, np.repeat(etas, 1 + 4 * dim, axis=0))
+        return pts, family.states(pts)
+    return pts, family.states(pts, np.repeat(etas, 1 + 4 * dim, axis=0))
+
+
+def _difference_quotient(family, xs, psi_all, h):
+    """States at the rows of xs and their 4th-order central-difference
+    partials along the chart, from the stencil states psi_all of
+    _stencil_states: psi has shape (N, 4), dpsi (N, dim, 4)."""
+    n, dim = xs.shape
     psi_all = psi_all.reshape(n, 1 + 4 * dim, 4)
     fp1, fm1, fp2, fm2 = (psi_all[:, 1 + k * dim:1 + (k + 1) * dim] for k in range(4))
     dpsi = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
@@ -129,10 +138,22 @@ def numeric_fs_metrics(
     .states(xs) and .chart.  etas, an (N, 4) array of coefficient rows, gives
     each point its own coefficients; only a StateFamily of the general orbit
     (C1, C3, C7) takes it (see StateFamily.states)."""
-    if not (1e-7 <= h <= 1e-3):
-        raise ValueError("finite-difference step h must lie in [1e-7, 1e-3]")
-    xs = _points(xs)
-    return _qgt_metrics(*_state_derivatives(family, xs, h, etas), gamma)
+    xs = _stencil_input(xs, h)
+    _, psi_all = _stencil_states(family, xs, h, etas)
+    return _qgt_metrics(*_difference_quotient(family, xs, psi_all, h), gamma)
+
+
+def gauge_pair_metrics(family, lam, xs, gamma: float = 1.0, h: float = DEFAULT_METRIC_STEP):
+    """numeric_fs_metrics of family and of phase_twisted(family, lam) at the
+    rows of xs, each of shape (N, dim, dim), from one evaluation of the
+    family's stencil states: the twisted stencil states are those states
+    times e^{i lam(pts)}, as the twisted family computes them."""
+    xs = _stencil_input(xs, h)
+    twisted = phase_twisted(family, lam)
+    pts, psi_all = _stencil_states(family, xs, h)
+    g = _qgt_metrics(*_difference_quotient(family, xs, psi_all, h), gamma)
+    twisted_all = twisted.twist(pts, psi_all)
+    return g, _qgt_metrics(*_difference_quotient(twisted, xs, twisted_all, h), gamma)
 
 
 def tangent_fs_metrics(family, xs, gamma: float = 1.0) -> np.ndarray:
@@ -505,10 +526,15 @@ class _PhaseTwistedFamily:
 
     def states(self, xs):
         xs = np.asarray(xs, dtype=float)
+        return self.twist(xs, self.base.states(xs))
+
+    def twist(self, xs, states):
+        """The base family's states at the rows of xs, given as states,
+        times e^{i lam(xs)}."""
         lam = np.asarray(self.lam(xs), dtype=float)
         if lam.shape != (len(xs),):
             raise ValueError(f"phase function returned shape {lam.shape}, not ({len(xs)},)")
-        return np.exp(1j * lam)[:, None] * self.base.states(xs)
+        return np.exp(1j * lam)[:, None] * states
 
 
 def phase_twisted(family, lam) -> _PhaseTwistedFamily:

@@ -161,13 +161,27 @@ class InitialCoefficients:
 
 def unit_row(v) -> np.ndarray:
     """One coefficient row v scaled to unit norm by its 1-D np.linalg.norm,
-    the scaling InitialCoefficients.normalized applies.  Raises ValueError
-    for a row whose norm is zero or not finite (a NaN or infinite entry)."""
-    n = np.linalg.norm(v)
-    if not math.isfinite(n):
-        raise ValueError(f"coefficients must be finite with a finite norm, got {v}")
-    if n == 0:
-        raise ValueError("cannot normalize the zero vector")
+    the scaling InitialCoefficients.normalized applies, or each row of an
+    (N, 4) batch scaled as alone: the batch's squared norms are stacked
+    matmul dot products, which round as the 1-D norm's dot products do.
+    Raises ValueError for a row whose norm is zero or not finite (a NaN or
+    infinite entry)."""
+    if np.ndim(v) == 1:
+        n = np.linalg.norm(v)
+        if not math.isfinite(n):
+            raise ValueError(f"coefficients must be finite with a finite norm, got {v}")
+        if n == 0:
+            raise ValueError("cannot normalize the zero vector")
+        return v / n
+    v = np.asarray(v)
+    re, im = v.real, v.imag
+    n = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0])
+    bad = ~np.isfinite(n[:, 0])
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"coefficients must be finite with a finite norm, got row {k}: {v[k]}")
+    if not n.all():
+        raise ValueError(f"cannot normalize the zero vector (row {int(np.argmin(n[:, 0]))})")
     return v / n
 
 

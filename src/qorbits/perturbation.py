@@ -10,7 +10,6 @@ patched.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,8 @@ class PerturbationAux:
 
         Y_pm = (sqrt(1-sin phi) +- sqrt(1+sin phi)) / (2c3 - c_plus +- omega)^2
         X_pm = (sqrt(1-sin phi) +- sqrt(1+sin phi)) / ((2c3 - c_plus)^2 - omega^2)
+
+    one value per point: floats, or arrays for arrays of coordinates.
     """
 
     y_plus: float
@@ -45,8 +46,8 @@ class PerturbationAux:
 
 
 def perturbation_aux(omega, phi, c3, c_plus) -> PerturbationAux:
-    sm = math.sqrt(max(0.0, 1.0 - math.sin(phi)))
-    sp = math.sqrt(max(0.0, 1.0 + math.sin(phi)))
+    sm = np.sqrt(np.maximum(0.0, 1.0 - np.sin(phi)))
+    sp = np.sqrt(np.maximum(0.0, 1.0 + np.sin(phi)))
     d = 2.0 * c3 - c_plus
     return PerturbationAux(
         y_plus=(sm + sp) / (d + omega) ** 2,
@@ -69,32 +70,42 @@ class PerturbedMetric:
         return self.base.entries + self.beta * self.correction
 
 
+def _times(t, z):
+    """(Re, Im) of the complex scalar t times z, one complex value per
+    point, multiplied out in real arithmetic, which rounds as a product of
+    two complex scalars does; numpy's array complex product may fuse
+    multiply-adds and differ from it in the last bit."""
+    return t.real * z.real - t.imag * z.imag, t.real * z.imag + t.imag * z.real
+
+
 def metric_correction_closed_form(
     eta: InitialCoefficients, xi, gamma: float = 1.0
 ) -> np.ndarray:
-    """The cataloged first-order corrections h_mn over (omega, phi, c3, c_plus).
+    """The cataloged first-order corrections h_mn over (omega, phi, c3, c_plus),
+    shape (N, 4, 4) at the N rows of an (N, 4) batch xi, or (4, 4) at one
+    point, which is evaluated as a batch of one and so gives that row to the
+    bit.
 
     Conventions: W1 = eta1 conj(eta3) e^{-i(2c3 + omega - c_plus)} and
     W2 = eta2 conj(eta3) e^{-i(2c3 - omega - c_plus)}; E/F denote their
     imaginary/real parts; J = Im(eta1 conj(eta2) e^{-2 i omega}).
     """
-    omega, phi, c3, c_plus = (float(x) for x in xi)
+    xi = np.asarray(xi, dtype=float)
+    omega, phi, c3, c_plus = np.atleast_2d(xi).T
     g2 = gamma * gamma
     aux = perturbation_aux(omega, phi, c3, c_plus)
     yp, ym, xp, xm = aux.y_plus, aux.y_minus, aux.x_plus, aux.x_minus
     p12, m12 = eta.eta12_plus, eta.eta12_minus
     p34, m34 = eta.eta34_plus, eta.eta34_minus
-    j = (eta.eta1 * np.conj(eta.eta2) * np.exp(-2j * omega)).imag
-    w1 = eta.eta1 * np.conj(eta.eta3) * np.exp(-1j * (2 * c3 + omega - c_plus))
-    w2 = eta.eta2 * np.conj(eta.eta3) * np.exp(-1j * (2 * c3 - omega - c_plus))
-    e1, f1 = w1.imag, w1.real
-    e2, f2 = w2.imag, w2.real
+    j = _times(eta.eta1 * np.conj(eta.eta2), np.exp(-2j * omega))[1]
+    f1, e1 = _times(eta.eta1 * np.conj(eta.eta3), np.exp(-1j * (2 * c3 + omega - c_plus)))
+    f2, e2 = _times(eta.eta2 * np.conj(eta.eta3), np.exp(-1j * (2 * c3 - omega - c_plus)))
 
-    h = np.zeros((4, 4))
+    h = np.zeros((len(omega), 4, 4))
     idx = {name: k for k, name in enumerate(COMPONENT_ORDER)}
 
     def put(a, b, val):
-        h[idx[a], idx[b]] = h[idx[b], idx[a]] = val
+        h[..., idx[a], idx[b]] = h[..., idx[b], idx[a]] = val
 
     put(
         "omega",
@@ -152,7 +163,7 @@ def metric_correction_closed_form(
         ),
     )
     put("c_plus", "c3", 2 * g2 * (2 * p12 - m34) * (e1 * yp + e2 * ym))
-    return h
+    return h if xi.ndim == 2 else h[0]
 
 
 def perturbed_metric_analytic(
@@ -231,21 +242,21 @@ def audit_metric_correction(
     deviation is below AUDIT_REL_TOL relative to the numeric maximum.
     NoAdmissiblePointsError is raised when no point is left.
     """
-    used = []
-    for xi in points:
-        omega, phi, c3, c_plus = (float(x) for x in xi)
-        den1, den2 = perturbation_denominators(omega, c3, c_plus)
-        if min(abs(den1), abs(den2)) < RESONANCE_MARGIN or math.cos(phi) <= 0.05:
-            continue
-        used.append(xi)
-    if not used:
+    points = np.asarray(points, dtype=float)
+    if points.shape[1:] not in ((), (4,)):
+        raise ValueError(f"audit points must have shape (N, 4), got {points.shape}")
+    points = points.reshape(-1, 4)
+    omega, phi, c3, c_plus = points.T
+    den1, den2 = perturbation_denominators(omega, c3, c_plus)
+    keep = ~((np.minimum(np.abs(den1), np.abs(den2)) < RESONANCE_MARGIN) | (np.cos(phi) <= 0.05))
+    if not keep.any():
         raise NoAdmissiblePointsError(
             "every audit point was skipped: each lies within "
             f"{RESONANCE_MARGIN:g} of a resonance 2c3 - c_plus +- omega = 0 or "
             "has cos(phi) <= 0.05"
         )
-    used = np.array(used, dtype=float)
-    closed_all = np.array([metric_correction_closed_form(eta, xi, gamma) for xi in used])
+    used = points[keep]
+    closed_all = metric_correction_closed_form(eta, used, gamma)
     numeric_all = numeric_beta_derivative(eta, used, gamma)
     verdicts = []
     names = COMPONENT_ORDER

@@ -330,6 +330,28 @@ def test_deterministic_output(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_out_rewrites_a_longer_report_without_stale_bytes(tmp_path):
+    # --out rewrites an existing file in place, then cuts it to the report
+    out, fresh = tmp_path / "r.json", tmp_path / "fresh.json"
+    assert main(["verify", "--suite", "all", "--seed", "0", "--out", str(out)]) == 0
+    long_size = out.stat().st_size
+    assert main(["verify", "--suite", "curvature", "--seed", "0", "--out", str(out)]) == 0
+    assert main(["verify", "--suite", "curvature", "--seed", "0", "--out", str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_size < long_size
+    json.loads(out.read_text())
+
+
+def test_out_creates_a_missing_file_and_writes_to_dev_null(tmp_path, capsys):
+    out = tmp_path / "new.json"
+    assert main(["verify", "--suite", "curvature", "--out", str(out)]) == 0
+    assert main(["verify", "--suite", "curvature"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    if os.path.exists(os.devnull):
+        assert main(["verify", "--suite", "curvature", "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+
+
 def test_invalid_config_exit_code(capsys):
     assert main(["metric", "--eta", "1,0,0", "--point", "0"]) == 2
     assert main(["metric", "--point", "0"]) == 2  # --eta missing

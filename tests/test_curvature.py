@@ -452,6 +452,27 @@ def test_gauss_matches_stencil_over_formed_states(rng, beta):
             assert np.max(np.abs(exact.christoffel - ref.christoffel)) < 2e-7, case
 
 
+@pytest.mark.parametrize("case", ["C1", "C2", "C3", "C4", "C5", "C6", "C7"])
+def test_gauss_ricci_exactly_symmetric(case, rng):
+    for beta in (0.0, 1e-3):
+        eta = random_eta(rng, case)
+        f = family_for_case(classify(eta), eta, beta=beta)
+        xs = well_posed(f, rng.uniform(-1.2, 1.2, size=(8, f.dim)), 0.3)[:3]
+        assert len(xs), case
+        for xi in xs:
+            ricci = gauss_curvature(f, xi).ricci
+            assert ricci.tobytes() == ricci.T.tobytes(), case
+
+
+def test_gauss_ricci_symmetric_at_the_cli_example():
+    # its Ricci differed from its transpose in the last digit before the
+    # upper triangle was mirrored
+    eta = InitialCoefficients.normalized(0.6, 0.3 + 0.4j, 0.5, -0.2j)
+    f = family_for_case(classify(eta), eta)
+    ricci = gauss_curvature(f, np.array([0.7, 2.5, 0.2, 0.4])).ricci
+    assert ricci.tobytes() == ricci.T.tobytes()
+
+
 def test_family_field_routes_to_gauss():
     f = _uniform_c7_family()
     xi = np.array([0.7, 0.3, 0.2, 0.4])

@@ -22,6 +22,7 @@ from qorbits.fubini_study import (
     analytic_metrics_c7,
     analytic_metrics_case,
     diagonalize_metrics,
+    gauge_pair_metrics,
     numeric_fs_metric,
     numeric_fs_metrics,
     phase_twisted,
@@ -31,6 +32,7 @@ from qorbits.fubini_study import (
     two_param_metric_printed_offdiag,
 )
 from qorbits.model import InitialCoefficients, classify
+from qorbits.verify import DEFAULT_CASE_ETAS, _default_family
 
 from conftest import random_eta, well_posed
 
@@ -105,6 +107,21 @@ def test_metric_gauge_invariance(rng):
         g0 = numeric_fs_metric(f, xi).entries
         g1 = numeric_fs_metric(twisted, xi).entries
         assert np.max(np.abs(g0 - g1)) < 1e-8, pattern
+
+
+@pytest.mark.parametrize("label", list(DEFAULT_CASE_ETAS))
+def test_gauge_pair_equals_the_two_metrics(label, rng):
+    # one stencil of the family's states serves both metrics; each is the
+    # one-point numeric_fs_metric to the bit
+    f = _default_family(label)
+    lam = lambda xs: xs.sum(axis=1)  # noqa: E731
+    for gamma in (1.0, 0.7):
+        xi = rng.uniform(0.2, 1.0, size=f.dim)
+        g, gt = gauge_pair_metrics(f, lam, xi[None], gamma)
+        assert g.shape == gt.shape == (1, f.dim, f.dim)
+        assert g[0].tobytes() == numeric_fs_metric(f, xi, gamma).entries.tobytes()
+        twisted = numeric_fs_metric(phase_twisted(f, lam), xi, gamma).entries
+        assert gt[0].tobytes() == twisted.tobytes()
 
 
 def test_metric_positive_semidefinite(rng):

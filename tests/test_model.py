@@ -231,6 +231,27 @@ def test_unit_row_scales_as_normalized(rng):
         unit_row(np.zeros(4, dtype=complex))
 
 
+def test_batched_unit_row_equals_each_row(rng):
+    for scale in (1.0, 1e-3, 1e5):
+        rows = scale * (rng.normal(size=(2000, 4)) + 1j * rng.normal(size=(2000, 4)))
+        batch = unit_row(rows)
+        assert batch.shape == rows.shape
+        assert batch.tobytes() == np.array([unit_row(v) for v in rows]).tobytes()
+    real = rng.normal(size=(50, 4))
+    assert unit_row(real).tobytes() == np.array([unit_row(v) for v in real]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+def test_batched_unit_row_refuses_as_one_row(bad, rng):
+    rows = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    rows[3] = 0.0 if bad == 0.0 else [0.5, bad, 0.5, 0.5]
+    match = "zero vector" if bad == 0.0 else "finite"
+    with pytest.raises(ValueError, match=match):
+        unit_row(rows[3])
+    with pytest.raises(ValueError, match=match + ".*row 3"):
+        unit_row(rows)
+
+
 @pytest.mark.parametrize("pattern", ["C1", "C3", "C4", "C5", "C6", "C7"])
 def test_classify_rows_agrees_with_classify(rng, pattern):
     etas = [random_eta(rng, pattern) for _ in range(30)]

@@ -255,11 +255,54 @@ def test_batched_beta_derivative_equals_single_point(rng):
         assert np.array_equal(d, numeric_beta_derivative(eta, x))
 
 
+def test_batched_closed_form_equals_one_point(rng):
+    for _ in range(20):
+        eta = random_eta(rng, "C7")
+        xs = rng.uniform([0.4, -1.2, -1.4, -1.4], [1.6, 1.2, 1.4, 1.4], size=(16, 4))
+        batch = metric_correction_closed_form(eta, xs, gamma=0.8)
+        rows = np.array([metric_correction_closed_form(eta, x, gamma=0.8) for x in xs])
+        assert batch.shape == (16, 4, 4)
+        # one point is a batch of one, so it is the row to the bit
+        assert batch.tobytes() == rows.tobytes()
+        aux = perturbation_aux(*xs.T)
+        for k, x in enumerate(xs):
+            one = perturbation_aux(*x)
+            assert one.y_plus == pytest.approx(aux.y_plus[k], rel=1e-15)
+            assert one.x_minus == pytest.approx(aux.x_minus[k], rel=1e-15)
+
+
+def _one_point_admissible(xi):
+    """The audit's admissibility predicate, one point at a time."""
+    omega, phi, c3, c_plus = (float(x) for x in xi)
+    den1, den2 = 2.0 * c3 + omega - c_plus, 2.0 * c3 - omega - c_plus
+    return not (min(abs(den1), abs(den2)) < 1e-2 or math.cos(phi) <= 0.05)
+
+
+def test_audit_skips_the_points_the_one_point_predicate_skips(rng):
+    eta = random_eta(rng, "C7")
+    pts = [resonance_free_point(rng) for _ in range(6)]
+    pts.insert(1, np.array([0.6, 0.3, 0.5, 1.604]))  # 2c3 + omega - c_plus = -0.004
+    pts.insert(4, np.array([0.7, 1.53, 0.2, 0.3]))  # cos(phi) = 0.041
+    # cos(phi) a rounding above and below 0.05
+    edge = math.acos(0.05)
+    pts += [np.array([0.7, phi, 0.2, 0.3]) for phi in (edge, np.nextafter(edge, 2.0))]
+    kept = [p for p in pts if _one_point_admissible(p)]
+    assert [k for k, p in enumerate(pts) if not _one_point_admissible(p)] == [1, 4, 9]
+    audit = audit_metric_correction(eta, pts)
+    assert audit.n_points == len(kept)
+    assert audit == audit_metric_correction(eta, kept)
+
+
 def test_audit_with_no_admissible_point_raises():
     # cos(2.0) < 0.05: the only point is off the principal branch
     eta = InitialCoefficients.normalized(0.3 + 0.2j, 0.5, 0.1 - 0.4j, 0.6)
     with pytest.raises(NoAdmissiblePointsError, match="resonance.*cos"):
         audit_metric_correction(eta, [np.array([0.5, 2.0, 0.1, 0.2])])
+    with pytest.raises(NoAdmissiblePointsError):
+        audit_metric_correction(eta, [])
+    # rows of three coordinates are refused, not regrouped into fours
+    with pytest.raises(ValueError, match=r"\(N, 4\)"):
+        audit_metric_correction(eta, np.full((4, 3), 0.5))
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
