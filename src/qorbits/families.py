@@ -587,8 +587,9 @@ def check_periodicity(f: StateFamily, rng=None) -> PeriodicityReport:
     shifts = PERIODICITY_SHIFTS[f.case.label]
     # every shift's base points from one draw, which gives the values, in
     # order, of one draw per shift; base points and shifted copies
-    # interleaved per shift in one batch of states
-    xs = rng.uniform(lo, -lo, size=(len(shifts), PERIODICITY_POINTS, f.dim))
+    # interleaved per shift in one batch of states.  Bitwise the draw
+    # rng.uniform(lo, -lo, size), which is slower with array bounds
+    xs = lo + (-lo - lo) * rng.random((len(shifts), PERIODICITY_POINTS, f.dim))
     incs = np.zeros((len(shifts), f.dim))
     for k, (shift, _) in enumerate(shifts):
         for name, inc in shift.items():

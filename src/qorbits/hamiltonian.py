@@ -27,10 +27,6 @@ PSI4 = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 _BELL_ROWS = np.array([PSI3, PSI4])
 
 HERMITICITY_TOL = 1e-14
-# Jacobi solver: off-diagonal Frobenius norm at which it stops, and the
-# number of sweeps after which it gives up
-JACOBI_OFF_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 60
 
 # Default resonance threshold on the perturbation denominators 2c3 +- omega - c_plus
 RESONANCE_THRESHOLD = 1e-6
@@ -126,82 +122,26 @@ def analytic_spectrum(p: HamiltonianParams) -> Spectrum:
     return Spectrum(analytic_energies(d, p.c3), states)
 
 
-def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi
-    rotations.
-
-    Sweeps 2x2 unitary eliminations over all (p, q) pairs until the
-    off-diagonal Frobenius norm drops below JACOBI_OFF_TOL.  Returns
-    eigenvalues ascending and the matching eigenvectors as columns.
-    """
-    a = np.array(h, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if np.linalg.norm(a - a.conj().T) > HERMITICITY_TOL * max(1.0, np.linalg.norm(a)):
-        raise ValueError("matrix is not Hermitian")
-    v = np.eye(n, dtype=complex)
-    mask = ~np.eye(n, dtype=bool)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = math.sqrt(float(np.sum(np.abs(a[mask]) ** 2)))
-        if off < JACOBI_OFF_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r < JACOBI_OFF_TOL / (n * n):
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # G differs from identity only in rows/cols p, q:
-                #   G[p,p]=c, G[p,q]=s*phase, G[q,p]=-s*conj(phase), G[q,q]=c
-                gp = a[:, p].copy()
-                gq = a[:, q].copy()
-                a[:, p] = c * gp - s * np.conj(phase) * gq
-                a[:, q] = s * phase * gp + c * gq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * phase * rq
-                a[q, :] = s * np.conj(phase) * rp + c * rq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-    evals = np.diag(a).real
-    order = np.argsort(evals, kind="stable")
-    return evals[order], v[:, order]
-
-
 def numeric_spectrum(h: np.ndarray) -> Spectrum:
-    """Oracle eigensystem via the Jacobi solver; eigenvalues ascending."""
-    evals, evecs = jacobi_eigh(h)
+    """Oracle eigensystem by LAPACK (np.linalg.eigh); eigenvalues ascending.
+    eigh reads one triangle only, so a non-Hermitian matrix is refused here."""
+    h = np.asarray(h)
+    if np.linalg.norm(h - h.conj().T) > HERMITICITY_TOL * max(1.0, np.linalg.norm(h)):
+        raise ValueError("matrix is not Hermitian")
+    evals, evecs = np.linalg.eigh(h)
     return Spectrum(evals, evecs.T)
 
 
 def match_states(reference: np.ndarray, candidates: np.ndarray) -> list[int]:
-    """Match each reference vector to the candidate of maximal overlap.
-
-    Degenerate candidates are interchangeable; a greedy assignment over
-    |<cand|ref>| is sufficient here because overlaps are close to 0 or 1.
-    """
-    taken: set[int] = set()
-    matches = []
+    """Match each reference vector, in order, to the untaken candidate of
+    largest overlap |<cand|ref>|, which gives a permutation.  For eigenbases
+    of one two-qubit Hamiltonian, matched states have equal energies; within
+    a degenerate eigenspace the match is not unique, and a plain argmax per
+    reference can repeat an index there."""
+    matches: list[int] = []
     for ref in reference:
         overlaps = np.abs(candidates @ ref.conj())
-        for idx in np.argsort(-overlaps):
-            if int(idx) not in taken:
-                taken.add(int(idx))
-                matches.append(int(idx))
-                break
+        matches.append(next(int(k) for k in np.argsort(-overlaps) if k not in matches))
     return matches
 
 

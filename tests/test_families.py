@@ -13,6 +13,7 @@ from qorbits.families import (
     _FORM_PAIRS,
     _FORM_SIGNS,
     BLOCK_ROWS,
+    PERIODICITY_POINTS,
     PERIODICITY_SHIFTS,
     SCAN_BOX,
     StateFamily,
@@ -304,6 +305,31 @@ def test_periodicity_in_one_batch_equals_the_per_shift_loop(pattern, rng):
         assert chk.min_fidelity == float(np.min(np.abs(overlaps)))
         assert chk.max_phase_error == float(np.max(np.abs(overlaps - phase)))
     assert batched.random() == loop.random()
+
+
+@pytest.mark.parametrize("pattern", ["C1", "C2", "C3", "C4", "C5", "C6", "C7"])
+def test_periodicity_base_points_are_the_uniform_draw(pattern, rng, monkeypatch):
+    # the base points are bitwise rng.uniform(lo, -lo, size) of the same
+    # generator, which is left where that draw leaves it
+    eta = random_eta(rng, pattern)
+    f = family_for_case(classify(eta), eta)
+    seen = []
+    states = StateFamily.states
+
+    def recording(self, xs, etas=None):
+        seen.append(xs.copy())
+        return states(self, xs, etas)
+
+    monkeypatch.setattr(StateFamily, "states", recording)
+    drawn, reference = np.random.default_rng(11), np.random.default_rng(11)
+    check_periodicity(f, drawn)
+    lo = np.array([-1.4 if name == "phi" else -3.0 for name in f.chart])
+    n_shifts = len(PERIODICITY_SHIFTS[pattern])
+    want = reference.uniform(lo, -lo, size=(n_shifts, PERIODICITY_POINTS, f.dim))
+    (pts,) = seen
+    base = pts.reshape(n_shifts, 2, PERIODICITY_POINTS, f.dim)[:, 0]
+    assert base.tobytes() == want.tobytes()
+    assert drawn.random() == reference.random()
 
 
 # Axis ranges per chart coordinate, clear of the resonances

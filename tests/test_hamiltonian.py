@@ -16,13 +16,12 @@ from qorbits.hamiltonian import (
     eigvec_pair,
     first_order_rows,
     half_angles,
-    jacobi_eigh,
     match_states,
     numeric_spectrum,
     perturbation_denominators,
     perturbed_eigenstates,
 )
-from qorbits.model import HamiltonianParams
+from qorbits.model import HamiltonianParams, derive_params
 
 
 def test_build_zero():
@@ -156,33 +155,32 @@ def test_degenerate_chart_refused():
         analytic_spectrum(HamiltonianParams(0, 0.5, 0.5, 0.3))
 
 
-def test_jacobi_diag():
-    evals, evecs = jacobi_eigh(np.diag([2.0, 0.0, 0.0, -2.0]))
-    assert np.allclose(evals, [-2, 0, 0, 2])
-    assert np.allclose(np.abs(evecs.conj().T @ evecs), np.eye(4), atol=1e-14)
+def test_numeric_spectrum_diag():
+    spec = numeric_spectrum(np.diag([2.0, 0.0, 0.0, -2.0]))
+    assert np.allclose(spec.energies, [-2, 0, 0, 2])
+    assert np.allclose(np.abs(spec.states.conj() @ spec.states.T), np.eye(4), atol=1e-14)
 
 
-def test_jacobi_identity():
-    evals, evecs = jacobi_eigh(np.eye(4, dtype=complex))
-    assert np.allclose(evals, 1.0)
-    assert np.allclose(evecs.conj().T @ evecs, np.eye(4), atol=1e-14)
+def test_numeric_spectrum_identity():
+    spec = numeric_spectrum(np.eye(4, dtype=complex))
+    assert np.allclose(spec.energies, 1.0)
+    assert np.allclose(spec.states.conj() @ spec.states.T, np.eye(4), atol=1e-14)
 
 
-def test_jacobi_vs_lapack_random(rng):
+def test_numeric_spectrum_residuals_random(rng):
     for _ in range(40):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = a + a.conj().T
-        evals, evecs = jacobi_eigh(h)
-        ref = np.linalg.eigvalsh(h)
-        assert np.max(np.abs(evals - ref)) < 1e-12
-        # each column is an eigenvector
-        for k in range(4):
-            assert np.linalg.norm(h @ evecs[:, k] - evals[k] * evecs[:, k]) < 1e-12
+        spec = numeric_spectrum(h)
+        assert np.all(np.diff(spec.energies) >= 0)
+        assert np.max(np.abs(spec.states.conj() @ spec.states.T - np.eye(4))) < 1e-12
+        # each row is an eigenvector
+        assert np.max(spec.residuals(h)) < 1e-12
 
 
-def test_jacobi_rejects_non_hermitian():
+def test_numeric_spectrum_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        numeric_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_numeric_matches_analytic_energies(rng):
@@ -202,6 +200,36 @@ def test_match_states_overlap():
     perm = match_states(ana.states, num.states)
     for k, idx in enumerate(perm):
         assert abs(np.vdot(num.states[idx], ana.states[k])) > 1 - 1e-10
+
+
+# (b, c1, c2, c3) with two energies equal: a point where a plain argmax
+# over the overlaps repeats an index, and b = 0, c = (1, 0, 0) with
+# E = 1, -1, 1, -1
+@pytest.mark.parametrize("b, c1, c2, c3", [
+    (1.011889936087087, -1.064401170236132, -0.6877917722422513, 0.15316535279716947),
+    (0.0, 1.0, 0.0, 0.0),
+])
+def test_match_states_permutation_at_degenerate_spectrum(b, c1, c2, c3):
+    p = HamiltonianParams(b, c1, c2, c3)
+    ana = analytic_spectrum(p)
+    num = numeric_spectrum(build_hamiltonian(p))
+    perm = match_states(ana.states, num.states)
+    assert sorted(perm) == list(range(4))
+    assert np.max(np.abs(ana.energies - num.energies[perm])) < 1e-12
+
+
+def test_match_states_energies_on_random_degenerate_spectra(rng):
+    # c3 puts one of E = c3 +- omega level with one of -c3 +- c_plus
+    for _ in range(200):
+        b, c1, c2 = rng.uniform(-2, 2, size=3)
+        d = derive_params(HamiltonianParams(b, c1, c2, 0.0))
+        c3 = 0.5 * (rng.choice([-1, 1]) * d.c_plus + rng.choice([-1, 1]) * d.omega)
+        p = HamiltonianParams(b, c1, c2, c3)
+        ana = analytic_spectrum(p)
+        num = numeric_spectrum(build_hamiltonian(p))
+        perm = match_states(ana.states, num.states)
+        assert sorted(perm) == list(range(4))
+        assert np.max(np.abs(ana.energies - num.energies[perm])) < 1e-12
 
 
 @pytest.mark.parametrize("beta", [1e-3, 0.3])
