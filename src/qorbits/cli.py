@@ -19,6 +19,7 @@ import cmath
 import functools
 import math
 import os
+import re
 import stat
 import sys
 
@@ -36,7 +37,7 @@ from .hamiltonian import (
 )
 from .families import family_for_case
 from .fubini_study import analytic_metric_c7, analytic_metric_case, numeric_fs_metric
-from .curvature import MetricField, curvature_at, g0_uniform_field
+from .curvature import UNIFORM_C7_SCALAR, MetricField, curvature_at, g0_uniform_field
 from .perturbation import numeric_beta_derivative, perturbed_metric_analytic
 from .entanglement import CASE_FORMULA_STATUS, concurrence, concurrence_analytic, scan_concurrence
 
@@ -327,7 +328,7 @@ def cmd_curvature(args, warn) -> dict:
     eta = f.eta
     uniform = np.allclose(eta.abs2, 0.25, atol=1e-12)
     if f.case.label == "C7" and uniform and f.beta == 0.0:
-        expected = 14.0 / args.gamma**2
+        expected = UNIFORM_C7_SCALAR / args.gamma**2
         results["closed_form_scalar"] = expected
         # noise-free route: curvature of the closed-form metric field,
         # whose phase parameter is alpha2 - alpha1 in our convention
@@ -507,10 +508,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list) -> list:
+    """argv with each option's value that starts with '-' and a digit or '.'
+    (--c -1,0,0, --chi -1e-3) joined to it as --c=-1,0,0: argparse reads
+    such a token as an option unless it is a plain negative number."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in OPTIONS and re.match(r"-[\d.]", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_BAD_CONFIG if exc.code not in (0, None) else 0
     warnings: list[str] = []

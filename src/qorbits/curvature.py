@@ -22,10 +22,13 @@ import numpy as np
 
 from .errors import FormulaDomainError, SingularMetricError
 from .families import StateFamily
-from .fubini_study import MetricTensor, _require_finite, tangent_fs_metrics
+from .fubini_study import MetricTensor, _require_finite, _require_scale, tangent_fs_metrics
 
 DEFAULT_CURVATURE_STEP = 1e-3
 SINGULARITY_TOL = 1e-10
+# cataloged scalar curvature of the uniform-coefficient example at gamma = 1;
+# the scalar is UNIFORM_C7_SCALAR / gamma**2
+UNIFORM_C7_SCALAR = 14.0
 
 
 @dataclass(frozen=True)
@@ -222,8 +225,7 @@ def gauss_curvature(family, xi, gamma: float = 1.0) -> CurvatureReport:
     ChartSingularityError for a non-finite partial and SingularMetricError
     for a singular metric.
     """
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"metric scale gamma must be finite and positive, got {gamma}")
+    _require_scale(gamma)
     xi = np.asarray(xi, dtype=float)
     psi, dpsi, d2psi = family.frame_jet(xi[None], 2)
     dim = dpsi.shape[1]
@@ -316,7 +318,7 @@ def analytic_g0_and_ricci(omega: float, alpha12: float, gamma: float = 1.0):
         gamma,
         ("omega", "phi", "c3", "c_plus"),
     )
-    return g, g0_uniform_ricci(omega, alpha12), 14.0 / gamma**2
+    return g, g0_uniform_ricci(omega, alpha12), UNIFORM_C7_SCALAR / gamma**2
 
 
 def g0_uniform_field(alpha12: float, gamma: float = 1.0) -> MetricField:

@@ -570,10 +570,10 @@ class PeriodicityReport:
     checks: tuple[PeriodicityCheck, ...]
 
 
-def check_periodicity(f: StateFamily, rng=None) -> PeriodicityReport:
-    """Sample PERIODICITY_POINTS random base points and measure the overlap
-    of psi(xi) with psi(xi + P) against the expected pure phase, for every
-    listed shift of the family's case.
+def check_periodicity(f: StateFamily, rng) -> PeriodicityReport:
+    """Sample PERIODICITY_POINTS random base points from the generator rng
+    and measure the overlap of psi(xi) with psi(xi + P) against the
+    expected pure phase, for every listed shift of the family's case.
 
     Failures are reported, never raised.  Base phi values keep a margin from
     cos(phi) = 0, where the branch sign flips one eigenvector and the state
@@ -581,7 +581,6 @@ def check_periodicity(f: StateFamily, rng=None) -> PeriodicityReport:
     """
     if f.beta != 0.0:
         raise ValueError("periodicity conditions are defined for beta = 0")
-    rng = rng or np.random.default_rng(20240617)
     # base phi in [-1.4, 1.4], every other coordinate in [-3, 3]
     lo = np.array([-1.4 if name == "phi" else -3.0 for name in f.chart])
     shifts = PERIODICITY_SHIFTS[f.case.label]

@@ -29,9 +29,6 @@ from .model import CASE_CHARTS, InitialCoefficients, classify_rows
 from .families import StateFamily
 
 DEFAULT_METRIC_STEP = 1e-5
-# MetricTensor.validate: largest asymmetry and most negative eigenvalue allowed
-SYM_TOL = 1e-12
-PSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,16 +43,6 @@ class MetricTensor:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def validate(self):
-        g = self.entries
-        if not np.all(np.isfinite(g)):
-            raise ValueError("metric entries must be finite")
-        if np.max(np.abs(g - g.T)) > SYM_TOL:
-            raise ValueError("metric not symmetric")
-        if np.linalg.eigvalsh(g).min() < -PSD_TOL:
-            raise ValueError("metric not positive semidefinite")
-        return self
 
 
 @lru_cache(maxsize=None)
@@ -115,12 +102,17 @@ def _difference_quotient(family, xs, psi_all, h):
     return psi_all[:, 0], dpsi
 
 
+def _require_scale(gamma: float):
+    """Raise ValueError unless the metric scale gamma is finite and positive."""
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"metric scale gamma must be finite and positive, got {gamma}")
+
+
 def _qgt_metrics(psi, dpsi, gamma: float) -> np.ndarray:
     """gamma^2 Re(<d_m psi|d_n psi> - <d_m psi|psi><psi|d_n psi>), shape
     (N, dim, dim), from states psi (N, 4) and their partials dpsi
     (N, dim, 4)."""
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"metric scale gamma must be finite and positive, got {gamma}")
+    _require_scale(gamma)
     overlaps = dpsi @ psi[:, :, None].conj()  # <d_m psi|psi>^*, shape (N, dim, 1)
     qgt = dpsi.conj() @ dpsi.transpose(0, 2, 1) - overlaps.conj() * overlaps.transpose(0, 2, 1)
     g = gamma * gamma * qgt.real
@@ -143,11 +135,13 @@ def numeric_fs_metrics(
     return _qgt_metrics(*_difference_quotient(family, xs, psi_all, h), gamma)
 
 
-def gauge_pair_metrics(family, lam, xs, gamma: float = 1.0, h: float = DEFAULT_METRIC_STEP):
+def gauge_pair_metrics(family, lam, xs, gamma: float = 1.0):
     """numeric_fs_metrics of family and of phase_twisted(family, lam) at the
-    rows of xs, each of shape (N, dim, dim), from one evaluation of the
-    family's stencil states: the twisted stencil states are those states
-    times e^{i lam(pts)}, as the twisted family computes them."""
+    rows of xs, each of shape (N, dim, dim), at the step DEFAULT_METRIC_STEP,
+    from one evaluation of the family's stencil states: the twisted stencil
+    states are those states times e^{i lam(pts)}, as the twisted family
+    computes them."""
+    h = DEFAULT_METRIC_STEP
     xs = _stencil_input(xs, h)
     twisted = phase_twisted(family, lam)
     pts, psi_all = _stencil_states(family, xs, h)
@@ -223,7 +217,7 @@ def _overlap(etas, omega):
     return t_re * z.real - t_im * z.imag, t_re * z.imag + t_im * z.real
 
 
-def _j_signed(etas, omega, phi=0.0) -> np.ndarray:
+def _j_signed(etas, omega, phi) -> np.ndarray:
     """J = Im(eta1 conj(eta2) e^{-2 i omega}), carrying the sign of cos(phi).
 
     On the principal branch cos(phi) >= 0 this is the plain catalog J; the
@@ -309,7 +303,7 @@ def analytic_metric_c7(
     return MetricTensor(analytic_metrics_c7(eta.as_array(), xi, gamma), gamma, CASE_CHARTS["C7"])
 
 
-def _theta_from_j(etas, omega, phi=0.0) -> np.ndarray:
+def _theta_from_j(etas, omega, phi) -> np.ndarray:
     """Polar angle theta of the (eta1, eta2) sector: J = (eta12_plus/2) cos theta."""
     p12 = _magnitudes(etas)[1]
     c = 2.0 * _j_signed(etas, omega, phi) / p12
@@ -417,7 +411,7 @@ class DiagonalizingTransform:
     k4: float
 
 
-def diagonalize_metrics(etas, omega, phi=0.0) -> DiagonalizingTransform:
+def diagonalize_metrics(etas, omega, phi) -> DiagonalizingTransform:
     """Transform coefficients k1..k4 at each chart point (omega, phi), one
     per coefficient row; omega and phi are arrays of one value per point, or
     scalars.  Raises SingularTransformError, naming the first singular point's

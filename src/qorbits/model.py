@@ -89,11 +89,11 @@ def derive_params(p: HamiltonianParams) -> DerivedParams:
 class InitialCoefficients:
     """Complex coefficients eta_1..eta_4 of the initial state in the eigenbasis.
 
-    The instance is frozen, so the magnitudes derived from it (abs2 and the
-    four sums and differences eta12_plus .. eta34_minus) and its case at the
-    default classification tol are computed on first read and kept.  They
-    live in the instance __dict__, outside the dataclass fields, so equality
-    and hashing see only eta_1..eta_4.
+    The instance is frozen, so the magnitudes derived from it are computed
+    once, at construction: abs2 = |eta_k|^2 (read-only) and the four sums
+    and differences eta12_plus .. eta34_minus.  Its case is computed on
+    first read and kept.  These live in the instance __dict__, outside the
+    dataclass fields, so equality and hashing see only eta_1..eta_4.
     """
 
     eta1: complex
@@ -102,7 +102,18 @@ class InitialCoefficients:
     eta4: complex
 
     def __post_init__(self):
-        norm2 = sum(self.abs2.tolist())
+        a = np.abs(self.as_array()) ** 2
+        a.setflags(write=False)
+        # set past the frozen dataclass's __setattr__, outside its fields
+        for name, value in (
+            ("abs2", a),
+            ("eta12_plus", float(a[0] + a[1])),
+            ("eta12_minus", float(a[0] - a[1])),
+            ("eta34_plus", float(a[2] + a[3])),
+            ("eta34_minus", float(a[2] - a[3])),
+        ):
+            object.__setattr__(self, name, value)
+        norm2 = sum(a.tolist())
         if not abs(norm2 - 1.0) <= _NORM_TOL:
             raise ValueError(
                 f"coefficients must be normalized: |eta|^2 = {norm2!r}"
@@ -120,36 +131,9 @@ class InitialCoefficients:
         return np.array(self.as_tuple(), dtype=complex)
 
     @cached_property
-    def abs2(self) -> np.ndarray:
-        """|eta_k|^2, read-only."""
-        a = np.abs(self.as_array()) ** 2
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def eta12_plus(self) -> float:
-        a = self.abs2
-        return float(a[0] + a[1])
-
-    @cached_property
-    def eta12_minus(self) -> float:
-        a = self.abs2
-        return float(a[0] - a[1])
-
-    @cached_property
-    def eta34_plus(self) -> float:
-        a = self.abs2
-        return float(a[2] + a[3])
-
-    @cached_property
-    def eta34_minus(self) -> float:
-        a = self.abs2
-        return float(a[2] - a[3])
-
-    @cached_property
     def _case(self) -> "CaseClass":
-        """classify at the default tol; a raise leaves nothing cached."""
-        return _classify(np.abs(self.as_array()), CLASSIFY_TOL)
+        """The case classify returns; a raise leaves nothing cached."""
+        return _classify(np.abs(self.as_array()))
 
     @property
     def alphas(self) -> np.ndarray:
@@ -223,57 +207,51 @@ class CaseClass:
         return len(self.chart)
 
 
-# Magnitudes in (tol, AMBIGUITY_FACTOR*tol) can be neither called zero nor
-# confidently nonzero; classification refuses them.
+# |eta_i| at or below this counts as zero.
+CLASSIFY_TOL = 1e-12
+
+# Magnitudes in (CLASSIFY_TOL, AMBIGUITY_FACTOR * CLASSIFY_TOL) can be
+# neither called zero nor confidently nonzero; classification refuses them.
 AMBIGUITY_FACTOR = 10.0
 
 
-# |eta_i| at or below this counts as zero unless classify is given its own tol.
-CLASSIFY_TOL = 1e-12
+def classify(eta: InitialCoefficients) -> CaseClass:
+    """Classify initial coefficients by their zero pattern, |eta_i| at or
+    below CLASSIFY_TOL counting as zero.  Each coefficient set is
+    classified once and its case reused; the errors are raised on every
+    call."""
+    return eta._case
 
 
-def classify(eta: InitialCoefficients, tol: float = CLASSIFY_TOL) -> CaseClass:
-    """Classify initial coefficients by their zero pattern.
-
-    tol is the threshold on |eta_i| below which a coefficient counts as zero.
-    At the default tol each coefficient set is classified once and its case
-    reused; the errors are raised on every call.
-    """
-    if tol == CLASSIFY_TOL:
-        return eta._case
-    return _classify(np.abs(eta.as_array()), tol)
-
-
-def classify_rows(etas, tol: float = CLASSIFY_TOL) -> CaseClass:
+def classify_rows(etas) -> CaseClass:
     """The case shared by every row of an (N, 4) array of coefficient rows,
     from one pass over their magnitudes: rows with the zero pattern of the
     first and no magnitude in the ambiguity band classify alike.  The first
     row that does not raises classify's error for it, or CaseMismatchError
     if it classifies as another case."""
     mags = np.abs(np.asarray(etas))
-    case = _classify(mags[0], tol)
-    nz = mags > tol
-    odd = ((nz & (mags < AMBIGUITY_FACTOR * tol)) | (nz != nz[0])).any(axis=1)
+    case = _classify(mags[0])
+    nz = mags > CLASSIFY_TOL
+    odd = ((nz & (mags < AMBIGUITY_FACTOR * CLASSIFY_TOL)) | (nz != nz[0])).any(axis=1)
     if odd.any():
         k = int(odd.argmax())
         raise CaseMismatchError(
-            f"coefficient row {k} classifies as {_classify(mags[k], tol)}, row 0 as {case}"
+            f"coefficient row {k} classifies as {_classify(mags[k])}, row 0 as {case}"
         )
     return case
 
 
-def _classify(mags: np.ndarray, tol: float) -> CaseClass:
+def _classify(mags: np.ndarray) -> CaseClass:
     """Classify by the coefficient magnitudes |eta_1|..|eta_4|."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    ambiguous = (mags > tol) & (mags < AMBIGUITY_FACTOR * tol)
+    ambiguous = (mags > CLASSIFY_TOL) & (mags < AMBIGUITY_FACTOR * CLASSIFY_TOL)
     if ambiguous.any():
         idx = int(np.argmax(ambiguous)) + 1
         raise ClassificationToleranceError(
-            f"|eta{idx}| = {mags[idx - 1]:.3e} is within the ambiguity band of "
-            f"tol = {tol:.3e}; use a tighter tol"
+            f"|eta{idx}| = {mags[idx - 1]:.3e} is within the ambiguity band "
+            f"({CLASSIFY_TOL:.0e}, {AMBIGUITY_FACTOR * CLASSIFY_TOL:.0e}): "
+            "neither zero nor clearly nonzero"
         )
-    nz = mags > tol
+    nz = mags > CLASSIFY_TOL
     nz12 = [k for k in (0, 1) if nz[k]]
     nz34 = [k for k in (2, 3) if nz[k]]
 

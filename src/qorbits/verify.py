@@ -213,7 +213,7 @@ def suite_curvature(rng, gamma=1.0) -> list:
     checks = [record("sphere-curvature", dev, dev < 1e-6)]
     fld = curvature.g0_uniform_field(0.0, gamma)
     rep = curvature.curvature_at(fld, np.array([0.35, 0.3, 0.2, 0.4]))
-    expected = 14.0 / gamma**2
+    expected = curvature.UNIFORM_C7_SCALAR / gamma**2
     dev = abs(rep.scalar - expected) / expected
     checks.append(record("uniform-c7-scalar-14", dev, dev < 1e-3))
     # closed-form perturbed curvature at beta = 0 against the constant

@@ -510,6 +510,26 @@ def test_non_positive_gamma_is_bad_config(argv, gamma, capsys):
     assert out == "" and f"--gamma: needs a number above 0, got '{gamma}'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["spectrum", "--b", "1", "--c", "-1,0,0"], "--c"),
+        (["metric", "--eta", "0.5,0.5,0.5,0.5", "--point", "-0.7,0.3,0.2,0.4"], "--point"),
+        (["classify", "--eta", "-0.5,0.5,0.5,0.5"], "--eta"),
+        (["verify", "--suite", "tables", "--chi", "-1e-3"], "--chi"),
+        (["spectrum", "--b", "-1e-3"], "--b"),
+    ],
+    ids=["c", "point", "eta", "chi", "b"],
+)
+def test_negative_values_need_no_equals_sign(argv, option, capsys):
+    # argparse takes "-1,0,0" or "-1e-3" for an option unless it is joined
+    # to its flag by "="; the CLI joins it, so both forms give one report
+    k = argv.index(option)
+    joined = argv[:k] + [f"{option}={argv[k + 1]}"] + argv[k + 2:]
+    assert run_cli(capsys, *joined) == run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 # parts that are not name=start:stop:count with numeric endpoints and an
 # integer count
 MALFORMED_GRIDS = ("phi=0:1:2.7", "phi=0:1", "phi", "phi=a:1:3")

@@ -134,18 +134,18 @@ def test_periodicity_all_cases(pattern, rng):
         assert chk.min_fidelity > 1 - 1e-10
 
 
-def test_periodicity_c1_equal_coefficients():
+def test_periodicity_c1_equal_coefficients(rng):
     eta = InitialCoefficients(0, 0, S2, S2)
     f = family_for_case(classify(eta), eta)
-    report = check_periodicity(f)
+    report = check_periodicity(f, rng)
     assert all(c.min_fidelity > 1 - 1e-12 for c in report.checks)
 
 
-def test_periodicity_requires_unperturbed():
+def test_periodicity_requires_unperturbed(rng):
     eta = InitialCoefficients(0.5, 0.5, 0.5, 0.5)
     f = family_for_case(classify(eta), eta, beta=1e-3)
     with pytest.raises(ValueError):
-        check_periodicity(f)
+        check_periodicity(f, rng)
 
 
 def test_perturbed_family_renormalized(rng):

@@ -6,6 +6,7 @@ import pytest
 from qorbits import model
 from qorbits.errors import ClassificationToleranceError, StationaryStateError
 from qorbits.model import (
+    AMBIGUITY_FACTOR,
     CLASSIFY_TOL,
     CaseClass,
     HamiltonianParams,
@@ -134,11 +135,17 @@ def test_classify_stationary_errors():
 
 
 def test_classify_ambiguous_band():
+    # |eta2| = 2.9e-12 lies in the band (CLASSIFY_TOL, 10 CLASSIFY_TOL)
     eta = InitialCoefficients.normalized(1.0, 5e-12, 1.0, 1.0)
-    with pytest.raises(ClassificationToleranceError):
-        classify(eta, tol=1e-12)
-    # a tighter tol resolves the same coefficients
-    assert classify(eta, tol=1e-14).label == "C7"
+    with pytest.raises(ClassificationToleranceError, match=r"eta2.*\(1e-12, 1e-11\)"):
+        classify(eta)
+    # the band is open: its ends classify, CLASSIFY_TOL as zero and
+    # AMBIGUITY_FACTOR * CLASSIFY_TOL as nonzero
+    low, high = CLASSIFY_TOL, AMBIGUITY_FACTOR * CLASSIFY_TOL
+    a = math.sqrt((1.0 - low**2) / 3.0)
+    assert classify(InitialCoefficients(a, low, a, a)) == CaseClass("C6", l=1)
+    a = math.sqrt((1.0 - high**2) / 3.0)
+    assert classify(InitialCoefficients(a, high, a, a)) == CaseClass("C7")
 
 
 def test_classify_total_on_random_patterns(rng):
@@ -172,7 +179,6 @@ def test_caches_stay_out_of_equality_and_hash():
     vals = (0.6, 0.2j, 0.5, 0.6)
     warm, cold = (InitialCoefficients.normalized(*vals) for _ in range(2))
     classify(warm)
-    warm.eta12_plus, warm.eta34_minus
     assert "_case" in vars(warm) and "_case" not in vars(cold)
     assert warm == cold and hash(warm) == hash(cold)
     assert {warm: "warm"}[cold] == "warm"
@@ -180,13 +186,13 @@ def test_caches_stay_out_of_equality_and_hash():
 
 
 def counting_classify(monkeypatch):
-    """The tols the classification body runs with, from now on."""
+    """The magnitudes the classification body runs on, from now on."""
     calls = []
     body = model._classify
 
-    def counted(eta, tol):
-        calls.append(tol)
-        return body(eta, tol)
+    def counted(mags):
+        calls.append(mags)
+        return body(mags)
 
     monkeypatch.setattr(model, "_classify", counted)
     return calls
@@ -197,13 +203,13 @@ def test_family_for_case_reuses_the_callers_classification(monkeypatch):
     eta = InitialCoefficients.normalized(0.6, 0.2j, 0.5, 0.6)
     f = family_for_case(classify(eta), eta)
     assert f.case == CaseClass("C7")
-    assert calls == [CLASSIFY_TOL]
+    assert len(calls) == 1
     with pytest.raises(CaseMismatchError):
         family_for_case(CaseClass("C3"), eta)
-    assert calls == [CLASSIFY_TOL]
+    assert len(calls) == 1
 
 
-def test_classify_errors_on_every_call_and_own_tol_afresh(monkeypatch):
+def test_classify_errors_on_every_call_and_a_case_once(monkeypatch):
     calls = counting_classify(monkeypatch)
     ambiguous = InitialCoefficients.normalized(1.0, 5e-12, 1.0, 1.0)
     stationary = InitialCoefficients(0, 0, 1, 0)
@@ -214,13 +220,10 @@ def test_classify_errors_on_every_call_and_own_tol_afresh(monkeypatch):
             classify(stationary)
     assert len(calls) == 4
     calls.clear()
-    # |eta2| = 5.8e-10 is nonzero at the default tol and zero at 1e-8
     eta = InitialCoefficients.normalized(1.0, 1e-9, 1.0, 1.0)
-    assert classify(eta) == CaseClass("C7")
-    assert classify(eta, tol=1e-8) == CaseClass("C6", l=1)
-    assert classify(eta) == CaseClass("C7")
-    assert classify(eta, tol=1e-8) == CaseClass("C6", l=1)
-    assert calls == [CLASSIFY_TOL, 1e-8, 1e-8]
+    for _ in range(3):
+        assert classify(eta) == CaseClass("C7")
+    assert len(calls) == 1
 
 
 def test_unit_row_scales_as_normalized(rng):
