@@ -59,14 +59,11 @@ def _fmt_float(x: float) -> str:
 
 def dumps(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
-    Numpy arrays and scalars print as the Python values they hold, complex
-    numbers as {"im": ..., "re": ...}."""
+    Numpy arrays and scalars print as the Python values they hold."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     elif isinstance(obj, np.generic):
         obj = obj.item()
-    if isinstance(obj, complex):
-        obj = {"re": obj.real, "im": obj.imag}
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -76,7 +73,7 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if not any(isinstance(v, (dict, list, tuple, complex, np.ndarray)) for v in obj):
+        if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in obj):
             return "[" + ", ".join(dumps(v) for v in obj) + "]"
         items = [f"{pad}  {dumps(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"

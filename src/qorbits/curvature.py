@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import FormulaDomainError, SingularMetricError
 from .families import StateFamily
-from .fubini_study import MetricTensor, _require_finite, _require_scale, tangent_fs_metrics
+from .fubini_study import MetricTensor, _require_finite, _require_scale, _upper_mirror, tangent_fs_metrics
+from .model import CASE_CHARTS
 
 DEFAULT_CURVATURE_STEP = 1e-3
 SINGULARITY_TOL = 1e-10
@@ -193,14 +194,6 @@ def curvature_at(mf: MetricField, xi, h: float = DEFAULT_CURVATURE_STEP) -> Curv
     return CurvatureReport(xi, gam, rie, ric, float(sca), h, cond)
 
 
-@lru_cache(maxsize=None)
-def _upper_mirror(dim: int) -> np.ndarray:
-    """Flat indices that take a dim x dim array to its upper triangle
-    mirrored below the diagonal."""
-    k = np.arange(dim)
-    return np.minimum.outer(k, k) * dim + np.maximum.outer(k, k)
-
-
 def gauss_curvature(family, xi, gamma: float = 1.0) -> CurvatureReport:
     """Exact curvature tensors at a point of a state family's Fubini-Study
     metric gamma^2 Re QGT, from family.frame_jet: the family is a
@@ -313,11 +306,7 @@ def g0_uniform_ricci(omega: float, alpha12: float) -> np.ndarray:
 def analytic_g0_and_ricci(omega: float, alpha12: float, gamma: float = 1.0):
     """(metric, Ricci, scalar) of the uniform-coefficient example; the scalar
     is the cataloged constant 14/gamma^2."""
-    g = MetricTensor(
-        g0_uniform_metric(omega, alpha12, gamma),
-        gamma,
-        ("omega", "phi", "c3", "c_plus"),
-    )
+    g = MetricTensor(g0_uniform_metric(omega, alpha12, gamma), CASE_CHARTS["C7"])
     return g, g0_uniform_ricci(omega, alpha12), UNIFORM_C7_SCALAR / gamma**2
 
 

@@ -287,9 +287,9 @@ def verify_max_entangled_tables(f: StateFamily, chi: float) -> list[MaxEntangled
 
 @dataclass(frozen=True)
 class ConcurrenceScan:
-    case: str
-    eta: InitialCoefficients
-    grid: dict
+    """Concurrences of a grid scan: values at the grid_points of the
+    per-coordinate axes, in C-order."""
+
     axes: tuple
     values: np.ndarray
 
@@ -352,4 +352,4 @@ def scan_concurrence(f: StateFamily, grid: dict) -> ConcurrenceScan:
             axes.append(_linspace(a, b, int(n)))
         else:
             axes.append(np.array([0.0]))
-    return ConcurrenceScan(f.case.label, f.eta, dict(grid), tuple(axes), f.grid_concurrences(axes))
+    return ConcurrenceScan(tuple(axes), f.grid_concurrences(axes))

@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import CaseMismatchError
 from .hamiltonian import (
-    BRANCH_SNAP,
     PSI3,
     PSI4,
     branch_sign,
@@ -57,9 +56,11 @@ from .hamiltonian import (
     perturbation_denominators,
 )
 from .model import (
+    CASE_CHARTS,
     CaseClass,
     InitialCoefficients,
     classify,
+    require_unit_rows,
 )
 
 # Non-chart reference values used by reduced-case families; chosen away from
@@ -78,12 +79,9 @@ SCAN_BOX = 4096
 # psi2' = -s psi1/2: d e/d phi = (s/2) _J @ e, with _J @ _J = -1 on psi1, psi2.
 _J = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4])
 
-# Coordinates the eigenbasis is evaluated at, in this order.
-BASIS_COORDS = ("omega", "phi", "c3", "c_plus")
-
-# Coordinates a chart embeds into: the BASIS_COORDS, then the combined phase
-# c of C4/C5/C6.
-EMBED_COORDS = BASIS_COORDS + ("c",)
+# Coordinates a chart embeds into: the C7 chart (omega, phi, c3, c_plus), at
+# which the eigenbasis is evaluated, then the combined phase c of C4/C5/C6.
+EMBED_COORDS = CASE_CHARTS["C7"] + ("c",)
 
 # Phases theta_1..theta_4 of the eigenvector amplitudes, per (case label, l),
 # as coefficients over PHASE_SYMBOLS.  The general orbit (C1, C3, C7) has the
@@ -211,7 +209,8 @@ class StateFamily:
         Hermitian inner product of the coefficients is that of the states.
         etas, (N, 4) normalized rows as InitialCoefficients.as_array() gives,
         stands in for self.eta row by row on the general orbit (C1, C3, C7),
-        whose phase forms give the evolved state for every eta."""
+        whose phase forms give the evolved state for every eta; a row that
+        is not unit-norm raises ValueError (model.require_unit_rows)."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ValueError(f"expected (N, {self.dim}) coordinates, got {xs.shape}")
@@ -223,6 +222,7 @@ class StateFamily:
             etas = np.asarray(etas, dtype=complex)
             if etas.shape != (len(xs), 4):
                 raise ValueError(f"expected ({len(xs)}, 4) coefficient rows, got {etas.shape}")
+            require_unit_rows(etas)
         eta = self._eta_row if etas is None else etas
         if len(xs) <= BLOCK_ROWS:
             # one block, an empty batch too
@@ -258,14 +258,15 @@ class StateFamily:
             cross = (da @ drows).reshape(n, dim, dim, 4)
             w.append(d2a @ rows[0][:, None] + cross + cross.swapaxes(1, 2)
                      + (a[:, None, :] @ d2rows.reshape(n, 4, dim * dim * 4)).reshape(n, dim, dim, 4))
-        # d_mu e = s T_mu e (PhaseTable.turn), so d_mu (w @ e) =
-        # (d_mu w + s w T_mu) @ e and d_mu d_nu (w @ e) =
+        # d_mu e = s T_mu e (T_mu the first-order columns of k1), so
+        # d_mu (w @ e) = (d_mu w + s w T_mu) @ e and d_mu d_nu (w @ e) =
         # (d_mu d_nu w + s d_nu w T_mu + s d_mu w T_nu + w T_mu T_nu) @ e
         s = branch_sign(coords[:, 1])[:, None]
+        turn = table.k1[:, :dim * 4]
         if order == 2:
-            cross = s[:, None, None] * (w[1] @ table.turn).reshape(n, dim, dim, 4).swapaxes(1, 2)
+            cross = s[:, None, None] * (w[1] @ turn).reshape(n, dim, dim, 4).swapaxes(1, 2)
             w[2] = w[2] + cross + cross.swapaxes(1, 2) + (w[0] @ table.turn2).reshape(n, dim, dim, 4)
-        w[1] = w[1] + s[:, None] * (w[0] @ table.turn).reshape(n, dim, 4)
+        w[1] = w[1] + s[:, None] * (w[0] @ turn).reshape(n, dim, 4)
         return normalize_jet(*w)
 
     def _tabled_jet(self, xs, order, a):
@@ -279,7 +280,7 @@ class StateFamily:
         w = a @ table.k0[:, :cols]
         if len(table.head):
             phi = xs @ table.basis[1] + table.basis0[1]
-            w += (np.where(np.cos(phi) < BRANCH_SNAP, -1.0, 1.0)[:, None] * a) @ table.k1[:, :cols]
+            w += (branch_sign(phi)[:, None] * a) @ table.k1[:, :cols]
         if order == 1:
             return a, w.reshape(n, dim, 4)
         # each order's partials as a C-contiguous array
@@ -313,7 +314,7 @@ class StateFamily:
             t, tail = self.dim, _FORM_SIGNS[:, None]
             amps = self._eta_row * np.exp(1j * table.offset)
             factors = _axis_exps(1j * table.lin, axes)
-            # the BASIS_COORDS x @ basis.T + basis0 as one term per axis value
+            # the C7 coordinates x @ basis.T + basis0 as one term per axis value
             terms = [np.multiply.outer(table.basis[:, mu], a) for mu, a in enumerate(axes)]
         else:
             t = len(table.head)
@@ -337,8 +338,7 @@ class StateFamily:
             else:
                 head = _box_values(factors[:t], box, np.multiply, _ONES5)
                 phi = _box_values(terms, box, np.add, table.basis0[1:2])[0]
-                cos = np.cos(phi)
-                head[:3] *= _form_weights(np.where(cos < BRANCH_SNAP, -1.0, 1.0), np.abs(cos), np.sin(phi))
+                head[:3] *= _form_weights(branch_sign(phi), np.abs(np.cos(phi)), np.sin(phi))
             block = out[start:start + len(phi)]
             for k in range(0, len(phi), rows):
                 np.abs(head[:, k:k + rows].T @ tail, out=block[k:k + rows])
@@ -387,7 +387,7 @@ def _form_weights(s, abs_cos, sin) -> np.ndarray:
     """The weights of the first three pairs, c1^2, c2^2 and c1 c2, before
     _FORM_SIGNS, shape (3, N): (s|cos phi|, s|cos phi|, s sin phi) from the
     (N,) branch signs s and |cos phi|, sin phi.  s|cos phi| = cos phi but
-    in the BRANCH_SNAP band."""
+    in the snap band of hamiltonian.branch_sign."""
     scos = s * abs_cos
     return np.array([scos, scos, s * sin])
 
@@ -425,20 +425,20 @@ def _box_values(tables, box, op, init) -> np.ndarray:
 
 class PhaseTable(NamedTuple):
     """A case's affine maps from chart points x under one embedding: the
-    phases theta = x @ lin.T + offset and the BASIS_COORDS x @ basis.T +
+    phases theta = x @ lin.T + offset and the C7 coordinates x @ basis.T +
     basis0; the pair phases pairs = 1j (lin[i] + lin[j]) over _FORM_PAIRS,
     shape (5, dim), whose exponentials are the scan's pair factors; head,
     phi's chart row b1 = basis[1] up to the last axis it reads, whose
     length is the head of a scan at beta = 0 (empty if phi is held).
 
-    The frame's turn along the chart, T_m = (b1_m/2) J, and its square
-    T_m T_n = (b1_m b1_n/4) J J, and the operators k0, k1 of the jet at
-    beta = 0: with P_m = diag(1j lin[:, m]) and s the branch sign, the
-    chart partials of a @ e, a = eta e^{i theta}, are a @ (k0 + s k1) @ e,
-    where the first-order columns of k0, k1 are P_m and T_m and the
-    second-order ones P_m P_n + T_m T_n and P_m T_n + P_n T_m.  Each
-    operator maps a coefficient row to the columns of all its partials,
-    shape (4, dim * 4) for turn, (4, dim**2 * 4) for turn2 and
+    The square of the frame's turn along the chart T_m = (b1_m/2) J,
+    turn2 = T_m T_n = (b1_m b1_n/4) J J, and the operators k0, k1 of the
+    jet at beta = 0: with P_m = diag(1j lin[:, m]) and s the branch sign,
+    the chart partials of a @ e, a = eta e^{i theta}, are
+    a @ (k0 + s k1) @ e, where the first-order columns of k0, k1 are P_m
+    and the turn T_m and the second-order ones P_m P_n + T_m T_n and
+    P_m T_n + P_n T_m.  Each operator maps a coefficient row to the
+    columns of all its partials, shape (4, dim**2 * 4) for turn2 and
     (4, dim * 4 + dim**2 * 4) for k0 and k1."""
 
     lin: np.ndarray
@@ -447,7 +447,6 @@ class PhaseTable(NamedTuple):
     basis0: np.ndarray
     pairs: np.ndarray
     head: np.ndarray
-    turn: np.ndarray
     turn2: np.ndarray
     k0: np.ndarray
     k1: np.ndarray
@@ -476,7 +475,7 @@ def _phase_table(label, l, embedding) -> PhaseTable:
     k0 = np.concatenate([_columns(P), _columns(P[:, None] @ P + TT)], axis=1)
     k1 = np.concatenate([_columns(T), _columns(PT + PT.swapaxes(0, 1))], axis=1)
     table = PhaseTable(lin, forms @ e0[_PHASE_ROWS], E[:4], e0[:4], 1j * (lin[i] + lin[j]), E[1, :t],
-                       _columns(T), _columns(TT), k0, k1)
+                       _columns(TT), k0, k1)
     for a in table:
         a.setflags(write=False)
     return table

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CaseMismatchError, ChartSingularityError, SingularTransformError
 from .hamiltonian import branch_sign
-from .model import CASE_CHARTS, InitialCoefficients, classify_rows
+from .model import CASE_CHARTS, InitialCoefficients, classify_rows, coefficient_magnitudes, require_unit_rows
 from .families import StateFamily
 
 DEFAULT_METRIC_STEP = 1e-5
@@ -33,10 +33,9 @@ DEFAULT_METRIC_STEP = 1e-5
 
 @dataclass(frozen=True)
 class MetricTensor:
-    """Symmetric real metric tensor with its scale factor and coordinate names."""
+    """Symmetric real metric tensor with its coordinate names."""
 
     entries: np.ndarray
-    gamma: float = 1.0
     coords: tuple[str, ...] = ()
     degenerate_axes: tuple[int, ...] = ()
 
@@ -53,7 +52,12 @@ def _stencil_offsets(dim: int) -> np.ndarray:
     return np.concatenate([np.zeros((1, dim)), steps])
 
 
-_lower_triangle = lru_cache(maxsize=None)(np.tril_indices)
+@lru_cache(maxsize=None)
+def _upper_mirror(dim: int) -> np.ndarray:
+    """Flat indices that take a dim x dim array to its upper triangle
+    mirrored below the diagonal, so that the result is exactly symmetric."""
+    k = np.arange(dim)
+    return np.minimum.outer(k, k) * dim + np.maximum.outer(k, k)
 
 
 def _stencil_input(xs, h) -> np.ndarray:
@@ -82,11 +86,13 @@ def _require_finite(family, xs, dpsi):
 def _stencil_states(family, xs, h, etas=None):
     """The N*(4*dim + 1) stencil points of the rows of xs, shape
     (N*(4*dim + 1), dim), and the family's states there, from one batch,
-    each with its point's coefficient row of etas if given."""
+    each with its point's coefficient row of etas if given.  The rows are
+    checked before they are repeated, so a refusal names the caller's row."""
     dim = xs.shape[1]
     pts = (xs[:, None] + h * _stencil_offsets(dim)).reshape(-1, dim)
     if etas is None:
         return pts, family.states(pts)
+    require_unit_rows(etas)
     return pts, family.states(pts, np.repeat(etas, 1 + 4 * dim, axis=0))
 
 
@@ -116,10 +122,8 @@ def _qgt_metrics(psi, dpsi, gamma: float) -> np.ndarray:
     overlaps = dpsi @ psi[:, :, None].conj()  # <d_m psi|psi>^*, shape (N, dim, 1)
     qgt = dpsi.conj() @ dpsi.transpose(0, 2, 1) - overlaps.conj() * overlaps.transpose(0, 2, 1)
     g = gamma * gamma * qgt.real
-    # the upper triangle is mirrored, so every metric is exactly symmetric
-    lower = _lower_triangle(dpsi.shape[1], -1)
-    g[:, lower[0], lower[1]] = g[:, lower[1], lower[0]]
-    return g
+    dim = dpsi.shape[1]
+    return g.reshape(len(g), dim * dim).take(_upper_mirror(dim), axis=1)
 
 
 def numeric_fs_metrics(
@@ -174,7 +178,7 @@ def numeric_fs_metric(
     row_max = np.abs(g).max(axis=1)
     scale = max(row_max.max(), 1.0)
     degenerate = tuple(np.flatnonzero(row_max < 1e-12 * scale).tolist())
-    return MetricTensor(g, gamma, tuple(family.chart), degenerate)
+    return MetricTensor(g, tuple(family.chart), degenerate)
 
 
 # Closed forms.  Each takes a batch: one chart point per row of xs, shape
@@ -197,24 +201,20 @@ CLOSED_FORM_CHARTS = {
 }
 
 
-def _magnitudes(etas):
-    """|eta_k|^2 and eta12_plus, eta12_minus, eta34_plus, eta34_minus per
-    coefficient row, computed as InitialCoefficients computes them."""
-    a2 = np.abs(etas) ** 2
-    return (a2, a2.T[0] + a2.T[1], a2.T[0] - a2.T[1],
-            a2.T[2] + a2.T[3], a2.T[2] - a2.T[3])
+def _times(t_re, t_im, z):
+    """(Re, Im) of (t_re + i t_im) z, one value per point, multiplied out
+    in real arithmetic, which rounds as a product of two complex scalars
+    does; numpy's array complex product may fuse multiply-adds and differ
+    from it in the last bit."""
+    return t_re * z.real - t_im * z.imag, t_re * z.imag + t_im * z.real
 
 
 def _overlap(etas, omega):
-    """(Re, Im) of eta1 conj(eta2) e^{-2 i omega} per row.  Both complex
-    products are multiplied out in real arithmetic, which rounds as a
-    product of two complex scalars does; numpy's array complex product may
-    fuse multiply-adds and differ from it in the last bit."""
-    a, b = etas.T[0], np.conj(etas.T[1])
-    t_re = a.real * b.real - a.imag * b.imag
-    t_im = a.real * b.imag + a.imag * b.real
-    z = np.exp(-2j * np.asarray(omega, dtype=float))
-    return t_re * z.real - t_im * z.imag, t_re * z.imag + t_im * z.real
+    """(Re, Im) of eta1 conj(eta2) e^{-2 i omega} per row, both complex
+    products by _times."""
+    a = etas.T[0]
+    t = _times(a.real, a.imag, np.conj(etas.T[1]))
+    return _times(*t, np.exp(-2j * np.asarray(omega, dtype=float)))
 
 
 def _j_signed(etas, omega, phi) -> np.ndarray:
@@ -261,8 +261,9 @@ def analytic_metrics_c7(etas, xs, gamma: float = 1.0) -> np.ndarray:
     shape (N, 4, 4), at the N rows of xs."""
     xs = np.asarray(xs, dtype=float)
     etas = np.asarray(etas, dtype=complex)
+    require_unit_rows(etas)
     g2 = gamma * gamma
-    _, p12, m12, p34, m34 = _magnitudes(etas)
+    _, p12, m12, p34, m34 = coefficient_magnitudes(etas)
     j = _j_signed(etas, xs.T[0], xs.T[1])
     return _stacked(
         [
@@ -300,12 +301,12 @@ def analytic_metric_c7(
 ) -> MetricTensor:
     """Closed-form metric over the full chart (omega, phi, c3, c_plus) at
     one point: the one-row case of analytic_metrics_c7."""
-    return MetricTensor(analytic_metrics_c7(eta.as_array(), xi, gamma), gamma, CASE_CHARTS["C7"])
+    return MetricTensor(analytic_metrics_c7(eta.as_array(), xi, gamma), CASE_CHARTS["C7"])
 
 
 def _theta_from_j(etas, omega, phi) -> np.ndarray:
     """Polar angle theta of the (eta1, eta2) sector: J = (eta12_plus/2) cos theta."""
-    p12 = _magnitudes(etas)[1]
+    p12 = coefficient_magnitudes(etas)[1]
     c = 2.0 * _j_signed(etas, omega, phi) / p12
     return np.arccos(np.clip(c, -1.0, 1.0))
 
@@ -314,7 +315,8 @@ def analytic_metrics_case(f: StateFamily, xs, gamma: float = 1.0, etas=None) -> 
     """Per-case closed-form metrics, shape (N, dim, dim), at the N rows of xs,
     in the coordinates of the printed forms (CLOSED_FORM_CHARTS; see
     analytic_metric_case).  etas, coefficient rows as above, stands in for
-    f.eta; its rows must classify as f.case (model.classify_rows), else
+    f.eta; its rows must be unit-norm (model.require_unit_rows), else
+    ValueError, and classify as f.case (model.classify_rows), else
     CaseMismatchError or the error classify raises for the first row that
     does not."""
     xs = np.asarray(xs, dtype=float)
@@ -322,13 +324,14 @@ def analytic_metrics_case(f: StateFamily, xs, gamma: float = 1.0, etas=None) -> 
         etas = f.eta.as_array()
     else:
         etas = np.asarray(etas, dtype=complex)
+        require_unit_rows(etas)
         found = classify_rows(etas)
         if found != f.case:
             raise CaseMismatchError(f"coefficient rows classify as {found}, not {f.case}")
     n = _batch_shape(etas, xs)
     g2 = gamma * gamma
     label = f.case.label
-    a2, p12, m12, p34, m34 = _magnitudes(etas)
+    a2, p12, m12, p34, m34 = coefficient_magnitudes(etas)
     if label == "C1":
         return _diagonal([g2 * (p34 - m34 * m34)], n)
     if label == "C2":
@@ -390,7 +393,7 @@ def analytic_metric_case(
     them respectively (see the metric verification report).
     """
     g = analytic_metrics_case(f, xi, gamma)
-    return MetricTensor(g, gamma, CLOSED_FORM_CHARTS[f.case.label])
+    return MetricTensor(g, CLOSED_FORM_CHARTS[f.case.label])
 
 
 @dataclass(frozen=True)
@@ -414,10 +417,13 @@ class DiagonalizingTransform:
 def diagonalize_metrics(etas, omega, phi) -> DiagonalizingTransform:
     """Transform coefficients k1..k4 at each chart point (omega, phi), one
     per coefficient row; omega and phi are arrays of one value per point, or
-    scalars.  Raises SingularTransformError, naming the first singular point's
-    denominators, if any denominator is below 1e-14 in magnitude."""
+    scalars.  Raises ValueError for a row that is not unit-norm
+    (model.require_unit_rows) and SingularTransformError, naming the first
+    singular point's denominators, if any denominator is below 1e-14 in
+    magnitude."""
     etas = np.asarray(etas, dtype=complex)
-    _, p12, m12, p34, m34 = _magnitudes(etas)
+    require_unit_rows(etas)
+    _, p12, m12, p34, m34 = coefficient_magnitudes(etas)
     j = _j_signed(etas, omega, phi)
     d12, d34 = np.broadcast_arrays(4.0 * j * j - p12 * p12, p34 - m34 * m34)
     singular = (np.abs(d12) < 1e-14) | (np.abs(d34) < 1e-14)
@@ -441,9 +447,10 @@ def pushforwards_c7(etas, xs, gamma: float = 1.0) -> np.ndarray:
 
     The Jacobian uses the frozen k-coefficients together with
     d omega/d theta = eta12_plus sin(theta)/(4K); the result should be the
-    diagonal tensor of analytic_metric_case for C7.  Raises
-    SingularTransformError if the transform is singular at any point
-    (diagonalize_metrics) or K vanishes there.
+    diagonal tensor of analytic_metric_case for C7.  Raises ValueError for
+    a row that is not unit-norm and SingularTransformError if the
+    transform is singular at any point (both from diagonalize_metrics) or
+    K vanishes there.
     """
     xs = np.asarray(xs, dtype=float)
     etas = np.asarray(etas, dtype=complex)
@@ -454,7 +461,7 @@ def pushforwards_c7(etas, xs, gamma: float = 1.0) -> np.ndarray:
     k_re = _k_real(etas, omega) * branch_sign(phi)
     if (np.abs(k_re) < 1e-14).any():
         raise SingularTransformError("K = Re(eta1 eta2* e^{-2i omega}) vanishes")
-    domega_dtheta = _magnitudes(etas)[1] * np.sin(theta) / (4.0 * k_re)
+    domega_dtheta = coefficient_magnitudes(etas)[1] * np.sin(theta) / (4.0 * k_re)
     # columns: (theta, phi', c3', c_plus'); rows: (omega, phi, c3, c_plus)
     jac = _stacked(
         [
@@ -491,7 +498,7 @@ def two_param_metric(
             ],
         ]
     )
-    return MetricTensor(g, gamma, ("omega", "c_plus"))
+    return MetricTensor(g, ("omega", "c_plus"))
 
 
 def two_param_metric_printed_offdiag(

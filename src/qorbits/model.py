@@ -89,9 +89,10 @@ def derive_params(p: HamiltonianParams) -> DerivedParams:
 class InitialCoefficients:
     """Complex coefficients eta_1..eta_4 of the initial state in the eigenbasis.
 
-    The instance is frozen, so the magnitudes derived from it are computed
-    once, at construction: abs2 = |eta_k|^2 (read-only) and the four sums
-    and differences eta12_plus .. eta34_minus.  Its case is computed on
+    A row that is not unit-norm is refused (require_unit_rows).  The
+    instance is frozen, so the magnitudes derived from it are computed
+    once, at construction, by coefficient_magnitudes: abs2 = |eta_k|^2
+    (read-only) and eta12_plus .. eta34_minus.  Its case is computed on
     first read and kept.  These live in the instance __dict__, outside the
     dataclass fields, so equality and hashing see only eta_1..eta_4.
     """
@@ -102,22 +103,14 @@ class InitialCoefficients:
     eta4: complex
 
     def __post_init__(self):
-        a = np.abs(self.as_array()) ** 2
+        row = self.as_array()
+        require_unit_rows(row)
+        a, *sums = coefficient_magnitudes(row)
         a.setflags(write=False)
         # set past the frozen dataclass's __setattr__, outside its fields
-        for name, value in (
-            ("abs2", a),
-            ("eta12_plus", float(a[0] + a[1])),
-            ("eta12_minus", float(a[0] - a[1])),
-            ("eta34_plus", float(a[2] + a[3])),
-            ("eta34_minus", float(a[2] - a[3])),
-        ):
-            object.__setattr__(self, name, value)
-        norm2 = sum(a.tolist())
-        if not abs(norm2 - 1.0) <= _NORM_TOL:
-            raise ValueError(
-                f"coefficients must be normalized: |eta|^2 = {norm2!r}"
-            )
+        object.__setattr__(self, "abs2", a)
+        for name, value in zip(("eta12_plus", "eta12_minus", "eta34_plus", "eta34_minus"), sums):
+            object.__setattr__(self, name, float(value))
 
     @classmethod
     def normalized(cls, eta1, eta2, eta3, eta4) -> "InitialCoefficients":
@@ -141,6 +134,27 @@ class InitialCoefficients:
         return np.array(
             [cmath.phase(e) if e != 0 else 0.0 for e in self.as_tuple()]
         )
+
+
+def coefficient_magnitudes(etas) -> tuple:
+    """|eta_k|^2 and the sums and differences eta12_plus, eta12_minus,
+    eta34_plus, eta34_minus of one coefficient row (4,), or of each row of
+    an (N, 4) array: the magnitudes every closed form is built from."""
+    a2 = np.abs(etas) ** 2
+    return (a2, a2.T[0] + a2.T[1], a2.T[0] - a2.T[1],
+            a2.T[2] + a2.T[3], a2.T[2] - a2.T[3])
+
+
+def require_unit_rows(etas) -> None:
+    """Raise ValueError naming the first coefficient row, of one row (4,)
+    or an (N, 4) array, whose |eta|^2, summed left to right as Python's sum
+    does, is off 1 by more than _NORM_TOL or is not finite."""
+    a2 = np.abs(etas) ** 2
+    norm2 = a2.T[0] + a2.T[1] + a2.T[2] + a2.T[3]
+    ok = abs(norm2 - 1.0) <= _NORM_TOL  # False for a NaN too
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError(f"coefficient row {k} must be normalized: |eta|^2 = {float(np.ravel(norm2)[k])!r}")
 
 
 def unit_row(v) -> np.ndarray:
@@ -274,4 +288,4 @@ def _classify(mags: np.ndarray) -> CaseClass:
         return CaseClass("C6", l=nz12[0] + 1)
     if len(nz12) == 2 and len(nz34) == 2:
         return CaseClass("C7")
-    raise StationaryStateError("all coefficients vanish below tol")
+    raise StationaryStateError(f"all coefficients vanish: every |eta_k| <= CLASSIFY_TOL = {CLASSIFY_TOL:.0e}")

@@ -16,11 +16,10 @@ import numpy as np
 
 from .errors import NoAdmissiblePointsError
 from .families import StateFamily
-from .fubini_study import MetricTensor, analytic_metric_c7, numeric_fs_metrics
+from .fubini_study import MetricTensor, _times, analytic_metric_c7, numeric_fs_metrics
 from .hamiltonian import check_denominators, perturbation_denominators
-from .model import CaseClass, InitialCoefficients
+from .model import CASE_CHARTS, CaseClass, InitialCoefficients
 
-COMPONENT_ORDER = ("omega", "phi", "c3", "c_plus")
 # numeric dg/dbeta: the larger of its two central-difference beta steps
 BETA_STEP = 1e-4
 # correction audit: relative deviation at which a component agrees, and the
@@ -70,14 +69,6 @@ class PerturbedMetric:
         return self.base.entries + self.beta * self.correction
 
 
-def _times(t, z):
-    """(Re, Im) of the complex scalar t times z, one complex value per
-    point, multiplied out in real arithmetic, which rounds as a product of
-    two complex scalars does; numpy's array complex product may fuse
-    multiply-adds and differ from it in the last bit."""
-    return t.real * z.real - t.imag * z.imag, t.real * z.imag + t.imag * z.real
-
-
 def metric_correction_closed_form(
     eta: InitialCoefficients, xi, gamma: float = 1.0
 ) -> np.ndarray:
@@ -97,12 +88,14 @@ def metric_correction_closed_form(
     yp, ym, xp, xm = aux.y_plus, aux.y_minus, aux.x_plus, aux.x_minus
     p12, m12 = eta.eta12_plus, eta.eta12_minus
     p34, m34 = eta.eta34_plus, eta.eta34_minus
-    j = _times(eta.eta1 * np.conj(eta.eta2), np.exp(-2j * omega))[1]
-    f1, e1 = _times(eta.eta1 * np.conj(eta.eta3), np.exp(-1j * (2 * c3 + omega - c_plus)))
-    f2, e2 = _times(eta.eta2 * np.conj(eta.eta3), np.exp(-1j * (2 * c3 - omega - c_plus)))
+    # complex scalars, each times an array by _times
+    t12, t13, t23 = eta.eta1 * np.conj(eta.eta2), eta.eta1 * np.conj(eta.eta3), eta.eta2 * np.conj(eta.eta3)
+    j = _times(t12.real, t12.imag, np.exp(-2j * omega))[1]
+    f1, e1 = _times(t13.real, t13.imag, np.exp(-1j * (2 * c3 + omega - c_plus)))
+    f2, e2 = _times(t23.real, t23.imag, np.exp(-1j * (2 * c3 - omega - c_plus)))
 
     h = np.zeros((len(omega), 4, 4))
-    idx = {name: k for k, name in enumerate(COMPONENT_ORDER)}
+    idx = {name: k for k, name in enumerate(CASE_CHARTS["C7"])}
 
     def put(a, b, val):
         h[..., idx[a], idx[b]] = h[..., idx[b], idx[a]] = val
@@ -191,11 +184,11 @@ def numeric_beta_derivative(eta: InitialCoefficients, xi, gamma: float = 1.0) ->
     default metric step."""
     xi = np.asarray(xi, dtype=float)
     xs = np.atleast_2d(xi)
-    chart = ("omega", "phi", "c3", "c_plus")
+    case = CaseClass("C7")
 
     def central(step):
         g = [
-            numeric_fs_metrics(StateFamily(CaseClass("C7"), eta, chart, b), xs, gamma=gamma)
+            numeric_fs_metrics(StateFamily(case, eta, case.chart, b), xs, gamma=gamma)
             for b in (step, -step)
         ]
         return (g[0] - g[1]) / (2.0 * step)
@@ -259,7 +252,7 @@ def audit_metric_correction(
     closed_all = metric_correction_closed_form(eta, used, gamma)
     numeric_all = numeric_beta_derivative(eta, used, gamma)
     verdicts = []
-    names = COMPONENT_ORDER
+    names = CASE_CHARTS["C7"]
     for a in range(4):
         for b in range(a, 4):
             c = closed_all[:, a, b]

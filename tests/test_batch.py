@@ -24,8 +24,11 @@ from qorbits.families import (
 )
 from qorbits.fubini_study import (
     analytic_metrics_c7,
+    analytic_metrics_case,
+    diagonalize_metrics,
     numeric_fs_metric,
     numeric_fs_metrics,
+    pushforwards_c7,
     tangent_fs_metrics,
 )
 from qorbits.hamiltonian import BRANCH_SNAP, branch_sign
@@ -86,6 +89,29 @@ def test_unnormalized_row_raises():
         concurrences(states)
     with pytest.raises(ValueError, match="not normalized"):
         concurrence(states[5])
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.0])
+def test_coefficient_rows_that_are_not_unit_norm_are_refused(rng, scale):
+    # a row scaled by 2 would scale every metric by 4, a zero row would give
+    # the zero state: each entry that takes coefficient rows names the row
+    f = family(rng, "C7")
+    xs = rng.uniform(0.2, 1.0, size=(3, 4))
+    etas = np.array([random_eta(rng).as_array() for _ in range(3)])
+    assert np.isfinite(pushforwards_c7(etas, xs)).all()
+    etas[1] *= scale
+    entries = [
+        lambda: f.states(xs, etas),
+        lambda: f.frame_jet(xs, 2, etas),
+        lambda: numeric_fs_metrics(f, xs, etas=etas),
+        lambda: analytic_metrics_c7(etas, xs),
+        lambda: analytic_metrics_case(f, xs, etas=etas),
+        lambda: diagonalize_metrics(etas, xs[:, 0], xs[:, 1]),
+        lambda: pushforwards_c7(etas, xs),
+    ]
+    for call in entries:
+        with pytest.raises(ValueError, match="coefficient row 1 must be normalized"):
+            call()
 
 
 def test_resonant_row_raises(rng):

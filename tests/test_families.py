@@ -233,11 +233,27 @@ def test_sliced_family_rejects_unknown_coordinate():
         sliced_family(f, {"phi": 0.0, "c": 0.3})
 
 
+@pytest.mark.parametrize("beta", [0.0, 1e-3])
+def test_scan_and_states_read_the_one_branch_seam(monkeypatch, beta):
+    # hamiltonian.branch_sign owns the seam: with its snap band widened past
+    # cos(phi) = -1e-9, the scan and the states both put phi = +-(pi/2 + 1e-9)
+    # on the principal branch
+    monkeypatch.setattr(hamiltonian, "BRANCH_SNAP", -1e-6)
+    seam = math.pi / 2 + 1e-9
+    assert branch_sign(np.array([seam, -seam])).tolist() == [1.0, 1.0]
+    eta = InitialCoefficients.normalized(0.6, 0.3 + 0.4j, 0.5, -0.2j)
+    f = family_for_case(classify(eta), eta, beta=beta)
+    axes = [np.array([0.3, 0.9]), np.array([-seam, -1.0, 0.4, seam]), np.array([0.2, 1.9]),
+            np.array([-0.7, 0.5])]
+    want = concurrences(f.states(grid_points(axes)))
+    assert np.max(np.abs(f.grid_concurrences(axes) - want)) < 1e-14
+
+
 @pytest.mark.parametrize("case", ["C1", "C2", "C3", "C4", "C5", "C6", "C7"])
 def test_jet_operators_ride_in_the_shared_phase_table(rng, case):
     # the beta = 0 jet's operators are built once per case and embedding,
-    # read-only, one column block per partial, and the first-order block of
-    # k1 is the frame's turn that the beta != 0 jet reads
+    # read-only, one column block per partial; the beta != 0 jet reads the
+    # frame's turn from the first-order block of k1
     eta = random_eta(rng, case)
     f = family_for_case(classify(eta), eta)
     table = f._table
@@ -245,9 +261,8 @@ def test_jet_operators_ride_in_the_shared_phase_table(rng, case):
     assert family_for_case(classify(other), other, beta=1e-3)._table is table
     cols = f.dim * 4 + f.dim**2 * 4
     assert table.k0.shape == table.k1.shape == (4, cols)
-    assert table.turn.shape == (4, f.dim * 4) and table.turn2.shape == (4, f.dim**2 * 4)
-    assert not any(a.flags.writeable for a in (table.turn, table.turn2, table.k0, table.k1))
-    assert np.array_equal(table.k1[:, :f.dim * 4], table.turn)
+    assert table.turn2.shape == (4, f.dim**2 * 4)
+    assert not any(a.flags.writeable for a in (table.turn2, table.k0, table.k1))
     # every column has at most one nonzero entry, so each partial is one
     # product per component, rounded the same in any batch
     assert (np.count_nonzero(table.k0, axis=0) <= 1).all()

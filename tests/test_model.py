@@ -13,7 +13,9 @@ from qorbits.model import (
     InitialCoefficients,
     classify,
     classify_rows,
+    coefficient_magnitudes,
     derive_params,
+    require_unit_rows,
     unit_row,
 )
 from qorbits.errors import CaseMismatchError
@@ -276,3 +278,32 @@ def test_classify_rows_raises_at_the_first_odd_row(rng):
     stationary[0] = (0, 0, 1, 0)
     with pytest.raises(StationaryStateError):
         classify_rows(stationary)
+
+
+def test_all_zero_row_names_the_zero_threshold():
+    with pytest.raises(StationaryStateError, match="CLASSIFY_TOL = 1e-12"):
+        classify_rows(np.zeros((1, 4), dtype=complex))
+
+
+def test_batched_magnitudes_equal_each_coefficient_set(rng):
+    etas = [random_eta(rng, pattern) for pattern in ("C1", "C4", "C7") for _ in range(10)]
+    a2, *sums = coefficient_magnitudes(np.array([eta.as_array() for eta in etas]))
+    assert a2.tobytes() == np.array([eta.abs2 for eta in etas]).tobytes()
+    for name, values in zip(("eta12_plus", "eta12_minus", "eta34_plus", "eta34_minus"), sums):
+        assert values.tolist() == [getattr(eta, name) for eta in etas]
+
+
+def test_unit_row_check_is_the_one_initial_coefficients_applies(rng):
+    rows = np.array([random_eta(rng).as_array() for _ in range(5)])
+    require_unit_rows(rows)
+    for k, scale in ((3, 2.0), (1, 0.0), (4, 1 + 1e-11), (2, math.nan)):
+        bad = rows.copy()
+        bad[k] *= scale
+        with pytest.raises(ValueError, match=f"row {k} must be normalized"):
+            require_unit_rows(bad)
+        with pytest.raises(ValueError, match="must be normalized"):
+            InitialCoefficients(*bad[k])
+    # off 1 by 1e-13, inside the tolerance, both accept
+    near = rows[0] * math.sqrt(1 + 1e-13)
+    require_unit_rows(near[None])
+    InitialCoefficients(*near)
