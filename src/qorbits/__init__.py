@@ -42,7 +42,6 @@ from .fubini_study import (
 from .curvature import (
     CurvatureReport,
     MetricField,
-    analytic_g0_and_ricci,
     curvature_at,
     perturbed_scalar_curvature_closed_form,
 )

@@ -230,7 +230,7 @@ def cmd_spectrum(args, warn) -> dict:
     checks = [verify.record("analytic-vs-numeric-energies", dev, dev < 1e-12)]
     if args.beta != 0.0:
         h = build_hamiltonian(p)
-        pert = perturbed_eigenstates(p0, args.beta)
+        pert = perturbed_eigenstates(p)
         results["perturbation_residuals"] = pert.residuals(h)
         results["perturbed_numeric_energies_ascending"] = numeric_spectrum(h).energies
     return {"results": results, "checks": checks}

@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import FormulaDomainError, SingularMetricError
 from .families import StateFamily
-from .fubini_study import MetricTensor, _require_finite, _require_scale, _upper_mirror, tangent_fs_metrics
-from .model import CASE_CHARTS
+from .fubini_study import _require_finite, _require_scale, _upper_mirror, tangent_fs_metrics
 
 DEFAULT_CURVATURE_STEP = 1e-3
 SINGULARITY_TOL = 1e-10
@@ -301,13 +300,6 @@ def g0_uniform_ricci(omega: float, alpha12: float) -> np.ndarray:
             [0.0, 0.0, 0.0, 0.0],
         ]
     )
-
-
-def analytic_g0_and_ricci(omega: float, alpha12: float, gamma: float = 1.0):
-    """(metric, Ricci, scalar) of the uniform-coefficient example; the scalar
-    is the cataloged constant 14/gamma^2."""
-    g = MetricTensor(g0_uniform_metric(omega, alpha12, gamma), CASE_CHARTS["C7"])
-    return g, g0_uniform_ricci(omega, alpha12), UNIFORM_C7_SCALAR / gamma**2
 
 
 def g0_uniform_field(alpha12: float, gamma: float = 1.0) -> MetricField:

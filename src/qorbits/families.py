@@ -146,7 +146,7 @@ def _embedding_tuples(E, e0):
 class StateFamily:
     """A parametrized family of evolved states over a case chart, embedded
     in EMBED_COORDS by embedding = (E, e0), E of shape (5, dim); None stands
-    for chart_embedding(chart)."""
+    for chart_embedding(chart).  A beta that is not finite is refused."""
 
     case: CaseClass
     eta: InitialCoefficients
@@ -155,6 +155,8 @@ class StateFamily:
     embedding: tuple | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
         if self.embedding is None:
             object.__setattr__(self, "embedding", chart_embedding(self.chart))
 

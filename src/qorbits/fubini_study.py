@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CaseMismatchError, ChartSingularityError, SingularTransformError
 from .hamiltonian import branch_sign
-from .model import CASE_CHARTS, InitialCoefficients, classify_rows, coefficient_magnitudes, require_unit_rows
+from .model import CASE_CHARTS, InitialCoefficients, classify_rows, require_unit_rows
 from .families import StateFamily
 
 DEFAULT_METRIC_STEP = 1e-5
@@ -210,26 +210,23 @@ def _times(t_re, t_im, z):
 
 
 def _overlap(etas, omega):
-    """(Re, Im) of eta1 conj(eta2) e^{-2 i omega} per row, both complex
-    products by _times."""
+    """(K, J) = (Re, Im) of eta1 conj(eta2) e^{-2 i omega} per row, both
+    complex products by _times; d/domega of J is -2K."""
     a = etas.T[0]
     t = _times(a.real, a.imag, np.conj(etas.T[1]))
     return _times(*t, np.exp(-2j * np.asarray(omega, dtype=float)))
 
 
-def _j_signed(etas, omega, phi) -> np.ndarray:
-    """J = Im(eta1 conj(eta2) e^{-2 i omega}), carrying the sign of cos(phi).
+def _signed_overlap(etas, omega, phi) -> tuple:
+    """_overlap's (K, J), each carrying the sign of cos(phi).
 
-    On the principal branch cos(phi) >= 0 this is the plain catalog J; the
-    sign guard extends the closed forms to the full-quadrant phi convention,
-    where the phi-row couplings of the metric flip with cos(phi).
+    On the principal branch cos(phi) >= 0 this is the plain catalog (K, J);
+    the sign guard extends the closed forms to the full-quadrant phi
+    convention, where the phi-row couplings of the metric flip with cos(phi).
     """
-    return _overlap(etas, omega)[1] * branch_sign(phi)
-
-
-def _k_real(etas, omega) -> np.ndarray:
-    """K = Re(eta1 conj(eta2) e^{-2 i omega}); d/domega of the unsigned J is -2K."""
-    return _overlap(etas, omega)[0]
+    s = branch_sign(phi)
+    k, j = _overlap(etas, omega)
+    return k * s, j * s
 
 
 def _batch_shape(etas, xs) -> tuple:
@@ -261,10 +258,9 @@ def analytic_metrics_c7(etas, xs, gamma: float = 1.0) -> np.ndarray:
     shape (N, 4, 4), at the N rows of xs."""
     xs = np.asarray(xs, dtype=float)
     etas = np.asarray(etas, dtype=complex)
-    require_unit_rows(etas)
+    _, p12, m12, p34, m34 = require_unit_rows(etas)
     g2 = gamma * gamma
-    _, p12, m12, p34, m34 = coefficient_magnitudes(etas)
-    j = _j_signed(etas, xs.T[0], xs.T[1])
+    j = _signed_overlap(etas, xs.T[0], xs.T[1])[1]
     return _stacked(
         [
             [
@@ -304,11 +300,10 @@ def analytic_metric_c7(
     return MetricTensor(analytic_metrics_c7(eta.as_array(), xi, gamma), CASE_CHARTS["C7"])
 
 
-def _theta_from_j(etas, omega, phi) -> np.ndarray:
-    """Polar angle theta of the (eta1, eta2) sector: J = (eta12_plus/2) cos theta."""
-    p12 = coefficient_magnitudes(etas)[1]
-    c = 2.0 * _j_signed(etas, omega, phi) / p12
-    return np.arccos(np.clip(c, -1.0, 1.0))
+def _theta_from_j(p12, j) -> np.ndarray:
+    """Polar angle theta of the (eta1, eta2) sector from eta12_plus and the
+    signed J: J = (eta12_plus/2) cos theta."""
+    return np.arccos(np.clip(2.0 * j / p12, -1.0, 1.0))
 
 
 def analytic_metrics_case(f: StateFamily, xs, gamma: float = 1.0, etas=None) -> np.ndarray:
@@ -320,31 +315,27 @@ def analytic_metrics_case(f: StateFamily, xs, gamma: float = 1.0, etas=None) -> 
     CaseMismatchError or the error classify raises for the first row that
     does not."""
     xs = np.asarray(xs, dtype=float)
-    if etas is None:
-        etas = f.eta.as_array()
-    else:
-        etas = np.asarray(etas, dtype=complex)
-        require_unit_rows(etas)
-        found = classify_rows(etas)
-        if found != f.case:
-            raise CaseMismatchError(f"coefficient rows classify as {found}, not {f.case}")
+    given = etas is not None
+    etas = np.asarray(etas, dtype=complex) if given else f.eta.as_array()
+    a2, p12, m12, p34, m34 = require_unit_rows(etas)
+    if given and (found := classify_rows(etas)) != f.case:
+        raise CaseMismatchError(f"coefficient rows classify as {found}, not {f.case}")
     n = _batch_shape(etas, xs)
     g2 = gamma * gamma
     label = f.case.label
-    a2, p12, m12, p34, m34 = coefficient_magnitudes(etas)
+    if label in ("C3", "C5", "C7"):
+        theta = _theta_from_j(p12, _signed_overlap(etas, xs.T[0], xs.T[1])[1])
     if label == "C1":
         return _diagonal([g2 * (p34 - m34 * m34)], n)
     if label == "C2":
         return _diagonal([g2 / 4.0], n)
     if label == "C3":
-        theta = _theta_from_j(etas, xs.T[0], xs.T[1])
         return _diagonal([g2 * p12 / 4.0, g2 * p12 * np.sin(theta) ** 2 / 4.0], n)
     if label == "C4":
         al2 = a2.T[f.case.l - 1]
         aj2 = a2.T[f.case.j - 1]
         return _diagonal([g2 * al2 / 4.0, 9.0 * g2 * al2 * aj2], n)
     if label == "C5":
-        theta = _theta_from_j(etas, xs.T[0], xs.T[1])
         aj2 = a2.T[f.case.j - 1]
         return _diagonal(
             [
@@ -366,7 +357,6 @@ def analytic_metrics_case(f: StateFamily, xs, gamma: float = 1.0, etas=None) -> 
             n,
         )
     if label == "C7":
-        theta = _theta_from_j(etas, xs.T[0], xs.T[1])
         s = p34 - m34 * m34
         return _diagonal(
             [
@@ -422,9 +412,8 @@ def diagonalize_metrics(etas, omega, phi) -> DiagonalizingTransform:
     singular point's denominators, if any denominator is below 1e-14 in
     magnitude."""
     etas = np.asarray(etas, dtype=complex)
-    require_unit_rows(etas)
-    _, p12, m12, p34, m34 = coefficient_magnitudes(etas)
-    j = _j_signed(etas, omega, phi)
+    _, p12, m12, p34, m34 = require_unit_rows(etas)
+    j = _signed_overlap(etas, omega, phi)[1]
     d12, d34 = np.broadcast_arrays(4.0 * j * j - p12 * p12, p34 - m34 * m34)
     singular = (np.abs(d12) < 1e-14) | (np.abs(d34) < 1e-14)
     if singular.any():
@@ -457,11 +446,12 @@ def pushforwards_c7(etas, xs, gamma: float = 1.0) -> np.ndarray:
     omega, phi = xs.T[0], xs.T[1]
     t = diagonalize_metrics(etas, omega, phi)
     g = analytic_metrics_c7(etas, xs, gamma)
-    theta = _theta_from_j(etas, omega, phi)
-    k_re = _k_real(etas, omega) * branch_sign(phi)
+    p12 = require_unit_rows(etas)[1]
+    k_re, j = _signed_overlap(etas, omega, phi)
+    theta = _theta_from_j(p12, j)
     if (np.abs(k_re) < 1e-14).any():
         raise SingularTransformError("K = Re(eta1 eta2* e^{-2i omega}) vanishes")
-    domega_dtheta = coefficient_magnitudes(etas)[1] * np.sin(theta) / (4.0 * k_re)
+    domega_dtheta = p12 * np.sin(theta) / (4.0 * k_re)
     # columns: (theta, phi', c3', c_plus'); rows: (omega, phi, c3, c_plus)
     jac = _stacked(
         [

@@ -245,14 +245,15 @@ def first_order_rows(omega, phi, c3, c_plus, beta: float, order: int = 0) -> tup
     return normalize_jet(*jet)
 
 
-def perturbed_eigenstates(p: HamiltonianParams, beta: float) -> Spectrum:
-    """First-order eigenvectors of H + beta(s1 x 1 + 1 x s1), energies unchanged."""
+def perturbed_eigenstates(p: HamiltonianParams) -> Spectrum:
+    """First-order eigenvectors of H + beta(s1 x 1 + 1 x s1) at beta = p.beta,
+    energies unchanged."""
     spec = analytic_spectrum(p)
-    if beta == 0.0:
+    if p.beta == 0.0:
         return spec
     d = derive_params(p)
     rows = first_order_rows(
         np.array([d.omega]), np.array([d.phi]), np.array([p.c3]),
-        np.array([d.c_plus]), beta,
+        np.array([d.c_plus]), p.beta,
     )[0][0]
     return Spectrum(spec.energies.copy(), rows @ spec.states)

@@ -32,7 +32,8 @@ class HamiltonianParams:
     """Dimensionless couplings of the two-qubit Hamiltonian.
 
     beta is the strength of the x-axis field used as a linear perturbation.
-    It is assumed small; no bound is enforced, but every report carries it.
+    It is assumed small; any finite value of either sign is taken, and
+    every report carries it.
     """
 
     b: float
@@ -46,8 +47,6 @@ class HamiltonianParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
 
     @property
     def c_plus(self) -> float:
@@ -90,11 +89,11 @@ class InitialCoefficients:
     """Complex coefficients eta_1..eta_4 of the initial state in the eigenbasis.
 
     A row that is not unit-norm is refused (require_unit_rows).  The
-    instance is frozen, so the magnitudes derived from it are computed
-    once, at construction, by coefficient_magnitudes: abs2 = |eta_k|^2
-    (read-only) and eta12_plus .. eta34_minus.  Its case is computed on
-    first read and kept.  These live in the instance __dict__, outside the
-    dataclass fields, so equality and hashing see only eta_1..eta_4.
+    instance is frozen, so the magnitudes that check returns are kept from
+    construction: abs2 = |eta_k|^2 (read-only) and eta12_plus ..
+    eta34_minus.  Its case is computed on first read and kept.  These live
+    in the instance __dict__, outside the dataclass fields, so equality and
+    hashing see only eta_1..eta_4.
     """
 
     eta1: complex
@@ -103,9 +102,7 @@ class InitialCoefficients:
     eta4: complex
 
     def __post_init__(self):
-        row = self.as_array()
-        require_unit_rows(row)
-        a, *sums = coefficient_magnitudes(row)
+        a, *sums = require_unit_rows(self.as_array())
         a.setflags(write=False)
         # set past the frozen dataclass's __setattr__, outside its fields
         object.__setattr__(self, "abs2", a)
@@ -136,25 +133,21 @@ class InitialCoefficients:
         )
 
 
-def coefficient_magnitudes(etas) -> tuple:
-    """|eta_k|^2 and the sums and differences eta12_plus, eta12_minus,
-    eta34_plus, eta34_minus of one coefficient row (4,), or of each row of
-    an (N, 4) array: the magnitudes every closed form is built from."""
-    a2 = np.abs(etas) ** 2
-    return (a2, a2.T[0] + a2.T[1], a2.T[0] - a2.T[1],
-            a2.T[2] + a2.T[3], a2.T[2] - a2.T[3])
-
-
-def require_unit_rows(etas) -> None:
-    """Raise ValueError naming the first coefficient row, of one row (4,)
-    or an (N, 4) array, whose |eta|^2, summed left to right as Python's sum
-    does, is off 1 by more than _NORM_TOL or is not finite."""
-    a2 = np.abs(etas) ** 2
-    norm2 = a2.T[0] + a2.T[1] + a2.T[2] + a2.T[3]
+def require_unit_rows(etas) -> tuple:
+    """The magnitudes every closed form is built from: |eta_k|^2 and the
+    sums and differences eta12_plus, eta12_minus, eta34_plus, eta34_minus
+    of one coefficient row (4,), or of each row of an (N, 4) array, from
+    one pass that checks the rows.  Raises ValueError naming the first row
+    whose |eta|^2, summed left to right as Python's sum does, is off 1 by
+    more than _NORM_TOL or is not finite."""
+    abs2 = np.abs(etas) ** 2
+    a1, a2, a3, a4 = abs2.T
+    norm2 = a1 + a2 + a3 + a4
     ok = abs(norm2 - 1.0) <= _NORM_TOL  # False for a NaN too
     if not ok.all():
         k = int(np.argmin(ok))
         raise ValueError(f"coefficient row {k} must be normalized: |eta|^2 = {float(np.ravel(norm2)[k])!r}")
+    return abs2, a1 + a2, a1 - a2, a3 + a4, a3 - a4
 
 
 def unit_row(v) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NoAdmissiblePointsError
 from .families import StateFamily
-from .fubini_study import MetricTensor, _times, analytic_metric_c7, numeric_fs_metrics
+from .fubini_study import MetricTensor, _overlap, _times, analytic_metric_c7, numeric_fs_metrics
 from .hamiltonian import check_denominators, perturbation_denominators
 from .model import CASE_CHARTS, CaseClass, InitialCoefficients
 
@@ -88,9 +88,9 @@ def metric_correction_closed_form(
     yp, ym, xp, xm = aux.y_plus, aux.y_minus, aux.x_plus, aux.x_minus
     p12, m12 = eta.eta12_plus, eta.eta12_minus
     p34, m34 = eta.eta34_plus, eta.eta34_minus
+    j = _overlap(eta.as_array(), omega)[1]
     # complex scalars, each times an array by _times
-    t12, t13, t23 = eta.eta1 * np.conj(eta.eta2), eta.eta1 * np.conj(eta.eta3), eta.eta2 * np.conj(eta.eta3)
-    j = _times(t12.real, t12.imag, np.exp(-2j * omega))[1]
+    t13, t23 = eta.eta1 * np.conj(eta.eta3), eta.eta2 * np.conj(eta.eta3)
     f1, e1 = _times(t13.real, t13.imag, np.exp(-1j * (2 * c3 + omega - c_plus)))
     f2, e2 = _times(t23.real, t23.imag, np.exp(-1j * (2 * c3 - omega - c_plus)))
 

@@ -89,7 +89,7 @@ def suite_metric(rng, gamma=1.0, h_metric=fubini_study.DEFAULT_METRIC_STEP) -> l
     while len(etas) < 20:
         eta = model.unit_row(rng.normal(size=4) + 1j * rng.normal(size=4))
         omega = rng.uniform(-2, 2)
-        if abs((eta[0] * np.conj(eta[1]) * np.exp(-2j * omega)).real) >= 0.05:
+        if abs(fubini_study._overlap(eta, omega)[0]) >= 0.05:
             etas.append(eta)
             omegas.append(omega)
     xs = np.column_stack([omegas, np.tile([0.3, 0.2, 0.4], (20, 1))])

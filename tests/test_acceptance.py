@@ -266,8 +266,8 @@ class _ExactEigenvectorC4:
     numpy.linalg.eigh diagonalizes the perturbed matrix; each eigenvector is
     matched to the unperturbed psi_k of largest overlap and phase-aligned to
     it, so the family shares the chart and gauge of the first-order library
-    family.  V is added to the matrix because HamiltonianParams rejects
-    beta < 0, which the central beta-difference needs.
+    family.  V is added to the unperturbed matrix as beta X_FIELD; the
+    central beta-difference builds the family at both signs of beta.
     """
 
     chart = ("phi", "c")

@@ -68,6 +68,18 @@ def test_spectrum_with_beta_adds_residuals(capsys):
     assert max(res) < 1e-5  # O(beta^2)
 
 
+def test_spectrum_does_not_depend_on_the_sign_of_beta(capsys):
+    # H(-beta) = U H(beta) U^dagger with U = sigma_z x sigma_z
+    reports = [
+        run_json(capsys, "spectrum", "--b", "0.5", "--c", "0.8,0.2,0.3", "--beta", beta)
+        for beta in ("1e-3", "-1e-3")
+    ]
+    assert [code for code, _ in reports] == [0, 0]
+    plus, minus = (rep["results"] for _, rep in reports)
+    for key in ("perturbed_numeric_energies_ascending", "perturbation_residuals"):
+        assert plus[key] == minus[key], key
+
+
 def test_classify_command(capsys):
     code, rep = run_json(capsys, "classify", "--eta", "0.5,0.5,0.5,0.5")
     assert code == 0

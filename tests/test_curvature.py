@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qorbits.curvature import (
+    UNIFORM_C7_SCALAR,
     MetricField,
-    analytic_g0_and_ricci,
     curvature_at,
     g0_uniform_field,
     g0_uniform_metric,
@@ -245,10 +245,10 @@ def test_tangent_field_scalar_matches_per_centre_reference():
 
 
 def test_g0_point_values():
-    g, ricci, scalar = analytic_g0_and_ricci(0.0, 0.0, gamma=1.0)
-    assert g.entries[1, 1] == pytest.approx(1.0 / 8.0)
-    assert g.entries[1, 2] == 0.0
-    assert scalar == 14.0
+    g, ricci = g0_uniform_metric(0.0, 0.0, gamma=1.0), g0_uniform_ricci(0.0, 0.0)
+    assert g[1, 1] == pytest.approx(1.0 / 8.0)
+    assert g[1, 2] == 0.0
+    assert UNIFORM_C7_SCALAR == 14.0
     assert ricci[1, 1] == pytest.approx(12.0 / 16.0)
 
 

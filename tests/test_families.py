@@ -123,6 +123,14 @@ def test_family_case_mismatch_rejected():
         family_for_case(CaseClass("C3"), eta)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_family_refuses_a_non_finite_beta(beta):
+    # a NaN beta would give NaN states, and the chart errors name omega
+    eta = InitialCoefficients(0.5, 0.5, 0.5, 0.5)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        family_for_case(classify(eta), eta, beta=beta)
+
+
 @pytest.mark.parametrize("pattern", ["C1", "C2", "C3", "C4", "C5", "C6", "C7"])
 def test_periodicity_all_cases(pattern, rng):
     eta = random_eta(rng, pattern)

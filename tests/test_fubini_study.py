@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qorbits import fubini_study
 from qorbits.curvature import MetricField, curvature_at
 from qorbits.errors import (
     CaseMismatchError,
@@ -14,8 +15,8 @@ from qorbits.errors import (
 from qorbits.hamiltonian import branch_sign
 from qorbits.families import constrained_two_param_family, family_for_case, sliced_family
 from qorbits.fubini_study import (
-    _j_signed,
-    _k_real,
+    _overlap,
+    _signed_overlap,
     _theta_from_j,
     analytic_metric_c7,
     analytic_metric_case,
@@ -31,7 +32,7 @@ from qorbits.fubini_study import (
     two_param_metric,
     two_param_metric_printed_offdiag,
 )
-from qorbits.model import InitialCoefficients, classify
+from qorbits.model import InitialCoefficients, classify, require_unit_rows
 from qorbits.verify import DEFAULT_CASE_ETAS, _default_family
 
 from conftest import random_eta, well_posed
@@ -204,6 +205,22 @@ def test_diagonalize_c7_pushforward(rng):
         )
     assert worst_off < 1e-10
     assert worst_diag < 1e-10
+
+
+def test_pushforward_takes_one_row_pass_and_one_overlap_per_form(rng, monkeypatch):
+    # one each for the two closed forms it composes, and one of its own
+    _, rows, xs = _rows_and_points(rng, "C7", 100)
+    clear = np.abs(_overlap(rows, xs[:, 0])[0]) >= 0.05
+    rows, xs = rows[clear][:20], xs[clear][:20]
+    assert len(rows) == 20
+    calls = dict.fromkeys(("require_unit_rows", "_overlap"), 0)
+    for name in calls:
+        def counted(*args, inner=getattr(fubini_study, name), name=name):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(fubini_study, name, counted)
+    pushforwards_c7(rows, xs)
+    assert calls == {"require_unit_rows": 3, "_overlap": 3}
 
 
 def test_diagonalize_balanced_pair_kills_k1_k2():
@@ -458,15 +475,16 @@ def test_overlap_rounds_as_the_one_point_complex_product(rng):
     omega, phi = xs[:, 0], xs[:, 1]
     for k, (eta, w, p) in enumerate(zip(etas, omega, phi)):
         z = eta.eta1 * np.conj(eta.eta2) * np.exp(-2j * float(w))
-        assert _j_signed(rows, omega, phi)[k] == float(z.imag) * branch_sign(p)
-        assert _k_real(rows, omega)[k] == float(z.real)
+        assert _signed_overlap(rows, omega, phi)[1][k] == float(z.imag) * branch_sign(p)
+        assert _overlap(rows, omega)[0][k] == float(z.real)
     # theta goes through a vectorized acos: within a few ulp of math.acos
     scalar = [
         math.acos(max(-1.0, min(1.0, 2.0 * float(z.imag) * branch_sign(p) / eta.eta12_plus)))
         for eta, w, p in zip(etas, omega, phi)
         for z in [eta.eta1 * np.conj(eta.eta2) * np.exp(-2j * float(w))]
     ]
-    np.testing.assert_array_max_ulp(_theta_from_j(rows, omega, phi), np.array(scalar), maxulp=4)
+    theta = _theta_from_j(require_unit_rows(rows)[1], _signed_overlap(rows, omega, phi)[1])
+    np.testing.assert_array_max_ulp(theta, np.array(scalar), maxulp=4)
 
 
 def test_batch_closed_forms_equal_per_point_calls(rng):

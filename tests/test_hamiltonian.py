@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -254,14 +255,14 @@ def test_first_order_rows_over_the_frame(rng, beta):
 def test_perturbed_beta_zero_is_analytic():
     p = HamiltonianParams(0.5, 0.8, 0.2, 0.3)
     a = analytic_spectrum(p)
-    z = perturbed_eigenstates(p, 0.0)
+    z = perturbed_eigenstates(p)
     assert np.allclose(a.states, z.states)
     assert np.allclose(a.energies, z.energies)
 
 
 def test_perturbed_psi4_unchanged():
     p = HamiltonianParams(0.5, 0.8, 0.2, 0.3)
-    spec = perturbed_eigenstates(p, 0.05)
+    spec = perturbed_eigenstates(dataclasses.replace(p, beta=0.05))
     assert np.allclose(spec.states[3], PSI4)
 
 
@@ -271,8 +272,8 @@ def test_perturbed_residual_scales_as_beta_squared():
     betas = np.array([1e-2, 1e-3, 1e-4])
     res = []
     for beta in betas:
-        hp = build_hamiltonian(HamiltonianParams(0.5, 0.8, 0.2, 0.3, beta=beta))
-        res.append(perturbed_eigenstates(p, beta).residuals(hp).max())
+        pb = dataclasses.replace(p, beta=beta)
+        res.append(perturbed_eigenstates(pb).residuals(build_hamiltonian(pb)).max())
     slope = np.polyfit(np.log(betas), np.log(res), 1)[0]
     assert abs(slope - 2.0) < 0.1
 
@@ -282,9 +283,9 @@ def test_perturbed_matches_numeric_eigenvectors():
     p = HamiltonianParams(0.5, 0.8, 0.2, 0.3)
     ks = []
     for beta in (1e-2, 1e-3, 1e-4):
-        hp = build_hamiltonian(HamiltonianParams(0.5, 0.8, 0.2, 0.3, beta=beta))
-        num = numeric_spectrum(hp)
-        pert = perturbed_eigenstates(p, beta)
+        pb = dataclasses.replace(p, beta=beta)
+        num = numeric_spectrum(build_hamiltonian(pb))
+        pert = perturbed_eigenstates(pb)
         perm = match_states(pert.states, num.states)
         worst = 0.0
         for k, idx in enumerate(perm):
@@ -316,8 +317,8 @@ def test_perturbed_first_order_energies_vanish(rng):
 def test_resonance_error():
     # 2 c3 - omega - c_plus = 0 at c3 = 0.5, omega = 0 + ... pick a resonant set
     p = HamiltonianParams(0.0, 0.6, 0.1, 0.5)  # omega=.5, c+=.7, 2c3-w-c+ = -0.2
-    perturbed_eigenstates(p, 1e-3)  # fine
+    perturbed_eigenstates(dataclasses.replace(p, beta=1e-3))  # fine
     resonant = HamiltonianParams(0.0, 0.35, 0.15, 0.35)
     # omega = 0.2, c_plus = 0.5, 2c3 - omega - c_plus = 0
     with pytest.raises(ResonanceError):
-        perturbed_eigenstates(resonant, 1e-3)
+        perturbed_eigenstates(dataclasses.replace(resonant, beta=1e-3))

@@ -13,7 +13,6 @@ from qorbits.model import (
     InitialCoefficients,
     classify,
     classify_rows,
-    coefficient_magnitudes,
     derive_params,
     require_unit_rows,
     unit_row,
@@ -66,6 +65,10 @@ def test_params_must_be_finite():
         HamiltonianParams(float("nan"), 0, 0, 0)
     with pytest.raises(ValueError):
         HamiltonianParams(0, float("inf"), 0, 0)
+
+
+def test_params_take_a_negative_beta():
+    assert HamiltonianParams(0.5, 0.8, 0.2, 0.3, beta=-0.1).beta == -0.1
 
 
 def test_coefficients_normalization_enforced():
@@ -287,7 +290,7 @@ def test_all_zero_row_names_the_zero_threshold():
 
 def test_batched_magnitudes_equal_each_coefficient_set(rng):
     etas = [random_eta(rng, pattern) for pattern in ("C1", "C4", "C7") for _ in range(10)]
-    a2, *sums = coefficient_magnitudes(np.array([eta.as_array() for eta in etas]))
+    a2, *sums = require_unit_rows(np.array([eta.as_array() for eta in etas]))
     assert a2.tobytes() == np.array([eta.abs2 for eta in etas]).tobytes()
     for name, values in zip(("eta12_plus", "eta12_minus", "eta34_plus", "eta34_minus"), sums):
         assert values.tolist() == [getattr(eta, name) for eta in etas]
