@@ -37,7 +37,13 @@ from .hamiltonian import (
 )
 from .families import family_for_case
 from .fubini_study import analytic_metric_c7, analytic_metric_case, numeric_fs_metric
-from .curvature import UNIFORM_C7_SCALAR, MetricField, curvature_at, g0_uniform_field
+from .curvature import (
+    EXACT_CONDITION_LIMIT,
+    UNIFORM_C7_SCALAR,
+    MetricField,
+    curvature_at,
+    g0_uniform_field,
+)
 from .perturbation import numeric_beta_derivative, perturbed_metric_analytic
 from .entanglement import CASE_FORMULA_STATUS, concurrence, concurrence_analytic, scan_concurrence
 
@@ -186,10 +192,7 @@ def _eta(args, warn) -> InitialCoefficients:
 
 def _family_from_args(args, warn):
     eta = _eta(args, warn)
-    case = classify(eta)
-    if args.case is not None and args.case != case.label:
-        raise ValueError(f"--case {args.case} but coefficients classify as {case.label}")
-    return family_for_case(case, eta, beta=args.beta)
+    return family_for_case(classify(eta), eta, beta=args.beta)
 
 
 def _point(args, dim):
@@ -309,7 +312,10 @@ def cmd_curvature(args, warn) -> dict:
     f = _family_from_args(args, warn)
     xi = _point(args, f.dim)
     mf = MetricField.from_family(f, gamma=args.gamma)
-    rep = curvature_at(mf, xi, h=args.h_curv)
+    rep = curvature_at(mf, xi)
+    if rep.metric_condition > EXACT_CONDITION_LIMIT:
+        warn(f"metric condition {rep.metric_condition:.3g} is above {EXACT_CONDITION_LIMIT:.0e}: "
+             "the curvature may be far from exact (docs/discrepancies.md)")
     results = {
         "case": f.case.label,
         "point": rep.point,
@@ -331,7 +337,7 @@ def cmd_curvature(args, warn) -> dict:
         # whose phase parameter is alpha2 - alpha1 in our convention
         alphas = eta.alphas
         fld = g0_uniform_field(float(alphas[1] - alphas[0]), args.gamma)
-        rep_cf = curvature_at(fld, xi, h=args.h_curv)
+        rep_cf = curvature_at(fld, xi)
         results["closed_form_field_scalar"] = rep_cf.scalar
         results["closed_form_field_h_curv"] = rep_cf.h
         dev_cf = abs(rep_cf.scalar - expected) / abs(expected)
@@ -416,9 +422,7 @@ def cmd_verify(args, warn) -> dict:
             readers = ", ".join(n for n, opts in verify.SUITE_OPTIONS.items() if flag in opts)
             raise ValueError(f"{flag} is read only by the suites {readers}, not {args.suite}")
     eta = None if args.eta is None else parse_eta(args.eta, warn)
-    checks = verify.run(
-        selected, args.seed, eta=eta, gamma=args.gamma, h_metric=args.h_metric, chi=args.chi
-    )
+    checks = verify.run(selected, args.seed, eta=eta, gamma=args.gamma, chi=args.chi)
     results = {
         "suites": selected,
         "n_checks": len(checks),
@@ -446,15 +450,9 @@ OPTIONS = {
     "--c": dict(default="1,0,0", help="couplings c1,c2,c3"),
     "--beta": dict(type=_finite_float, default=0.0, help="x-field perturbation"),
     "--eta": dict(default=None, help="initial coefficients e1,e2,e3,e4"),
-    "--case": dict(default=None, help="case label C1..C7 (checked)"),
     "--point": dict(default=None, help="chart point, comma separated"),
     "--gamma": dict(type=_positive_float, default=1.0, help="metric scale factor, above 0"),
     "--h-metric": dict(type=float, default=1e-5, help="step of the finite-difference metric"),
-    "--h-curv": dict(
-        type=float, default=1e-3,
-        help="step of the finite-difference curvature of closed-form metric "
-             "fields; family curvature is exact (Gauss equation) and has no step",
-    ),
     "--grid": dict(default=None, help="grid spec name=a:b:n[,...]"),
     "--format": dict(choices=("json", "csv"), default="json", help="csv needs --grid"),
     "--seed": dict(type=int, default=1234),
@@ -462,27 +460,21 @@ OPTIONS = {
     "--chi": dict(type=_finite_float, default=0.0, help="relative phase of tables"),
     "--out": dict(default=None, help="output path (default stdout)"),
 }
-_FAMILY_POINT = ("--eta", "--case", "--beta", "--point")
+_FAMILY_POINT = ("--eta", "--beta", "--point")
 # the options each command reads; every command also takes --out
 COMMAND_OPTIONS = {
     "spectrum": ("--b", "--c", "--beta"),
     "classify": ("--eta",),
     "evolve": _FAMILY_POINT,
     "metric": _FAMILY_POINT + ("--gamma", "--h-metric"),
-    "curvature": _FAMILY_POINT + ("--gamma", "--h-curv"),
+    "curvature": _FAMILY_POINT + ("--gamma",),
     "perturb": ("--eta", "--point", "--beta", "--gamma"),
     "concurrence": _FAMILY_POINT + ("--grid", "--format"),
-    "verify": ("--seed", "--suite", "--eta", "--gamma", "--h-metric", "--chi"),
+    "verify": ("--seed", "--suite", "--eta", "--gamma", "--chi"),
 }
 # parser defaults that differ from OPTIONS, per command: perturb evaluates
 # its first-order correction at a small nonzero beta
 COMMAND_DEFAULTS = {"perturb": {"beta": 1e-4}}
-# help texts that differ from OPTIONS, per (command, option): in verify the
-# metric step reaches one check alone
-COMMAND_HELP = {
-    ("verify", "--h-metric"): "step of the finite-difference metric in metric-c7-oracle-agreement, "
-                              "the one verify check that reads it",
-}
 
 
 @functools.lru_cache(maxsize=None)
@@ -499,8 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, options in COMMAND_OPTIONS.items():
         p = sub.add_parser(name, allow_abbrev=False)
         for flag in options + ("--out",):
-            help_text = COMMAND_HELP.get((name, flag), OPTIONS[flag].get("help"))
-            p.add_argument(flag, **dict(OPTIONS[flag], help=help_text))
+            p.add_argument(flag, **OPTIONS[flag])
         p.set_defaults(**COMMAND_DEFAULTS.get(name, {}))
     return parser
 

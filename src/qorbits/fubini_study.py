@@ -39,10 +39,6 @@ class MetricTensor:
     coords: tuple[str, ...] = ()
     degenerate_axes: tuple[int, ...] = ()
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @lru_cache(maxsize=None)
 def _stencil_offsets(dim: int) -> np.ndarray:

@@ -63,12 +63,10 @@ def suite_periodicity(rng, eta=None) -> list:
     return checks
 
 
-def suite_metric(rng, gamma=1.0, h_metric=fubini_study.DEFAULT_METRIC_STEP) -> list:
-    """Closed-form metrics against the finite-difference oracle.  h_metric
-    is the oracle's step on the 50 random C7 points of
-    metric-c7-oracle-agreement only; the gauge-invariance, flat-slice, C4
-    ratio and two-parameter checks keep the default step
-    (fubini_study.DEFAULT_METRIC_STEP), whose tolerances were set at it."""
+def suite_metric(rng, gamma=1.0) -> list:
+    """Closed-form metrics against the finite-difference oracle, which runs
+    at fubini_study.DEFAULT_METRIC_STEP: the checks' tolerances were set at
+    that step."""
     checks = []
     # closed form vs numeric over random C7 points, each with its own
     # coefficients, from one batch of stencil states and one closed-form call
@@ -81,7 +79,7 @@ def suite_metric(rng, gamma=1.0, h_metric=fubini_study.DEFAULT_METRIC_STEP) -> l
     lo, hi = np.array([-2.0, -1.2, -2.0, -2.0]), np.array([2.0, 1.2, 2.0, 2.0])
     xis, etas = lo + (hi - lo) * np.array(us), model.unit_row(np.array(raw))
     f7 = _default_family("C7")
-    gn = fubini_study.numeric_fs_metrics(f7, xis, gamma, h_metric, etas=etas)
+    gn = fubini_study.numeric_fs_metrics(f7, xis, gamma, etas=etas)
     worst = float(np.max(np.abs(gn - fubini_study.analytic_metrics_c7(etas, xis, gamma))))
     checks.append(record("metric-c7-oracle-agreement", worst, worst < 1e-6))
     # diagonalization, at points clear of K = 0, as one batch

@@ -279,10 +279,13 @@ def test_per_row_coefficients_equal_one_family_per_point(rng, beta):
     xs = well_posed(f, rng.uniform(-1.3, 1.3, size=(200, 4)))[:50]
     assert len(xs) == 50 and 17 * len(xs) > BLOCK_ROWS
     rows = np.array([eta.as_array() for eta in etas])
-    batch = numeric_fs_metrics(f, xs, etas=rows)
-    for eta, xi, g in zip(etas, xs, batch):
-        one = numeric_fs_metric(family_for_case(classify(eta), eta, beta=beta), xi)
-        assert np.array_equal(g, one.entries)
+    # at the default scale and step, and at a set scale and step, as
+    # qorbits metric --gamma --h-metric takes them
+    for options in ({}, {"gamma": 0.7, "h": 1e-4}):
+        batch = numeric_fs_metrics(f, xs, etas=rows, **options)
+        for eta, xi, g in zip(etas, xs, batch):
+            one = numeric_fs_metric(family_for_case(classify(eta), eta, beta=beta), xi, **options)
+            assert np.array_equal(g, one.entries), options
     with pytest.raises(ValueError, match="coefficient rows"):
         numeric_fs_metrics(f, xs, etas=rows[:-1])
     with pytest.raises(ValueError, match="coefficient rows"):

@@ -117,8 +117,7 @@ def test_metric_command_c7(capsys):
 def test_curvature_command_uniform(capsys):
     code, rep = run_json(
         capsys,
-        "curvature", "--case", "C7", "--eta", "0.5,0.5,0.5,0.5",
-        "--point", "0.7,0.3,0.2,0.4",
+        "curvature", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,0.2,0.4",
     )
     assert code == 0
     assert rep["results"]["closed_form_field_scalar"] == pytest.approx(14.0, rel=1e-3)
@@ -136,22 +135,45 @@ def test_curvature_command_dim1_takes_gauss(capsys, eta, point):
     assert res["metric_condition"] == 1.0
 
 
-@pytest.mark.parametrize("h_curv", [None, "2e-3"])
-def test_curvature_reports_the_step_it_used(capsys, h_curv):
-    # the family curvature takes the exact Gauss route and no step; only
-    # the uniform-C7 closed-form field check reads --h-curv
-    step = [] if h_curv is None else ["--h-curv", h_curv]
-    code, rep = run_json(capsys, "curvature", "--eta", "0.8,0,0.6,0", "--point", "0.3,0.4", *step)
+def test_curvature_reports_the_step_it_used(capsys):
+    # the family curvature takes the exact Gauss route and no step; the
+    # uniform-C7 closed-form field check takes the default Richardson step
+    code, rep = run_json(capsys, "curvature", "--eta", "0.8,0,0.6,0", "--point", "0.3,0.4")
     assert code == 0
     res = rep["results"]
     assert res["note"] == "exact: Gauss equation" and res["h_curv"] == 0.0
     assert "closed_form_field_h_curv" not in res
-    code, rep = run_json(capsys, "curvature", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,0.2,0.4", *step)
+    code, rep = run_json(capsys, "curvature", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,0.2,0.4")
     assert code == 0
     res = rep["results"]
     assert res["h_curv"] == 0.0
-    assert res["closed_form_field_h_curv"] == (1e-3 if h_curv is None else 2e-3)
+    assert res["closed_form_field_h_curv"] == 1e-3
     assert "closed_form_field_scalar" in res
+
+
+# a point of metric condition 4.1e9, where the Gauss route gives -197.47
+# for the exact scalar 2 + 6/p = 16.117 (docs/discrepancies.md)
+ILL_CONDITIONED_ARGV = [
+    "curvature", "--eta",
+    "0.4692696348460694-0.26973976629242125j,-0.3309142009521759-0.15015041417483788j,"
+    "-0.5311795442206414+0.3758997697483581j,0.17857321036653814-0.3458849179529598j",
+    "--point", "0.31159880634281567,-3.0589284460325614,1.1255269336164102,1.2836015643069931",
+]
+
+
+def test_curvature_warns_above_the_exact_condition_limit(capsys):
+    code, rep = run_json(capsys, *ILL_CONDITIONED_ARGV)
+    assert code == 0
+    res = rep["results"]
+    assert res["metric_condition"] > 1e9
+    assert "exact" not in res["note"] and "1e+06" in res["note"]
+    (warning,) = rep["warnings"]
+    assert "metric condition 4.14e+09" in warning
+    # a well-conditioned report is as before: exact, with no warnings key
+    code, rep = run_json(capsys, *VALID_ARGV["curvature"])
+    assert code == 0
+    assert rep["results"]["metric_condition"] < 1e6
+    assert rep["results"]["note"] == "exact: Gauss equation" and "warnings" not in rep
 
 
 def _help_text(capsys, command, monkeypatch):
@@ -162,9 +184,10 @@ def _help_text(capsys, command, monkeypatch):
 
 
 def test_verify_help_names_the_one_check_the_metric_step_reaches(capsys, monkeypatch):
+    # verify runs every metric oracle at the default step its tolerances
+    # were set at, and takes no step option
     text = _help_text(capsys, "verify", monkeypatch)
-    assert ("--h-metric H_METRIC step of the finite-difference metric in "
-            "metric-c7-oracle-agreement, the one verify check that reads it") in text
+    assert "--h-metric" not in text
     # the metric command's step is the whole metric's, as its help says
     text = _help_text(capsys, "metric", monkeypatch)
     assert "--h-metric H_METRIC step of the finite-difference metric --out" in text
@@ -262,13 +285,13 @@ def test_verify_all_soft_flags_only(capsys):
     assert any("perturbed-metric-c3-c_plus" in n for n in flagged)
 
 
-@pytest.mark.parametrize("options", [[], ["--gamma", "0.7", "--h-metric", "1e-4"]])
+@pytest.mark.parametrize("options", [[], ["--gamma", "0.7"]])
 def test_metric_oracle_equals_the_per_point_loop(options):
     # the batched metric-c7-oracle-agreement deviation against the one
     # family and one stencil per point it replaced, bitwise
     args = build_parser().parse_args(["verify", "--suite", "metric", *options])
     for seed in range(10):
-        checks = suite_metric(np.random.default_rng(seed), gamma=args.gamma, h_metric=args.h_metric)
+        checks = suite_metric(np.random.default_rng(seed), gamma=args.gamma)
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(50):
@@ -279,7 +302,7 @@ def test_metric_oracle_equals_the_per_point_loop(options):
                  rng.uniform(-2, 2), rng.uniform(-2, 2)]
             )
             f = family_for_case(classify(eta), eta)
-            gn = numeric_fs_metric(f, xi, gamma=args.gamma, h=args.h_metric).entries
+            gn = numeric_fs_metric(f, xi, gamma=args.gamma).entries
             ga = analytic_metric_c7(eta, xi, args.gamma).entries
             worst = max(worst, float(np.max(np.abs(gn - ga))))
         assert checks[0]["name"] == "metric-c7-oracle-agreement"
@@ -316,12 +339,12 @@ def _metric_suite_per_point_draws(rng, gamma):
     return worst_off, worst_diag
 
 
-@pytest.mark.parametrize("options", [[], ["--gamma", "0.7", "--h-metric", "1e-4"]])
+@pytest.mark.parametrize("options", [[], ["--gamma", "0.7"]])
 def test_metric_suite_draws_as_the_per_point_loop(options):
     args = build_parser().parse_args(["verify", "--suite", "metric", *options])
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        checks = suite_metric(rng, gamma=args.gamma, h_metric=args.h_metric)
+        checks = suite_metric(rng, gamma=args.gamma)
         ref = np.random.default_rng(seed)
         worst_off, worst_diag = _metric_suite_per_point_draws(ref, args.gamma)
         assert rng.bit_generator.state == ref.bit_generator.state, seed
@@ -433,15 +456,16 @@ def test_verify_rejects_unknown_suite(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("h_curv", ["0", "nan"])
-def test_curvature_step_rejected(h_curv, capsys):
-    argv = ["curvature", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,0.2,0.4"]
-    assert main(argv + ["--h-curv", h_curv]) == 2
-    assert "curvature step" in capsys.readouterr().err
-
-
-def test_case_flag_mismatch(capsys):
-    assert main(["metric", "--case", "C7", "--eta", "1,0,0,0", "--point", "0"]) == 2
+@pytest.mark.parametrize("command, flag, value", [
+    ("verify", "--h-metric", "1e-4"),
+    ("curvature", "--h-curv", "1e-3"),
+    *[(command, "--case", "C7") for command in ("evolve", "metric", "curvature", "concurrence")],
+])
+def test_options_that_only_tuned_or_asserted_a_check_are_refused(command, flag, value, capsys):
+    # the verify oracle's step, the step of a curvature that has none, and
+    # a case label every report already prints
+    assert main(VALID_ARGV[command] + [flag, value]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_eta_normalization_warning(capsys):
@@ -615,7 +639,7 @@ def test_cached_parser_leaks_no_state(tmp_path, capsys):
 
 
 # a non-default value of every option a verify suite reads
-SUITE_VALUES = {"--eta": "0.5,0.5,0.5,0.5", "--gamma": "0.7", "--h-metric": "1e-4", "--chi": "0.3"}
+SUITE_VALUES = {"--eta": "0.5,0.5,0.5,0.5", "--gamma": "0.7", "--chi": "0.3"}
 
 
 @pytest.mark.parametrize("suite", list(SUITES))

@@ -13,7 +13,6 @@ from qorbits.model import InitialCoefficients
 OPTION_VALUES = {
     "eta": (InitialCoefficients.normalized(0.6, 0.3 + 0.4j, 0.5, -0.2j), "0.6,0.3+0.4j,0.5,-0.2j"),
     "gamma": (0.7, "0.7"),
-    "h_metric": (1e-4, "1e-4"),
     "chi": (0.3, "0.3"),
 }
 
@@ -36,7 +35,7 @@ def test_run_equals_the_cli_report(seed, with_options, tmp_path):
 def test_suite_options_are_the_suite_keywords():
     assert verify.SUITE_OPTIONS == {
         "periodicity": ("--eta",),
-        "metric": ("--gamma", "--h-metric"),
+        "metric": ("--gamma",),
         "tables": ("--chi",),
         "perturbation": ("--gamma",),
         "curvature": ("--gamma",),
@@ -57,13 +56,3 @@ def test_run_gives_each_suite_only_the_options_it_reads():
     assert verify.run(["metric"], 3, gamma=0.7) != verify.run(["metric"], 3)
     with pytest.raises(TypeError, match="h_metrics"):
         verify.run(["metric"], 3, h_metrics=1e-4)
-
-
-def test_h_metric_sets_only_the_c7_oracle_batch():
-    # the other metric checks keep the default step their tolerances were
-    # set at (suite_metric)
-    default = verify.run(["metric"], 3)
-    stepped = verify.run(["metric"], 3, h_metric=1e-4)
-    assert [c["name"] for c in default] == [c["name"] for c in stepped]
-    changed = [a["name"] for a, b in zip(default, stepped) if a != b]
-    assert changed == ["metric-c7-oracle-agreement"]
