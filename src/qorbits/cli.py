@@ -65,11 +65,19 @@ def _fmt_float(x: float) -> str:
 
 def dumps(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
-    Numpy arrays and scalars print as the Python values they hold."""
+    Numpy arrays and scalars print as the Python values they hold.  The
+    exact types most values have are tested first."""
+    kind = type(obj)
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is str:
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if kind is bool:
+        return "true" if obj else "false"
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     elif isinstance(obj, np.generic):
-        obj = obj.item()
+        return dumps(obj.item(), indent)
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -80,11 +88,9 @@ def dumps(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in obj):
-            return "[" + ", ".join(dumps(v) for v in obj) + "]"
+            return "[" + ", ".join(map(dumps, obj)) + "]"
         items = [f"{pad}  {dumps(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if obj is None:
         return "null"
     if isinstance(obj, float):

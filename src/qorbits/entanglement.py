@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -240,14 +241,12 @@ def _c7_rows(chi):
     ]
 
 
-def verify_max_entangled_tables(f: StateFamily, chi: float) -> list[MaxEntangledCondition]:
-    """Evaluate the family on every cataloged condition row at each n in
-    N_RANGE and measure the concurrence; rows with an unconstrained omega
-    are sampled at 5 values in [0.2, 2.6].  The worst concurrence over n
-    values and samples is recorded per row; failures are reported, never
-    raised.
-    """
-    case = f.case
+@lru_cache(maxsize=32)
+def _condition_table(case, chi):
+    """The condition rows of the case at chi, as (row name, reported
+    coordinates, the n of each sample) per row, and the chart points of
+    every sample in row order, read-only: they depend on neither eta nor
+    beta, so they are built once per case and chi."""
     label = case.label
     free_vals = np.linspace(0.2, 2.6, 5)
     # (row name, reported coordinates, [(n, chart point), ...]) per table row
@@ -273,15 +272,39 @@ def verify_max_entangled_tables(f: StateFamily, chi: float) -> list[MaxEntangled
     else:
         raise ValueError("condition tables exist for C5, C6 and C7 only")
     points = np.array([xi for _, _, samples in rows for _, xi in samples], dtype=float)
-    values = iter(concurrences(f.states(points)).tolist())
+    points.setflags(write=False)
+    return tuple((name, coords, tuple(n for n, _ in samples)) for name, coords, samples in rows), points
+
+
+def max_entangled_points(f: StateFamily, chi: float) -> np.ndarray:
+    """The chart points verify_max_entangled_tables evaluates the family at,
+    in order, shape (M, dim), read-only."""
+    return _condition_table(f.case, chi)[1]
+
+
+def verify_max_entangled_tables(f: StateFamily, chi: float, values=None) -> list[MaxEntangledCondition]:
+    """Evaluate the family on every cataloged condition row at each n in
+    N_RANGE and measure the concurrence; rows with an unconstrained omega
+    are sampled at 5 values in [0.2, 2.6].  The worst concurrence over n
+    values and samples is recorded per row; failures are reported, never
+    raised.  values, the (M,) concurrences at max_entangled_points(f, chi)
+    where the caller took them in a batch with other families, stands in
+    for concurrences(f.states(...)).
+    """
+    rows, points = _condition_table(f.case, chi)
+    if values is None:
+        values = concurrences(f.states(points))
+    elif np.shape(values) != (len(points),):
+        raise ValueError(f"expected {len(points)} concurrences, got shape {np.shape(values)}")
+    values = iter(np.asarray(values, dtype=float).tolist())
     results = []
-    for name, coords, samples in rows:
+    for name, coords, ns in rows:
         worst_val, worst_n = None, None
-        for n, _ in samples:
+        for n in ns:
             val = next(values)
             if worst_val is None or abs(val - 1) > abs(worst_val - 1):
                 worst_val, worst_n = val, n
-        results.append(MaxEntangledCondition(label, name, coords, chi, worst_n, worst_val))
+        results.append(MaxEntangledCondition(f.case.label, name, dict(coords), chi, worst_n, worst_val))
     return results
 
 

@@ -26,10 +26,12 @@ a @ (k0 + s k1), with operators tabled once per case and embedding
 mix the coefficients, and the jet is their product rule with the same
 tabled turn, normalized.  e is real and orthonormal, so inner products of
 coefficients are those of the states: the Fubini-Study metric and the
-Gauss-equation curvature read frame_jet.  states, frame_jet of order 0
-contracted with e block by block, is where a family forms its states; state
-is its one-row case.  On the general orbit (C1, C3, C7) both take one
-coefficient row per point, so a batch may mix coefficient sets.
+Gauss-equation curvature read frame_jet.  _contract, coefficients contracted
+with e block by block, is where states are formed: states_of stacks the
+frame_jet of order 0 of several families for one _contract,
+StateFamily.states is its one-part case and state its one-row case.  On the
+general orbit (C1, C3, C7) both take one coefficient row per point, so a
+batch may mix coefficient sets.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CaseMismatchError
+from .errors import CaseMismatchError, QOrbitsError
 from .hamiltonian import (
     PSI3,
     PSI4,
@@ -190,17 +192,16 @@ class StateFamily:
 
     def states(self, xs, etas=None) -> np.ndarray:
         """Normalized states at the rows of an (N, dim) batch, shape (N, 4):
-        frame_jet(xs, 0, etas) contracted with e = eigenbases(phi) in place,
-        BLOCK_ROWS rows at a time, so at most one block's frame is held."""
+        the one-part case of states_of, frame_jet(xs, 0, etas) contracted
+        by _contract."""
         xs = np.asarray(xs, dtype=float)
-        out = self.frame_jet(xs, 0, etas)[0]
-        basis, basis0 = self._table.basis, self._table.basis0
-        for k in range(0, len(xs), BLOCK_ROWS):
-            rows = slice(k, k + BLOCK_ROWS)
-            e = eigenbases((xs[rows] @ basis.T + basis0)[:, 1])
-            # a stacked matmul keeps the summation order of evolved_state's amps @ basis
-            out[rows] = np.matmul(out[rows, None, :], e)[:, 0]
-        return out
+        return _contract(self.frame_jet(xs, 0, etas)[0], self._frame_phi(xs))
+
+    def _frame_phi(self, xs) -> np.ndarray:
+        """phi at the rows of a checked (N, dim) batch, where the frame
+        e = eigenbases(phi) of its coefficients is taken."""
+        table = self._table
+        return (xs @ table.basis.T + table.basis0)[:, 1]
 
     def frame_jet(self, xs, order, etas=None):
         """The states at the rows of an (N, dim) batch and their chart
@@ -358,6 +359,37 @@ class StateFamily:
         if xi.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} coordinates, got {xi.shape}")
         return self.states(xi[None])[0]
+
+
+def states_of(parts) -> np.ndarray:
+    """Normalized states of several families in one pass, stacked in part
+    order, shape (N_1 + N_2 + ..., 4).  Each part is (family, xs) or
+    (family, xs, etas) as StateFamily.states takes them, which is the
+    one-part case: every part's frame_jet(xs, 0, etas) is stacked and
+    contracted by one _contract, so each part's rows are its own states
+    bitwise.  A part that frame_jet refuses raises its error prefixed with
+    the part's index and case."""
+    jets, phis = [], []
+    for k, (family, xs, *etas) in enumerate(parts):
+        xs = np.asarray(xs, dtype=float)
+        try:
+            jets.append(family.frame_jet(xs, 0, *etas)[0])
+        except (ValueError, QOrbitsError) as exc:
+            raise type(exc)(f"part {k} ({family.case.label}): {exc}") from exc
+        phis.append(family._frame_phi(xs))
+    return _contract(np.concatenate(jets), np.concatenate(phis))
+
+
+def _contract(coeffs, phi) -> np.ndarray:
+    """The states of (N, 4) coefficients over the frames e = eigenbases(phi)
+    of an (N,) array, computed in place in coeffs, BLOCK_ROWS rows at a
+    time, so at most one block's frame is held.  Frame and contraction are
+    row by row."""
+    for k in range(0, len(coeffs), BLOCK_ROWS):
+        rows = slice(k, k + BLOCK_ROWS)
+        # a stacked matmul keeps the summation order of evolved_state's amps @ basis
+        coeffs[rows] = np.matmul(coeffs[rows, None, :], eigenbases(phi[rows]))[:, 0]
+    return coeffs
 
 
 def grid_points(axes) -> np.ndarray:
@@ -571,39 +603,52 @@ class PeriodicityReport:
     checks: tuple[PeriodicityCheck, ...]
 
 
-def check_periodicity(f: StateFamily, rng) -> PeriodicityReport:
+def check_periodicity(fams, rng):
     """Sample PERIODICITY_POINTS random base points from the generator rng
     and measure the overlap of psi(xi) with psi(xi + P) against the
     expected pure phase, for every listed shift of the family's case.
+    fams is one StateFamily, which gives its PeriodicityReport, or a
+    sequence of them, which gives a tuple of reports in order; the
+    families draw their base points in turn, and every state comes from
+    one states_of pass.
 
     Failures are reported, never raised.  Base phi values keep a margin from
     cos(phi) = 0, where the branch sign flips one eigenvector and the state
     jumps.
     """
-    if f.beta != 0.0:
+    one = isinstance(fams, StateFamily)
+    fams = [fams] if one else list(fams)
+    if any(f.beta != 0.0 for f in fams):
         raise ValueError("periodicity conditions are defined for beta = 0")
-    # base phi in [-1.4, 1.4], every other coordinate in [-3, 3]
-    lo = np.array([-1.4 if name == "phi" else -3.0 for name in f.chart])
-    shifts = PERIODICITY_SHIFTS[f.case.label]
-    # every shift's base points from one draw, which gives the values, in
-    # order, of one draw per shift; base points and shifted copies
-    # interleaved per shift in one batch of states.  Bitwise the draw
-    # rng.uniform(lo, -lo, size), which is slower with array bounds
-    xs = lo + (-lo - lo) * rng.random((len(shifts), PERIODICITY_POINTS, f.dim))
-    incs = np.zeros((len(shifts), f.dim))
-    for k, (shift, _) in enumerate(shifts):
-        for name, inc in shift.items():
-            incs[k, f.chart.index(name)] = inc
-    pts = np.stack([xs, xs + incs[:, None]], axis=1).reshape(-1, f.dim)
-    psi = f.states(pts).reshape(len(shifts), 2, PERIODICITY_POINTS, 4)
+    parts, shifts = [], []
+    for f in fams:
+        # base phi in [-1.4, 1.4], every other coordinate in [-3, 3]
+        lo = np.array([-1.4 if name == "phi" else -3.0 for name in f.chart])
+        case_shifts = PERIODICITY_SHIFTS[f.case.label]
+        # every shift's base points from one draw, which gives the values,
+        # in order, of one draw per shift; base points and shifted copies
+        # interleaved per shift.  Bitwise the draw rng.uniform(lo, -lo,
+        # size), which is slower with array bounds
+        xs = lo + (-lo - lo) * rng.random((len(case_shifts), PERIODICITY_POINTS, f.dim))
+        incs = np.zeros((len(case_shifts), f.dim))
+        for k, (shift, _) in enumerate(case_shifts):
+            for name, inc in shift.items():
+                incs[k, f.chart.index(name)] = inc
+        parts.append((f, np.stack([xs, xs + incs[:, None]], axis=1).reshape(-1, f.dim)))
+        shifts += case_shifts
+    psi = states_of(parts).reshape(len(shifts), 2, PERIODICITY_POINTS, 4)
     base, moved = psi[:, 0], psi[:, 1]
     # <psi(xi)|psi(xi+P)> equals the quoted phase when psi(xi+P) = phase * psi(xi)
     overlaps = np.sum(base.conj() * moved, axis=2)
     phases = np.array([phase for _, phase in shifts], dtype=complex)
     fidelity = np.abs(overlaps).min(axis=1).tolist()
     error = np.abs(overlaps - phases[:, None]).max(axis=1).tolist()
-    checks = [
+    checks = iter(
         PeriodicityCheck(shift, phase, fid, err)
         for (shift, phase), fid, err in zip(shifts, fidelity, error)
-    ]
-    return PeriodicityReport(f.case.label, tuple(checks))
+    )
+    reports = tuple(
+        PeriodicityReport(f.case.label, tuple(islice(checks, len(PERIODICITY_SHIFTS[f.case.label]))))
+        for f in fams
+    )
+    return reports[0] if one else reports

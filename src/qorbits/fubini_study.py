@@ -20,12 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import CaseMismatchError, ChartSingularityError, SingularTransformError
 from .hamiltonian import branch_sign
 from .model import CASE_CHARTS, InitialCoefficients, classify_rows, require_unit_rows
+from . import families
 from .families import StateFamily
 
 DEFAULT_METRIC_STEP = 1e-5
@@ -79,29 +81,31 @@ def _require_finite(family, xs, dpsi):
     )
 
 
-def _stencil_states(family, xs, h, etas=None):
+def _stencil_points(xs, h) -> np.ndarray:
     """The N*(4*dim + 1) stencil points of the rows of xs, shape
-    (N*(4*dim + 1), dim), and the family's states there, from one batch,
-    each with its point's coefficient row of etas if given.  The rows are
-    checked before they are repeated, so a refusal names the caller's row."""
+    (N*(4*dim + 1), dim), point by point."""
     dim = xs.shape[1]
-    pts = (xs[:, None] + h * _stencil_offsets(dim)).reshape(-1, dim)
+    return (xs[:, None] + h * _stencil_offsets(dim)).reshape(-1, dim)
+
+
+def _stencil_etas(etas, dim):
+    """Each coefficient row of etas repeated over its point's stencil, or
+    None for None.  The rows are checked before they are repeated, so a
+    refusal names the caller's row."""
     if etas is None:
-        return pts, family.states(pts)
+        return None
     require_unit_rows(etas)
-    return pts, family.states(pts, np.repeat(etas, 1 + 4 * dim, axis=0))
+    return np.repeat(etas, 1 + 4 * dim, axis=0)
 
 
-def _difference_quotient(family, xs, psi_all, h):
-    """States at the rows of xs and their 4th-order central-difference
+def _difference_quotient(psi_all, dim, h):
+    """States at the stencil centres and their 4th-order central-difference
     partials along the chart, from the stencil states psi_all of
-    _stencil_states: psi has shape (N, 4), dpsi (N, dim, 4)."""
-    n, dim = xs.shape
-    psi_all = psi_all.reshape(n, 1 + 4 * dim, 4)
+    _stencil_points: psi has shape (N, 4), dpsi (N, dim, 4).  The partials
+    are not checked (_require_finite)."""
+    psi_all = psi_all.reshape(-1, 1 + 4 * dim, 4)
     fp1, fm1, fp2, fm2 = (psi_all[:, 1 + k * dim:1 + (k + 1) * dim] for k in range(4))
-    dpsi = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-    _require_finite(family, xs, dpsi)
-    return psi_all[:, 0], dpsi
+    return psi_all[:, 0], (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
 
 
 def _require_scale(gamma: float):
@@ -131,23 +135,56 @@ def numeric_fs_metrics(
     each point its own coefficients; only a StateFamily of the general orbit
     (C1, C3, C7) takes it (see StateFamily.states)."""
     xs = _stencil_input(xs, h)
-    _, psi_all = _stencil_states(family, xs, h, etas)
-    return _qgt_metrics(*_difference_quotient(family, xs, psi_all, h), gamma)
+    dim = xs.shape[1]
+    pts, rows = _stencil_points(xs, h), _stencil_etas(etas, dim)
+    psi_all = family.states(pts) if rows is None else family.states(pts, rows)
+    psi, dpsi = _difference_quotient(psi_all, dim, h)
+    _require_finite(family, xs, dpsi)
+    return _qgt_metrics(psi, dpsi, gamma)
 
 
-def gauge_pair_metrics(family, lam, xs, gamma: float = 1.0):
-    """numeric_fs_metrics of family and of phase_twisted(family, lam) at the
-    rows of xs, each of shape (N, dim, dim), at the step DEFAULT_METRIC_STEP,
-    from one evaluation of the family's stencil states: the twisted stencil
-    states are those states times e^{i lam(pts)}, as the twisted family
-    computes them."""
+def numeric_fs_metrics_of(parts, gamma: float = 1.0) -> list:
+    """numeric_fs_metrics at DEFAULT_METRIC_STEP of each part (family, xs)
+    or (family, xs, etas), a list of (N_k, dim_k, dim_k) arrays in part
+    order, from one families.states_of pass over every stencil state and
+    one difference quotient and one QGT step per chart dimension.  A
+    family is a StateFamily or phase_twisted(StateFamily, lam), whose
+    stencil states are its base's times e^{i lam(pts)}; a twisted part
+    without etas right after its base's part at the same xs object (not a
+    copy) reuses that part's stencil states, so a gauge pair costs one
+    stencil.  Every step is row by row, so each metric is bitwise that of
+    numeric_fs_metrics."""
     h = DEFAULT_METRIC_STEP
-    xs = _stencil_input(xs, h)
-    twisted = phase_twisted(family, lam)
-    pts, psi_all = _stencil_states(family, xs, h)
-    g = _qgt_metrics(*_difference_quotient(family, xs, psi_all, h), gamma)
-    twisted_all = twisted.twist(pts, psi_all)
-    return g, _qgt_metrics(*_difference_quotient(twisted, xs, twisted_all, h), gamma)
+    # the states_of parts, and per part its family, centres and the index
+    # of the states_of part that holds its stencil states
+    evaluated, stencils, previous = [], [], (None, None)
+    for family, xs, *etas in parts:
+        twisted = isinstance(family, _PhaseTwistedFamily)
+        base = family.base if twisted else family
+        centres = _stencil_input(xs, h)
+        if not (twisted and not etas and previous[0] is base and previous[1] is xs):
+            rows = _stencil_etas(etas[0], centres.shape[1]) if etas else None
+            evaluated.append((base, _stencil_points(centres, h), rows))
+        stencils.append((family, centres, len(evaluated) - 1))
+        previous = (None, None) if etas else (family, xs)
+    psi_all, ends = families.states_of(evaluated), accumulate(len(part[1]) for part in evaluated)
+    states = [psi_all[end - len(part[1]):end] for part, end in zip(evaluated, ends)]
+    out = [None] * len(stencils)
+    for dim in sorted({centres.shape[1] for _, centres, _ in stencils}):
+        group = [k for k, (_, centres, _) in enumerate(stencils) if centres.shape[1] == dim]
+        stacked = []
+        for k in group:
+            family, _, j = stencils[k]
+            stacked.append(states[j] if family is evaluated[j][0] else family.twist(evaluated[j][1], states[j]))
+        psi, dpsi = _difference_quotient(np.concatenate(stacked), dim, h)
+        bounds = list(accumulate((len(stencils[k][1]) for k in group), initial=0))
+        if not np.isfinite(dpsi).all():
+            for k, a, b in zip(group, bounds, bounds[1:]):
+                _require_finite(stencils[k][0], stencils[k][1], dpsi[a:b])
+        g = _qgt_metrics(psi, dpsi, gamma)
+        for k, a, b in zip(group, bounds, bounds[1:]):
+            out[k] = g[a:b]
+    return out
 
 
 def tangent_fs_metrics(family, xs, gamma: float = 1.0) -> np.ndarray:

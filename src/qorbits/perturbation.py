@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NoAdmissiblePointsError
 from .families import StateFamily
-from .fubini_study import MetricTensor, _overlap, _times, analytic_metric_c7, numeric_fs_metrics
+from .fubini_study import MetricTensor, _overlap, _times, analytic_metric_c7, numeric_fs_metrics_of
 from .hamiltonian import check_denominators, perturbation_denominators
 from .model import CASE_CHARTS, CaseClass, InitialCoefficients
 
@@ -179,21 +179,18 @@ def numeric_beta_derivative(eta: InitialCoefficients, xi, gamma: float = 1.0) ->
     (4, 4)) or at each row of an (N, 4) batch (shape (N, 4, 4)): central
     differences at BETA_STEP and BETA_STEP/2, combined by Richardson
     extrapolation as (4 D(BETA_STEP/2) - D(BETA_STEP))/3 to cancel the
-    O(BETA_STEP^2) error, which grows large near a resonance.  Each of the
-    four +-beta families is evaluated once over the whole batch, at the
-    default metric step."""
+    O(BETA_STEP^2) error, which grows large near a resonance.  The four
+    +-beta families' metrics over the whole batch come from one
+    numeric_fs_metrics_of pass, at the default metric step."""
     xi = np.asarray(xi, dtype=float)
     xs = np.atleast_2d(xi)
     case = CaseClass("C7")
-
-    def central(step):
-        g = [
-            numeric_fs_metrics(StateFamily(case, eta, case.chart, b), xs, gamma=gamma)
-            for b in (step, -step)
-        ]
-        return (g[0] - g[1]) / (2.0 * step)
-
-    d = (4.0 * central(0.5 * BETA_STEP) - central(BETA_STEP)) / 3.0
+    steps = (0.5 * BETA_STEP, BETA_STEP)
+    g = numeric_fs_metrics_of(
+        [(StateFamily(case, eta, case.chart, b), xs) for step in steps for b in (step, -step)], gamma
+    )
+    half, full = ((g[k] - g[k + 1]) / (2.0 * step) for k, step in zip((0, 2), steps))
+    d = (4.0 * half - full) / 3.0
     return d if xi.ndim == 2 else d[0]
 
 
@@ -251,23 +248,16 @@ def audit_metric_correction(
     used = points[keep]
     closed_all = metric_correction_closed_form(eta, used, gamma)
     numeric_all = numeric_beta_derivative(eta, used, gamma)
-    verdicts = []
+    # the upper-triangle components, a column each, and their maxima over
+    # the points
+    a, b = np.triu_indices(4)
+    c, n = closed_all[:, a, b], numeric_all[:, a, b]
+    max_c, max_n, max_diff = (np.max(np.abs(v), axis=0) for v in (c, n, c - n))
+    rel = max_diff / np.maximum(max_n, 1e-12)
     names = CASE_CHARTS["C7"]
-    for a in range(4):
-        for b in range(a, 4):
-            c = closed_all[:, a, b]
-            n = numeric_all[:, a, b]
-            scale = max(np.max(np.abs(n)), 1e-12)
-            max_diff = float(np.max(np.abs(c - n)))
-            rel = max_diff / scale
-            verdicts.append(
-                ComponentVerdict(
-                    (names[a], names[b]),
-                    float(np.max(np.abs(c))),
-                    float(np.max(np.abs(n))),
-                    max_diff,
-                    rel,
-                    rel < AUDIT_REL_TOL,
-                )
-            )
-    return CorrectionAudit(tuple(verdicts), len(used), AUDIT_REL_TOL)
+    verdicts = tuple(
+        ComponentVerdict((names[i], names[j]), *values, values[-1] < AUDIT_REL_TOL)
+        for i, j, *values in zip(a.tolist(), b.tolist(), max_c.tolist(), max_n.tolist(),
+                                 max_diff.tolist(), rel.tolist())
+    )
+    return CorrectionAudit(verdicts, len(used), AUDIT_REL_TOL)

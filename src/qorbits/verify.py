@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -55,8 +56,7 @@ def suite_periodicity(rng, eta=None) -> list:
     else:
         fams = [_default_family(label) for label in DEFAULT_CASE_ETAS]
     checks = []
-    for f in fams:
-        rep = families.check_periodicity(f, rng)
+    for f, rep in zip(fams, families.check_periodicity(fams, rng)):
         for chk in rep.checks:
             name = f"periodicity-{f.case.label}-{'+'.join(chk.shift)}"
             checks.append(record(name, chk.max_phase_error, chk.passed))
@@ -66,70 +66,98 @@ def suite_periodicity(rng, eta=None) -> list:
 def suite_metric(rng, gamma=1.0) -> list:
     """Closed-form metrics against the finite-difference oracle, which runs
     at fubini_study.DEFAULT_METRIC_STEP: the checks' tolerances were set at
-    that step."""
+    that step.  Every stencil of the suite is evaluated in one
+    numeric_fs_metrics_of pass, after all the draws."""
     checks = []
     # closed form vs numeric over random C7 points, each with its own
-    # coefficients, from one batch of stencil states and one closed-form call
-    raw, us = [], []
+    # coefficients: per point, the real and imaginary parts from one
+    # rng.normal(size=8), bitwise two draws of size 4, then four uniforms
+    normals, us = [], []
     for _ in range(50):
-        raw.append(rng.normal(size=4) + 1j * rng.normal(size=4))
+        normals.append(rng.normal(size=8))
         us.append(rng.random(4))
     # lo + (hi - lo) u is what rng.uniform(lo, hi) computes: the points of
     # four uniform draws per row
     lo, hi = np.array([-2.0, -1.2, -2.0, -2.0]), np.array([2.0, 1.2, 2.0, 2.0])
-    xis, etas = lo + (hi - lo) * np.array(us), model.unit_row(np.array(raw))
+    xis, etas = lo + (hi - lo) * np.array(us), model.unit_row(_complex_rows(normals))
     f7 = _default_family("C7")
-    gn = fubini_study.numeric_fs_metrics(f7, xis, gamma, etas=etas)
+    diag_etas, omegas = _diagonalization_candidates(rng, 20)
+    # gauge invariance on every case family: the twisted family's metric
+    # from the family's own stencil states, twisted
+    gauge = []
+    for label in DEFAULT_CASE_ETAS:
+        f = _default_family(label)
+        xi = rng.uniform(0.2, 1.0, size=(1, f.dim))
+        gauge += [(f, xi), (fubini_study.phase_twisted(f, _sum_phase), xi)]
+    # flat slice with the field off (phi frozen)
+    fs = families.sliced_family(f7, {"phi": 0.0})
+    pts = [[w, c3, cp] for w in (0.2, 0.9) for c3 in (0.1, 0.8) for cp in (0.3, 1.2)]
+    f4 = _default_family("C4")
+    eta2p = model.InitialCoefficients.normalized(0.7, 0.4, 0.5, 0.3)
+    fam = families.constrained_two_param_family(0.7, eta2p)
+    gn, *gauge_metrics, mats, gn4, gn2 = fubini_study.numeric_fs_metrics_of(
+        [(f7, xis, etas), *gauge, (fs, pts), (f4, [[0.4, 1.1]]), (fam, [[0.6, 0.8]])], gamma
+    )
     worst = float(np.max(np.abs(gn - fubini_study.analytic_metrics_c7(etas, xis, gamma))))
     checks.append(record("metric-c7-oracle-agreement", worst, worst < 1e-6))
     # diagonalization, at points clear of K = 0, as one batch
-    etas, omegas = [], []
-    while len(etas) < 20:
-        eta = model.unit_row(rng.normal(size=4) + 1j * rng.normal(size=4))
-        omega = rng.uniform(-2, 2)
-        if abs(fubini_study._overlap(eta, omega)[0]) >= 0.05:
-            etas.append(eta)
-            omegas.append(omega)
     xs = np.column_stack([omegas, np.tile([0.3, 0.2, 0.4], (20, 1))])
-    gp = fubini_study.pushforwards_c7(etas, xs, gamma)
+    gp = fubini_study.pushforwards_c7(diag_etas, xs, gamma)
     worst_off = float(np.max(np.abs(gp[:, ~np.eye(4, dtype=bool)])))
-    gd = fubini_study.analytic_metrics_case(f7, xs, gamma, etas)
+    gd = fubini_study.analytic_metrics_case(f7, xs, gamma, diag_etas)
     worst_diag = float(np.max(np.abs(np.diagonal(gp - gd, axis1=1, axis2=2))))
     checks.append(record("diagonalization-offdiagonal", worst_off, worst_off < 1e-10))
     checks.append(record("diagonalization-diagonal", worst_diag, worst_diag < 1e-10))
-    # gauge invariance on every case family: the twisted family's metric
-    # from the family's own stencil states, twisted
     worst = 0.0
-    for label in DEFAULT_CASE_ETAS:
-        f = _default_family(label)
-        xi = rng.uniform(0.2, 1.0, size=f.dim)
-        g, gt = fubini_study.gauge_pair_metrics(f, lambda xs: xs.sum(axis=1), xi[None], gamma)
+    for g, gt in zip(gauge_metrics[::2], gauge_metrics[1::2]):
         worst = max(worst, float(np.max(np.abs(g - gt))))
     checks.append(record("metric-gauge-invariance", worst, worst < 1e-8))
-    # flat slice with the field off (phi frozen)
-    fs = families.sliced_family(_default_family("C7"), {"phi": 0.0})
-    pts = [[w, c3, cp] for w in (0.2, 0.9) for c3 in (0.1, 0.8) for cp in (0.3, 1.2)]
-    mats = fubini_study.numeric_fs_metrics(fs, pts, gamma=gamma)
     var = float(np.max(np.abs(mats - mats[0])))
     checks.append(record("flat-slice-constant-metric", var, var < 1e-9))
     # printed-vs-oracle ratio audits for the reduced-case closed forms
-    f4 = _default_family("C4")
-    gn4 = fubini_study.numeric_fs_metric(f4, np.array([0.4, 1.1]), gamma=gamma).entries
     ga4 = fubini_study.analytic_metric_case(f4, np.array([0.4, 1.1]), gamma).entries
-    ratio = float(ga4[1, 1] / gn4[1, 1])
+    ratio = float(ga4[1, 1] / gn4[0, 1, 1])
     dev = abs(ratio - 9)
     checks.append(record("c4-gcc-printed-vs-oracle-ratio-9", dev, dev < 1e-6, soft=True))
     # two-parameter manifold: derived pullback vs numeric, printed offdiag ratio
-    eta2p = model.InitialCoefficients.normalized(0.7, 0.4, 0.5, 0.3)
-    fam = families.constrained_two_param_family(0.7, eta2p)
-    gn = fubini_study.numeric_fs_metric(fam, np.array([0.6, 0.8]), gamma=gamma).entries
     ga = fubini_study.two_param_metric(0.7, eta2p, gamma).entries
-    dev = float(np.max(np.abs(gn - ga)))
+    dev = float(np.max(np.abs(gn2[0] - ga)))
     checks.append(record("two-param-pullback-vs-oracle", dev, dev < 1e-6))
     printed = fubini_study.two_param_metric_printed_offdiag(0.7, eta2p, gamma)
     dev = abs(printed / ga[0, 1] - 2.0)
     checks.append(record("two-param-printed-offdiag-ratio-2", dev, dev < 1e-9, soft=True))
     return checks
+
+
+def _sum_phase(xs):
+    """The gauge check's phase lam(x) = the sum of the chart coordinates."""
+    return xs.sum(axis=1)
+
+
+def _diagonalization_candidates(rng, count):
+    """count coefficient rows, shape (count, 4), and omegas, shape (count,),
+    whose K = Re(eta1 conj(eta2) e^{-2 i omega}) is at least 0.05 in
+    magnitude: candidates, each one rng.normal(size=8) and one
+    rng.uniform(-2, 2), drawn in rounds of as many as are still missing and
+    filtered with one unit_row and one _overlap call per round.  A round
+    never draws past the last acceptance, so the generator stops where a
+    one-by-one rejection loop stops."""
+    etas, omegas = np.empty((0, 4), dtype=complex), np.empty(0)
+    while len(omegas) < count:
+        normals, cand = [], []
+        for _ in range(count - len(omegas)):
+            normals.append(rng.normal(size=8))
+            cand.append(rng.uniform(-2, 2))
+        rows, cand = model.unit_row(_complex_rows(normals)), np.array(cand)
+        keep = np.abs(fubini_study._overlap(rows, cand)[0]) >= 0.05
+        etas, omegas = np.concatenate([etas, rows[keep]]), np.concatenate([omegas, cand[keep]])
+    return etas, omegas
+
+
+def _complex_rows(normals):
+    """(N, 4) complex rows re + 1j im from N draws of 8 normals (re, im)."""
+    v = np.array(normals)
+    return v[:, :4] + 1j * v[:, 4:]
 
 
 def _table_samples(f, rng):
@@ -161,10 +189,18 @@ def suite_tables(rng, chi=0.0) -> list:
         "C6": model.InitialCoefficients.normalized(0.0, 0.6, p6, p6),
         "C7": model.InitialCoefficients.normalized(0.5, 0.5, p7, p7),
     }
+    tables = [families.family_for_case(model.classify(eta), eta) for eta in configs.values()]
+    domains = [_default_family(label) for label in DEFAULT_CASE_ETAS]
+    samples = [_table_samples(f, rng) for f in domains]
+    # the table points and the closed forms' domains: one states_of pass
+    # and one concurrences call
+    parts = [(f, entanglement.max_entangled_points(f, chi)) for f in tables] + list(zip(domains, samples))
+    values = entanglement.concurrences(families.states_of(parts))
+    ends = list(itertools.accumulate(len(xs) for _, xs in parts))
+    values = [values[end - len(xs):end] for (_, xs), end in zip(parts, ends)]
     checks = []
-    for label, eta in configs.items():
-        f = families.family_for_case(model.classify(eta), eta)
-        for row in entanglement.verify_max_entangled_tables(f, chi):
+    for label, f, v in zip(configs, tables, values):
+        for row in entanglement.verify_max_entangled_tables(f, chi, v):
             # documented C5 defects: the omega = pi/2 rows fail for every
             # chi; the two rows with the un-doubled phase fail off chi = 0
             defective = label == "C5" and (
@@ -178,11 +214,9 @@ def suite_tables(rng, chi=0.0) -> list:
             dev = abs(row.measured_concurrence - 1.0)
             checks.append(record(f"table-{label}-{row.row}", dev, row.passed, soft=defective))
     # closed-form concurrence against the direct oracle on agreement domains
-    for label in DEFAULT_CASE_ETAS:
-        f = _default_family(label)
-        xs = _table_samples(f, rng)
+    for label, f, xs, v in zip(DEFAULT_CASE_ETAS, domains, samples, values[len(tables):]):
         closed = entanglement.concurrence_analytic(f.case, f.eta, xs)
-        worst = float(np.max(np.abs(closed - entanglement.concurrences(f.states(xs)))))
+        worst = float(np.max(np.abs(closed - v)))
         checks.append(record(f"concurrence-closed-form-{label}-on-domain", worst, worst < 1e-10))
     return checks
 

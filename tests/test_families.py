@@ -337,13 +337,13 @@ def test_periodicity_base_points_are_the_uniform_draw(pattern, rng, monkeypatch)
     eta = random_eta(rng, pattern)
     f = family_for_case(classify(eta), eta)
     seen = []
-    states = StateFamily.states
+    states_of = families.states_of
 
-    def recording(self, xs, etas=None):
-        seen.append(xs.copy())
-        return states(self, xs, etas)
+    def recording(parts):
+        seen.extend(xs.copy() for _, xs in parts)
+        return states_of(parts)
 
-    monkeypatch.setattr(StateFamily, "states", recording)
+    monkeypatch.setattr(families, "states_of", recording)
     drawn, reference = np.random.default_rng(11), np.random.default_rng(11)
     check_periodicity(f, drawn)
     lo = np.array([-1.4 if name == "phi" else -3.0 for name in f.chart])

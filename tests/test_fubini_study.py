@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qorbits import fubini_study
+from qorbits import families, fubini_study
 from qorbits.curvature import MetricField, curvature_at
 from qorbits.errors import (
     CaseMismatchError,
@@ -23,9 +23,9 @@ from qorbits.fubini_study import (
     analytic_metrics_c7,
     analytic_metrics_case,
     diagonalize_metrics,
-    gauge_pair_metrics,
     numeric_fs_metric,
     numeric_fs_metrics,
+    numeric_fs_metrics_of,
     phase_twisted,
     pushforwards_c7,
     tangent_fs_metrics,
@@ -111,18 +111,30 @@ def test_metric_gauge_invariance(rng):
 
 
 @pytest.mark.parametrize("label", list(DEFAULT_CASE_ETAS))
-def test_gauge_pair_equals_the_two_metrics(label, rng):
-    # one stencil of the family's states serves both metrics; each is the
-    # one-point numeric_fs_metric to the bit
+def test_gauge_pair_equals_the_two_metrics(label, rng, monkeypatch):
+    # a family and its twisted copy at the same points share one stencil of
+    # the family's states; each metric is the one-point numeric_fs_metric
+    # to the bit
     f = _default_family(label)
     lam = lambda xs: xs.sum(axis=1)  # noqa: E731
+    evaluated = []
+    states_of = families.states_of
+    monkeypatch.setattr(families, "states_of", lambda parts: evaluated.append(parts) or states_of(parts))
     for gamma in (1.0, 0.7):
         xi = rng.uniform(0.2, 1.0, size=f.dim)
-        g, gt = gauge_pair_metrics(f, lam, xi[None], gamma)
+        xs = xi[None]
+        g, gt = numeric_fs_metrics_of([(f, xs), (phase_twisted(f, lam), xs)], gamma)
         assert g.shape == gt.shape == (1, f.dim, f.dim)
         assert g[0].tobytes() == numeric_fs_metric(f, xi, gamma).entries.tobytes()
         twisted = numeric_fs_metric(phase_twisted(f, lam), xi, gamma).entries
         assert gt[0].tobytes() == twisted.tobytes()
+    # one states_of part per pair: the twisted copy reuses the stencil
+    # states of the same points (the same object, not an equal copy)
+    assert [len(parts) for parts in evaluated] == [1, 1]
+    evaluated.clear()
+    xs = rng.uniform(0.2, 1.0, size=(1, f.dim))
+    numeric_fs_metrics_of([(f, xs), (phase_twisted(f, lam), xs.copy())])
+    assert [len(parts) for parts in evaluated] == [2]
 
 
 def test_metric_positive_semidefinite(rng):
