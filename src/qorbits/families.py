@@ -367,8 +367,12 @@ def states_of(parts) -> np.ndarray:
     (family, xs, etas) as StateFamily.states takes them, which is the
     one-part case: every part's frame_jet(xs, 0, etas) is stacked and
     contracted by one _contract, so each part's rows are its own states
-    bitwise.  A part that frame_jet refuses raises its error prefixed with
+    bitwise.  One part is passed to StateFamily.states as it is; of
+    several, a part that frame_jet refuses raises its error prefixed with
     the part's index and case."""
+    if len(parts) == 1:
+        family, xs, *etas = parts[0]
+        return family.states(xs, *etas)
     jets, phis = [], []
     for k, (family, xs, *etas) in enumerate(parts):
         xs = np.asarray(xs, dtype=float)

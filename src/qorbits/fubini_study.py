@@ -6,13 +6,17 @@ Both numeric routes compute the real part of the quantum geometric tensor
 
     g_mn = gamma^2 Re( <d_m psi|d_n psi> - <d_m psi|psi><psi|d_n psi> ).
 
-tangent_fs_metrics takes the state partials from StateFamily.frame_jet;
-numeric_fs_metrics takes them from 4th-order central differences of the
-family states, works for any object with states, and is the independent,
-gauge-invariant ground truth.  Closed forms are transcribed from the
-reference catalog as printed and evaluated on whole batches of points;
-where a printed form disagrees with the numeric route the disagreement is
-surfaced by the comparison utilities, never patched here.
+tangent_fs_metrics takes the state partials from StateFamily.frame_jet.
+numeric_fs_metrics_of, the one finite-difference route, takes them from
+4th-order central differences of the stencil states of several parts:
+StateFamily parts from one families.states_of pass, phase_twisted parts
+from their base's states, any other object with chart and states from its
+own states call.  It is the independent, gauge-invariant ground truth;
+numeric_fs_metrics and numeric_fs_metric are its one-part case.  Closed
+forms are transcribed from the reference catalog as printed and evaluated
+on whole batches of points; where a printed form disagrees with the
+numeric route the disagreement is surfaced by the comparison utilities,
+never patched here.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -58,17 +61,6 @@ def _upper_mirror(dim: int) -> np.ndarray:
     return np.minimum.outer(k, k) * dim + np.maximum.outer(k, k)
 
 
-def _stencil_input(xs, h) -> np.ndarray:
-    """The (N, dim) points of a finite-difference metric, after checking its
-    step."""
-    if not (1e-7 <= h <= 1e-3):
-        raise ValueError("finite-difference step h must lie in [1e-7, 1e-3]")
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2:
-        raise ValueError(f"points must have shape (N, dim), got {xs.shape}")
-    return xs
-
-
 def _require_finite(family, xs, dpsi):
     """Raise ChartSingularityError naming the first point and coordinate
     whose state partial is not finite."""
@@ -79,33 +71,6 @@ def _require_finite(family, xs, dpsi):
     raise ChartSingularityError(
         f"non-finite derivative along coordinate {family.chart[mu]!r} at xi={np.asarray(xs)[row]}"
     )
-
-
-def _stencil_points(xs, h) -> np.ndarray:
-    """The N*(4*dim + 1) stencil points of the rows of xs, shape
-    (N*(4*dim + 1), dim), point by point."""
-    dim = xs.shape[1]
-    return (xs[:, None] + h * _stencil_offsets(dim)).reshape(-1, dim)
-
-
-def _stencil_etas(etas, dim):
-    """Each coefficient row of etas repeated over its point's stencil, or
-    None for None.  The rows are checked before they are repeated, so a
-    refusal names the caller's row."""
-    if etas is None:
-        return None
-    require_unit_rows(etas)
-    return np.repeat(etas, 1 + 4 * dim, axis=0)
-
-
-def _difference_quotient(psi_all, dim, h):
-    """States at the stencil centres and their 4th-order central-difference
-    partials along the chart, from the stencil states psi_all of
-    _stencil_points: psi has shape (N, 4), dpsi (N, dim, 4).  The partials
-    are not checked (_require_finite)."""
-    psi_all = psi_all.reshape(-1, 1 + 4 * dim, 4)
-    fp1, fm1, fp2, fm2 = (psi_all[:, 1 + k * dim:1 + (k + 1) * dim] for k in range(4))
-    return psi_all[:, 0], (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
 
 
 def _require_scale(gamma: float):
@@ -129,59 +94,82 @@ def _qgt_metrics(psi, dpsi, gamma: float) -> np.ndarray:
 def numeric_fs_metrics(
     family, xs, gamma: float = 1.0, h: float = DEFAULT_METRIC_STEP, etas=None
 ) -> np.ndarray:
-    """Fubini-Study metrics, shape (N, dim, dim), at the N rows of xs, from
-    one evaluation of every stencil state.  family is any object exposing
-    .states(xs) and .chart.  etas, an (N, 4) array of coefficient rows, gives
-    each point its own coefficients; only a StateFamily of the general orbit
-    (C1, C3, C7) takes it (see StateFamily.states)."""
-    xs = _stencil_input(xs, h)
-    dim = xs.shape[1]
-    pts, rows = _stencil_points(xs, h), _stencil_etas(etas, dim)
-    psi_all = family.states(pts) if rows is None else family.states(pts, rows)
-    psi, dpsi = _difference_quotient(psi_all, dim, h)
-    _require_finite(family, xs, dpsi)
-    return _qgt_metrics(psi, dpsi, gamma)
+    """Fubini-Study metrics, shape (N, dim, dim), at the N rows of xs: the
+    one-part case of numeric_fs_metrics_of."""
+    return numeric_fs_metrics_of([(family, xs, etas)], gamma, h)[0]
 
 
-def numeric_fs_metrics_of(parts, gamma: float = 1.0) -> list:
-    """numeric_fs_metrics at DEFAULT_METRIC_STEP of each part (family, xs)
-    or (family, xs, etas), a list of (N_k, dim_k, dim_k) arrays in part
-    order, from one families.states_of pass over every stencil state and
-    one difference quotient and one QGT step per chart dimension.  A
-    family is a StateFamily or phase_twisted(StateFamily, lam), whose
-    stencil states are its base's times e^{i lam(pts)}; a twisted part
-    without etas right after its base's part at the same xs object (not a
-    copy) reuses that part's stencil states, so a gauge pair costs one
-    stencil.  Every step is row by row, so each metric is bitwise that of
-    numeric_fs_metrics."""
-    h = DEFAULT_METRIC_STEP
-    # the states_of parts, and per part its family, centres and the index
-    # of the states_of part that holds its stencil states
-    evaluated, stencils, previous = [], [], (None, None)
+def numeric_fs_metrics_of(parts, gamma: float = 1.0, h: float = DEFAULT_METRIC_STEP) -> list:
+    """Fubini-Study metrics of each part (family, xs) or (family, xs, etas),
+    a list of (N_k, dim_k, dim_k) arrays in part order: 4th-order central
+    differences of step h in [1e-7, 1e-3] over one evaluation of every
+    stencil state, then one difference quotient and one QGT step per chart
+    dimension.  etas, (N_k, 4) coefficient rows or None, gives each point
+    its own coefficients.  The stencil states of the parts come
+
+    - for every StateFamily part, from one families.states_of pass (etas
+      need the general orbit, C1, C3, C7);
+    - for phase_twisted(base, lam), from its base's times e^{i lam(pts)};
+      right after its base's part at the same xs object (not a copy), with
+      neither part taking etas, it reuses that part's stencil states, so a
+      gauge pair costs one stencil;
+    - for any other object with .chart and .states, from its own
+      .states(pts) or .states(pts, etas) call.
+
+    Every step is row by row, so each part's metrics are bitwise its
+    one-part call's."""
+    if not (1e-7 <= h <= 1e-3):
+        raise ValueError("finite-difference step h must lie in [1e-7, 1e-3]")
+    # the states_of parts; per part its family, whether it is twisted, its
+    # centres, stencil points and stencil states (a slice of the states_of
+    # pass or an array); per chart dimension its parts and their row bounds
+    evaluated, stencils, groups, end = [], [], {}, 0
+    last = (None, None, None)  # the previous part's family, xs and stencil states
     for family, xs, *etas in parts:
+        centres = np.asarray(xs, dtype=float)
+        dim = len(family.chart)
+        if centres.ndim != 2 or centres.shape[1] != dim:
+            raise ValueError(f"expected (N, {dim}) coordinates, got {centres.shape}")
+        etas = etas[0] if etas else None
+        pts = (centres[:, None] + h * _stencil_offsets(dim)).reshape(-1, dim)
         twisted = isinstance(family, _PhaseTwistedFamily)
         base = family.base if twisted else family
-        centres = _stencil_input(xs, h)
-        if not (twisted and not etas and previous[0] is base and previous[1] is xs):
-            rows = _stencil_etas(etas[0], centres.shape[1]) if etas else None
-            evaluated.append((base, _stencil_points(centres, h), rows))
-        stencils.append((family, centres, len(evaluated) - 1))
-        previous = (None, None) if etas else (family, xs)
-    psi_all, ends = families.states_of(evaluated), accumulate(len(part[1]) for part in evaluated)
-    states = [psi_all[end - len(part[1]):end] for part, end in zip(evaluated, ends)]
+        if twisted and etas is None and last[0] is base and last[1] is xs:
+            source = last[2]
+        else:
+            args = (pts,)
+            if etas is not None:
+                etas = np.asarray(etas, dtype=complex)
+                if etas.shape != (len(centres), 4):
+                    raise ValueError(f"expected ({len(centres)}, 4) coefficient rows, got {etas.shape}")
+                # checked before they are repeated, so a refusal names the caller's row
+                require_unit_rows(etas)
+                args = (pts, np.repeat(etas, 1 + 4 * dim, axis=0))
+            if isinstance(base, StateFamily):
+                evaluated.append((base, *args))
+                source, end = slice(end, end + len(pts)), end + len(pts)
+            else:
+                source = base.states(*args)
+        group, bounds = groups.setdefault(dim, ([], [0]))
+        group.append(len(stencils))
+        bounds.append(bounds[-1] + len(centres))
+        stencils.append((family, twisted, centres, pts, source))
+        last = (None, None, None) if etas is not None else (family, xs, source)
+    psi_all = families.states_of(evaluated) if evaluated else None
     out = [None] * len(stencils)
-    for dim in sorted({centres.shape[1] for _, centres, _ in stencils}):
-        group = [k for k, (_, centres, _) in enumerate(stencils) if centres.shape[1] == dim]
+    for dim, (group, bounds) in groups.items():
         stacked = []
         for k in group:
-            family, _, j = stencils[k]
-            stacked.append(states[j] if family is evaluated[j][0] else family.twist(evaluated[j][1], states[j]))
-        psi, dpsi = _difference_quotient(np.concatenate(stacked), dim, h)
-        bounds = list(accumulate((len(stencils[k][1]) for k in group), initial=0))
+            family, twisted, _, pts, source = stencils[k]
+            psi = psi_all[source] if isinstance(source, slice) else source
+            stacked.append(family.twist(pts, psi) if twisted else psi)
+        psi = (stacked[0] if len(stacked) == 1 else np.concatenate(stacked)).reshape(-1, 1 + 4 * dim, 4)
+        fp1, fm1, fp2, fm2 = psi[:, 1:].reshape(len(psi), 4, dim, 4).swapaxes(0, 1)
+        dpsi = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
         if not np.isfinite(dpsi).all():
             for k, a, b in zip(group, bounds, bounds[1:]):
-                _require_finite(stencils[k][0], stencils[k][1], dpsi[a:b])
-        g = _qgt_metrics(psi, dpsi, gamma)
+                _require_finite(stencils[k][0], stencils[k][2], dpsi[a:b])
+        g = _qgt_metrics(psi[:, 0], dpsi, gamma)
         for k, a, b in zip(group, bounds, bounds[1:]):
             out[k] = g[a:b]
     return out
@@ -209,8 +197,8 @@ def numeric_fs_metric(
     rows whose largest entry is below 1e-12 max(1, largest entry)."""
     g = numeric_fs_metrics(family, np.asarray(xi, dtype=float)[None], gamma, h)[0]
     row_max = np.abs(g).max(axis=1)
-    scale = max(row_max.max(), 1.0)
-    degenerate = tuple(np.flatnonzero(row_max < 1e-12 * scale).tolist())
+    limit = 1e-12 * max(row_max.max(), 1.0)
+    degenerate = tuple(k for k, m in enumerate(row_max.tolist()) if m < limit)
     return MetricTensor(g, tuple(family.chart), degenerate)
 
 
@@ -548,10 +536,6 @@ class _PhaseTwistedFamily:
     def chart(self):
         return self.base.chart
 
-    def states(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return self.twist(xs, self.base.states(xs))
-
     def twist(self, xs, states):
         """The base family's states at the rows of xs, given as states,
         times e^{i lam(xs)}."""
@@ -562,6 +546,7 @@ class _PhaseTwistedFamily:
 
 
 def phase_twisted(family, lam) -> _PhaseTwistedFamily:
-    """family with every state multiplied by e^{i lam(xs)}; lam maps an
-    (N, dim) batch of chart points to N phases."""
+    """family with every state multiplied by e^{i lam(xs)}, for the
+    finite-difference metrics; lam maps an (N, dim) batch of chart points
+    to N phases."""
     return _PhaseTwistedFamily(family, lam)

@@ -10,6 +10,7 @@ from qorbits.errors import (
     CaseMismatchError,
     ChartSingularityError,
     ClassificationToleranceError,
+    ResonanceError,
     SingularTransformError,
 )
 from qorbits.hamiltonian import branch_sign
@@ -120,21 +121,27 @@ def test_gauge_pair_equals_the_two_metrics(label, rng, monkeypatch):
     evaluated = []
     states_of = families.states_of
     monkeypatch.setattr(families, "states_of", lambda parts: evaluated.append(parts) or states_of(parts))
+
+    def pair(xs, twin_xs, gamma=1.0):
+        """The pair's metrics and the part counts of the states_of passes
+        its numeric_fs_metrics_of call takes."""
+        evaluated.clear()
+        got = numeric_fs_metrics_of([(f, xs), (phase_twisted(f, lam), twin_xs)], gamma)
+        return got, [len(parts) for parts in evaluated]
+
     for gamma in (1.0, 0.7):
         xi = rng.uniform(0.2, 1.0, size=f.dim)
         xs = xi[None]
-        g, gt = numeric_fs_metrics_of([(f, xs), (phase_twisted(f, lam), xs)], gamma)
+        (g, gt), passes = pair(xs, xs, gamma)
+        # one states_of part per pair: the twisted copy reuses the stencil
+        # states of the same points (the same object, not an equal copy)
+        assert passes == [1]
         assert g.shape == gt.shape == (1, f.dim, f.dim)
         assert g[0].tobytes() == numeric_fs_metric(f, xi, gamma).entries.tobytes()
         twisted = numeric_fs_metric(phase_twisted(f, lam), xi, gamma).entries
         assert gt[0].tobytes() == twisted.tobytes()
-    # one states_of part per pair: the twisted copy reuses the stencil
-    # states of the same points (the same object, not an equal copy)
-    assert [len(parts) for parts in evaluated] == [1, 1]
-    evaluated.clear()
     xs = rng.uniform(0.2, 1.0, size=(1, f.dim))
-    numeric_fs_metrics_of([(f, xs), (phase_twisted(f, lam), xs.copy())])
-    assert [len(parts) for parts in evaluated] == [2]
+    assert pair(xs, xs.copy())[1] == [2]
 
 
 def test_metric_positive_semidefinite(rng):
@@ -404,6 +411,75 @@ def test_batched_metrics_reject_bad_input():
     xs = np.array([[0.7, 0.3, 0.2, 0.4], [0.7, np.nan, 0.2, 0.4]])
     with pytest.raises(ChartSingularityError, match="omega"):
         numeric_fs_metrics(f, xs)
+
+
+def test_refusals_name_the_callers_shapes(monkeypatch):
+    # the points and coefficient rows are checked before the stencil is
+    # built: a refusal gives the shapes the caller passed, alone or as one
+    # part of a pass, and no state is evaluated
+    f7 = _default_family("C7")
+    rows = np.full((3, 4), 0.5)
+    refused = [
+        ((f7, np.zeros((2, 4)), rows), r"^expected \(2, 4\) coefficient rows, got \(3, 4\)$"),
+        ((f7, np.zeros((1, 3))), r"^expected \(N, 4\) coordinates, got \(1, 3\)$"),
+        ((f7, np.zeros(4)), r"^expected \(N, 4\) coordinates, got \(4,\)$"),
+    ]
+    monkeypatch.setattr(families, "states_of", lambda parts: pytest.fail("states evaluated"))
+    good = (_default_family("C3"), np.zeros((2, 2)))
+    for (family, xs, *etas), message in refused:
+        with pytest.raises(ValueError, match=message):
+            numeric_fs_metrics(family, xs, etas=etas[0] if etas else None)
+        with pytest.raises(ValueError, match=message):
+            numeric_fs_metrics_of([good, (family, xs, *etas)])
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-8, math.nan])
+def test_pass_refuses_its_step_before_evaluating_a_state(h, monkeypatch):
+    calls = []
+    monkeypatch.setattr(families, "states_of", lambda parts: calls.append(parts))
+
+    class Oracle:
+        chart = ("c_plus",)
+
+        def states(self, xs):
+            calls.append(xs)
+
+    f7 = _default_family("C7")
+    xs = np.full((2, 4), 0.3)
+    parts = [(f7, xs), (phase_twisted(f7, lambda xs: xs[:, 0]), xs), (Oracle(), [[0.4]])]
+    with pytest.raises(ValueError, match=r"step h must lie in \[1e-7, 1e-3\]"):
+        numeric_fs_metrics_of(parts, h=h)
+    assert calls == []
+
+
+def test_one_part_keeps_the_message_of_its_states():
+    # a refusal that comes from the states of a one-part call is the
+    # family's own, with no part index
+    eta = InitialCoefficients.normalized(0.6, 0.3 + 0.4j, 0.5, -0.2j)
+    f = family_for_case(classify(eta), eta, beta=1e-3)
+    xi = np.array([0.9, 0.3, 0.4, 1.7])  # 2 c3 - c_plus + omega = 0
+    with pytest.raises(ResonanceError) as want:
+        f.state(xi)
+    with pytest.raises(ResonanceError) as got:
+        numeric_fs_metric(f, xi)
+    assert str(got.value) == str(want.value)
+
+
+def test_twisted_family_takes_coefficient_rows(rng):
+    # each row's metric is that of its own twisted family at its own point,
+    # to the bit, alone and in a pass
+    lam = lambda xs: np.sin(xs).sum(axis=1)  # noqa: E731
+    etas = [random_eta(rng, "C7") for _ in range(6)]
+    rows = np.array([eta.as_array() for eta in etas])
+    f = family_for_case(classify(etas[0]), etas[0])
+    xs = rng.uniform(-1.2, 1.2, size=(6, 4))
+    batch = numeric_fs_metrics(phase_twisted(f, lam), xs, 0.7, etas=rows)
+    for eta, xi, g in zip(etas, xs, batch):
+        one = numeric_fs_metric(phase_twisted(family_for_case(classify(eta), eta), lam), xi, 0.7)
+        assert g.tobytes() == one.entries.tobytes()
+    got = numeric_fs_metrics_of([(f, xs), (phase_twisted(f, lam), xs, rows)], 0.7)
+    assert got[1].tobytes() == batch.tobytes()
+    assert got[0].tobytes() == numeric_fs_metrics(f, xs, 0.7).tobytes()
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e-3])

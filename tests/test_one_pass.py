@@ -86,8 +86,9 @@ def test_a_refused_part_raises_naming_it():
     with pytest.raises(ValueError, match=r"^part 2 \(C7\): coefficient row 1 must be normalized"):
         states_of([good, good, (f7, np.zeros((2, 4)), np.eye(4)[:2] * [[1], [2]])])
     # one part keeps the message of StateFamily.states
-    with pytest.raises(ValueError, match=r"^expected \(N, 2\) coordinates"):
-        f4.states(np.zeros((3, 4)))
+    for one_part in (lambda: f4.states(np.zeros((3, 4))), lambda: states_of([(f4, np.zeros((3, 4)))])):
+        with pytest.raises(ValueError, match=r"^expected \(N, 2\) coordinates"):
+            one_part()
 
 
 def periodicity_families(rng):
@@ -190,9 +191,26 @@ def metric_parts(rng):
     return parts
 
 
+class Oracle:
+    """A family known only by its chart and states, as the test oracles
+    are: the finite-difference route takes its stencil states from its own
+    states call."""
+
+    def __init__(self, base):
+        self.base, self.chart = base, base.chart
+
+    def states(self, xs):
+        return self.base.states(xs)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_metric_stencils_in_one_pass_equal_the_per_family_metrics(seed):
-    parts = metric_parts(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    parts = metric_parts(rng)
+    # an oracle part with its twisted copy, grouped by dimension with the
+    # slice, and one among the pass's states_of parts
+    duck, xs = Oracle(verify._default_family("C5")), rng.uniform(0.2, 1.0, size=(3, 3))
+    parts[3:3] = [(duck, xs), (fubini_study.phase_twisted(duck, verify._sum_phase), xs)]
     gamma = (1.0, 0.7)[seed % 2]
     got = numeric_fs_metrics_of(parts, gamma)
     assert len(got) == len(parts)

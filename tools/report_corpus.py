@@ -7,6 +7,10 @@ The corpus runs through qorbits.cli.main, in this order:
 - verify --suite all on seeds 0-399;
 - verify --suite all on seeds 0-59 with --gamma 0.7 --chi 0.3;
 - verify --suite all on seeds 0-59 with --eta 0.6,0.3+0.4j,0.5,-0.2j;
+- metric on each default case set of qorbits.verify at a fixed point, with
+  the default options, --h-metric 1e-4 and --gamma 0.7; metric on the
+  generic C7 set at --beta 1e-3, and at a resonant point of it (a
+  refusal); perturb on the generic C7 set;
 - every qorbits example line of the README's CLI section.
 
 Each report prints one tab-separated line: the arguments, the exit code,
@@ -30,12 +34,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from qorbits import cli  # noqa: E402
+from qorbits import cli, verify  # noqa: E402
 
 OPTION_SETS = (
     ((), range(400)),
     (("--gamma", "0.7", "--chi", "0.3"), range(60)),
     (("--eta", "0.6,0.3+0.4j,0.5,-0.2j"), range(60)),
+)
+GENERIC_ETA = "0.6,0.3+0.4j,0.5,-0.2j"
+# the metric point; a case of chart dimension dim takes its first dim values
+METRIC_POINT = ("0.7", "0.3", "0.2", "0.4")
+METRIC_OPTIONS = ((), ("--h-metric", "1e-4"), ("--gamma", "0.7"))
+METRIC_EXTRAS = (
+    ["metric", "--eta", GENERIC_ETA, "--beta", "1e-3", "--point", "0.7,0.3,1.9,-0.7"],
+    # 2 c3 - c_plus + omega = 0: the perturbed states refuse the point
+    ["metric", "--eta", GENERIC_ETA, "--beta", "1e-3", "--point", "0.9,0.3,0.4,1.7"],
+    ["perturb", "--eta", GENERIC_ETA, "--point", "0.8,0.3,0.25,0.45", "--beta", "1e-4"],
 )
 
 
@@ -52,6 +66,16 @@ def readme_examples(readme: Path = ROOT / "README.md") -> list[list[str]]:
     return examples
 
 
+def metric_runs() -> list[list[str]]:
+    """The metric and perturb argument lists of the corpus."""
+    runs = []
+    for label, eta in verify.DEFAULT_CASE_ETAS.items():
+        point = ",".join(METRIC_POINT[:verify._default_family(label).dim])
+        runs += [["metric", "--eta", ",".join(map(str, eta)), "--point", point, *options]
+                 for options in METRIC_OPTIONS]
+    return runs + [list(run) for run in METRIC_EXTRAS]
+
+
 def corpus() -> list[list[str]]:
     """The argument lists of the corpus, in order."""
     runs = [
@@ -59,7 +83,7 @@ def corpus() -> list[list[str]]:
         for options, seeds in OPTION_SETS
         for seed in seeds
     ]
-    return runs + readme_examples()
+    return runs + metric_runs() + readme_examples()
 
 
 def fingerprint(argv: list[str]) -> str:
