@@ -36,7 +36,7 @@ from .hamiltonian import (
     perturbed_eigenstates,
 )
 from .families import family_for_case
-from .fubini_study import analytic_metric_c7, analytic_metric_case, numeric_fs_metric
+from .fubini_study import DEFAULT_METRIC_STEP, analytic_metric_c7, analytic_metric_case, numeric_fs_metric
 from .curvature import (
     EXACT_CONDITION_LIMIT,
     UNIFORM_C7_SCALAR,
@@ -458,7 +458,7 @@ OPTIONS = {
     "--eta": dict(default=None, help="initial coefficients e1,e2,e3,e4"),
     "--point": dict(default=None, help="chart point, comma separated"),
     "--gamma": dict(type=_positive_float, default=1.0, help="metric scale factor, above 0"),
-    "--h-metric": dict(type=float, default=1e-5, help="step of the finite-difference metric"),
+    "--h-metric": dict(type=float, default=DEFAULT_METRIC_STEP, help="step of the finite-difference metric"),
     "--grid": dict(default=None, help="grid spec name=a:b:n[,...]"),
     "--format": dict(choices=("json", "csv"), default="json", help="csv needs --grid"),
     "--seed": dict(type=int, default=1234),

@@ -220,7 +220,7 @@ def gauss_curvature(family, xi, gamma: float = 1.0) -> CurvatureReport:
 
     reported with its first index raised (the module's sign convention).
     The note says "exact" up to metric condition EXACT_CONDITION_LIMIT.
-    Raises ValueError for gamma not finite and positive,
+    Raises ValueError for a gamma that _require_scale refuses,
     ChartSingularityError for a non-finite partial and SingularMetricError
     for a singular metric.
     """

@@ -35,7 +35,7 @@ def concurrences(states) -> np.ndarray:
     norms = np.sqrt(mag2.sum(axis=1))
     ok = np.abs(norms - 1.0) <= NORM_TOL  # False for a NaN norm too
     if not ok.all():
-        raise ValueError(f"state not normalized: |psi| = {norms[np.argmin(ok)]!r}")
+        raise ValueError(f"state not normalized: |psi| = {float(norms[np.argmin(ok)])!r}")
     a, b, c, d = states.T
     return 2.0 * np.abs(a * d - b * c)
 

@@ -25,8 +25,9 @@ a @ (k0 + s k1), with operators tabled once per case and embedding
 (PhaseTable).  At beta != 0 the first-order rows hamiltonian.first_order_rows
 mix the coefficients, and the jet is their product rule with the same
 tabled turn, normalized.  e is real and orthonormal, so inner products of
-coefficients are those of the states: the Fubini-Study metric and the
-Gauss-equation curvature read frame_jet.  _contract, coefficients contracted
+coefficients are those of the states: the Fubini-Study metric, the
+Gauss-equation curvature and the concurrence scan at beta != 0 read
+frame_jet.  _contract, coefficients contracted
 with e block by block, is where states are formed: states_of stacks the
 frame_jet of order 0 of several families for one _contract,
 StateFamily.states is its one-part case and state its one-row case.  On the
@@ -49,13 +50,10 @@ from .hamiltonian import (
     PSI3,
     PSI4,
     branch_sign,
-    couplings,
     eigenbases,
     eigvec_pair,
     first_order_rows,
-    half_angles,
     normalize_jet,
-    perturbation_denominators,
 )
 from .model import (
     CASE_CHARTS,
@@ -292,22 +290,19 @@ class StateFamily:
 
     def grid_concurrences(self, axes) -> np.ndarray:
         """Concurrences at the grid_points(axes) of one 1-D axis per chart
-        coordinate, shape (N,), from the coefficients c of each state over
-        the frame e = eigenbases(phi), which is never formed:
-        C = |sum_j w_j (c c)_j| / sum|c_k|^2 over the pairs _FORM_PAIRS
-        (_FORM_SIGNS, _form_weights).  At beta = 0, c_k = a_k =
-        eta_k e^{i theta_k}, sum|c_k|^2 = 1 and each pair product is the
-        family's _pair_amps times one factor per axis value, the
-        exponentials of the PhaseTable's pair phases (_axis_exps), so the
-        grid is (n_head, 5) @ (5, R): the head axes, up to the last one phi
-        reads, carry the weights, which read phi alone, and the later ones
-        the R columns of the tail, which carries the _pair_amps.  At
-        beta != 0 the grid is all head, with c = (a1/N1 - beta k1 a3/N3,
-        a2/N2 - beta k2 a3/N3, a3/N3 + beta (k1 a1/N1 + k2 a2/N2), a4) from
-        the couplings k and the row norms N = sqrt(1 + beta^2 (k1^2, k2^2,
-        k1^2 + k2^2)), and the tail is _FORM_SIGNS.  The head is taken in
-        C-order boxes (_boxes) of at most SCAN_BOX points.  A non-finite
-        value raises ValueError."""
+        coordinate, shape (N,), from the unit-norm coefficients c of each
+        state over the frame e = eigenbases(phi), which is never formed:
+        C = |sum_j w_j (c c)_j| over the pairs _FORM_PAIRS (_FORM_SIGNS,
+        _form_weights).  At beta = 0, c_k = a_k = eta_k e^{i theta_k} and
+        each pair product is the family's _pair_amps times one factor per
+        axis value, the exponentials of the PhaseTable's pair phases
+        (_axis_exps), so the grid is (n_head, 5) @ (5, R): the head axes, up
+        to the last one phi reads, carry the weights, which read phi alone,
+        and the later ones the R columns of the tail, which carries the
+        _pair_amps.  At beta != 0 the grid is all head, c is the family's
+        frame_jet of order 0 at the points of each box, and the tail is
+        _FORM_SIGNS.  The head is taken in C-order boxes (_boxes) of at most
+        SCAN_BOX points.  A non-finite value raises ValueError."""
         axes = [np.asarray(a, dtype=float) for a in axes]
         if len(axes) != self.dim or any(a.ndim != 1 for a in axes):
             raise ValueError(f"expected {self.dim} 1-D axes, got {[a.shape for a in axes]}")
@@ -315,10 +310,6 @@ class StateFamily:
         shape = [len(a) for a in axes]
         if self.beta:
             t, tail = self.dim, _FORM_SIGNS[:, None]
-            amps = self._eta_row * np.exp(1j * table.offset)
-            factors = _axis_exps(1j * table.lin, axes)
-            # the C7 coordinates x @ basis.T + basis0 as one term per axis value
-            terms = [np.multiply.outer(table.basis[:, mu], a) for mu, a in enumerate(axes)]
         else:
             t = len(table.head)
             factors = _axis_exps(table.pairs, axes)
@@ -330,27 +321,21 @@ class StateFamily:
         start = 0
         for box in _boxes(shape[:t], SCAN_BOX):
             if self.beta:
-                c = _box_values(factors, box, np.multiply, amps)
-                omega, phi, c3, c_plus = _box_values(terms, box, np.add, np.zeros(4)) + table.basis0[:, None]
-                s, cu, su = half_angles(phi)
-                bk1, bk2 = self.beta * np.array(couplings(*perturbation_denominators(omega, c3, c_plus), s, cu, su))
-                b1, b2, b3 = c[:3] / np.sqrt(1.0 + np.array([bk1**2, bk2**2, bk1**2 + bk2**2]))
-                c = np.array([b1 - bk1 * b3, b2 - bk2 * b3, b3 + bk1 * b1 + bk2 * b2, c[3]])
+                points = grid_points([a[part] for a, part in zip(axes, box)])
+                c = self.frame_jet(points, 0)[0].T
                 head = c[_FORM_PAIRS[0]] * c[_FORM_PAIRS[1]]
-                head[:3] *= _form_weights(s, 2.0 * cu * su, (cu - su) * (cu + su))
+                phi = self._frame_phi(points)
             else:
                 head = _box_values(factors[:t], box, np.multiply, _ONES5)
                 phi = _box_values(terms, box, np.add, table.basis0[1:2])[0]
-                head[:3] *= _form_weights(branch_sign(phi), np.abs(np.cos(phi)), np.sin(phi))
+            head[:3] *= _form_weights(branch_sign(phi), np.abs(np.cos(phi)), np.sin(phi))
             block = out[start:start + len(phi)]
             for k in range(0, len(phi), rows):
                 np.abs(head[:, k:k + rows].T @ tail, out=block[k:k + rows])
-            if self.beta:
-                block /= (c.real**2 + c.imag**2).sum(axis=0)[:, None]
             start += len(phi)
         out = out.reshape(-1)
         if not np.isfinite(out).all():
-            raise ValueError(f"concurrence not finite: {out[~np.isfinite(out)][0]!r}")
+            raise ValueError(f"concurrence not finite: {float(out[~np.isfinite(out)][0])!r}")
         return out
 
     def state(self, xi) -> np.ndarray:

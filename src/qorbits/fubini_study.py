@@ -74,9 +74,12 @@ def _require_finite(family, xs, dpsi):
 
 
 def _require_scale(gamma: float):
-    """Raise ValueError unless the metric scale gamma is finite and positive."""
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"metric scale gamma must be finite and positive, got {gamma}")
+    """Raise ValueError unless the metric scale gamma is positive and its
+    square, the factor of every metric, is finite and above 0."""
+    square = float(gamma) * float(gamma)
+    if not (gamma > 0.0 and 0.0 < square < math.inf):
+        raise ValueError(f"metric scale gamma must be finite and positive, with a finite and "
+                         f"positive square, got {gamma}")
 
 
 def _qgt_metrics(psi, dpsi, gamma: float) -> np.ndarray:

@@ -166,14 +166,6 @@ def check_denominators(den1, den2):
                              f"{den2[k]:.3e}) below threshold {RESONANCE_THRESHOLD:.1e}")
 
 
-def couplings(den1, den2, s, cu, su):
-    """Couplings k1, k2 of psi1, psi2 to psi3 under the x-field from the
-    perturbation_denominators (after check_denominators) and half_angles."""
-    check_denominators(den1, den2)
-    # <psi3|V|psi_l> = sqrt(2) (a_l + d_l) for the x-field perturbation V
-    return math.sqrt(2) * (s * cu + su) / den1, math.sqrt(2) * (s * su - cu) / den2
-
-
 def normalize_jet(v, *partials):
     """u = v/|v| over the last axis and the partials of u, one for each
     array of partials of v given, the component axis last: dv of shape
@@ -228,7 +220,10 @@ def first_order_rows(omega, phi, c3, c_plus, beta: float, order: int = 0) -> tup
     """
     s, cu, su = half_angles(phi)
     den = np.array(perturbation_denominators(omega, c3, c_plus))
-    k = np.array(couplings(*den, s, cu, su))
+    check_denominators(*den)
+    # the couplings k1, k2 of psi1, psi2 to PSI3: <PSI3|V|psi_l> = sqrt(2)
+    # (a_l + d_l) for the x-field perturbation V, over the denominators
+    k = np.array([math.sqrt(2) * (s * cu + su) / den[0], math.sqrt(2) * (s * su - cu) / den[1]])
     jet = [np.eye(4) + beta * _coupling_rows(*k)]
     if order >= 1:
         # k = num/den with constant denominator gradients; along phi the

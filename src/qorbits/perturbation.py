@@ -253,7 +253,8 @@ def audit_metric_correction(
     a, b = np.triu_indices(4)
     c, n = closed_all[:, a, b], numeric_all[:, a, b]
     max_c, max_n, max_diff = (np.max(np.abs(v), axis=0) for v in (c, n, c - n))
-    rel = max_diff / np.maximum(max_n, 1e-12)
+    # the metrics scale as gamma^2, and so does the floor of the numeric maxima
+    rel = max_diff / np.maximum(max_n, 1e-12 * gamma * gamma)
     names = CASE_CHARTS["C7"]
     verdicts = tuple(
         ComponentVerdict((names[i], names[j]), *values, values[-1] < AUDIT_REL_TOL)

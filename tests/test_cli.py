@@ -547,6 +547,24 @@ def test_non_positive_gamma_is_bad_config(argv, gamma, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, gamma",
+    [
+        (["verify", "--suite", "perturbation", "--seed", "0"], "1e-200"),
+        (["verify", "--suite", "perturbation", "--seed", "0"], "1e160"),
+        (["metric", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,0.2,0.4"], "1e-200"),
+        (["curvature", "--eta", "0.5,0.5,0.5,0.5", "--point", "0.7,0.3,0.2,0.4"], "1e200"),
+    ],
+    ids=["verify-tiny", "verify-huge", "metric-tiny", "curvature-huge"],
+)
+def test_gamma_whose_square_is_zero_or_infinite_is_bad_config(argv, gamma, capsys):
+    # gamma^2 = 0 zeroed every metric (the perturbation suite passed every
+    # check); gamma^2 = inf failed 8 hard checks or overflowed the curvature
+    assert main(argv + ["--gamma", gamma]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "metric scale gamma must be finite and positive" in err
+
+
+@pytest.mark.parametrize(
     "argv, option",
     [
         (["spectrum", "--b", "1", "--c", "-1,0,0"], "--c"),

@@ -386,6 +386,14 @@ def test_gauss_uniform_c7_to_rounding(rng):
     assert worst < 5e-15
 
 
+@pytest.mark.parametrize("gamma", [0.0, math.nan, 1e-200, 1e200])
+def test_gauss_refuses_metric_scale(gamma):
+    # 1e200 squared overflowed: the curvature raised OverflowError
+    f = _uniform_c7_family()
+    with pytest.raises(ValueError, match="gamma"):
+        gauss_curvature(f, np.array([0.7, 0.3, 0.2, 0.4]), gamma)
+
+
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
 def test_gauss_balanced_c3_sphere(gamma):
     # round sphere of radius gamma/2

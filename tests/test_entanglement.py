@@ -39,9 +39,11 @@ def test_concurrence_requires_normalization():
 
 
 def test_concurrence_rejects_nan_state():
-    # a NaN norm fails |norm - 1| > tol too, so it must be caught explicitly
-    with pytest.raises(ValueError, match="not normalized"):
+    # a NaN norm fails |norm - 1| > tol too, so it must be caught explicitly;
+    # the message prints it as a plain float
+    with pytest.raises(ValueError, match="not normalized") as err:
         concurrences([[math.nan, 0, 0, 0]])
+    assert str(err.value) == "state not normalized: |psi| = nan"
     with pytest.raises(ValueError, match="not normalized"):
         concurrence(np.array([S2, 0, 0, complex(math.nan, 0)]))
 
@@ -408,8 +410,9 @@ def test_concurrences_of_component_first_states_are_bitwise_those_of_rows(rng):
     assert concurrences(states).tobytes() == concurrences(rows).tobytes()
     bad = states.copy(order="F")
     bad[7, 2] = math.nan
-    with pytest.raises(ValueError, match="not normalized"):
+    with pytest.raises(ValueError, match="not normalized") as err:
         concurrences(bad)
+    assert "np.float64" not in str(err.value)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1e-3])
@@ -427,5 +430,6 @@ def test_scan_raises_on_a_nan_from_the_jet(beta, monkeypatch, rng):
     monkeypatch.setattr(families, "_form_weights", nan_weights)
     grid = {"omega": (0.2, 1.0, 3), "phi": (-3.0, 3.0, 4), "c3": (1.6, 2.4, 3),
             "c_plus": (-1.0, -0.4, 2)}
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="not finite") as err:
         scan_concurrence(f, grid)
+    assert "np.float64" not in str(err.value)

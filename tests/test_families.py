@@ -527,7 +527,7 @@ def test_grid_states_bound_each_box(beta, monkeypatch, rng):
 
 
 def test_grid_states_evaluate_no_eigenbasis_at_beta_zero(monkeypatch, rng):
-    # at beta = 0 the frame form needs no basis, no couplings and no jet
+    # at beta = 0 the frame form needs no basis, no first-order rows and no jet
     f = family_for_case(CaseClass("C7"), random_eta(rng))
     axes = _grid_axes(f, (8, 8, 8, 8))
     want = concurrences(f.states(grid_points(axes)))
@@ -535,10 +535,30 @@ def test_grid_states_evaluate_no_eigenbasis_at_beta_zero(monkeypatch, rng):
     def forbidden(*args, **kwargs):
         raise AssertionError("called at beta = 0")
 
-    for module, name in ((hamiltonian, "eigenbases"), (families, "first_order_rows"),
-                         (families, "couplings")):
-        monkeypatch.setattr(module, name, forbidden)
+    for owner, name in ((hamiltonian, "eigenbases"), (families, "first_order_rows"),
+                        (StateFamily, "frame_jet")):
+        monkeypatch.setattr(owner, name, forbidden)
     assert np.max(np.abs(f.grid_concurrences(axes) - want)) <= 1e-14
+
+
+def test_grid_states_read_the_frame_jet_at_beta(monkeypatch, rng):
+    # at beta != 0 the coefficients of every grid point come from the
+    # family's one jet, frame_jet of order 0, one call per box
+    f = family_for_case(CaseClass("C7"), random_eta(rng), beta=1e-3)
+    axes = _grid_axes(f, (20, 20, 4, 4))
+    want = concurrences(f.states(grid_points(axes)))
+    calls = []
+    jet = StateFamily.frame_jet
+
+    def counted(self, xs, order, etas=None):
+        calls.append((len(xs), order))
+        return jet(self, xs, order, etas)
+
+    monkeypatch.setattr(StateFamily, "frame_jet", counted)
+    got = f.grid_concurrences(axes)
+    assert len(calls) > 1 and all(order == 0 for _, order in calls)
+    assert sum(n for n, _ in calls) == len(got) == 20 * 20 * 4 * 4
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("phi", [-3.0, -math.pi / 2, -0.4, 0.0, 1.1, math.pi / 2, 2.5, math.pi])

@@ -658,9 +658,11 @@ def test_batch_case_rows_are_classified(rng):
         analytic_metrics_case(family_for_case(classify(eta5), eta5), xs[:, :3], 1.0, rows)
 
 
-@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, 1e-200, 1e200])
 def test_metric_scale_must_be_finite_and_positive(gamma):
-    # gamma = 0 zeroed every metric; the closed forms stay as printed
+    # gamma = 0 zeroed every metric, and so did gamma = 1e-200, whose square
+    # is 0; the square of 1e200 is not finite.  The closed forms stay as
+    # printed
     eta = InitialCoefficients(0.5, 0.5, 0.5, 0.5)
     f = family_for_case(classify(eta), eta)
     xi = np.array([0.7, 0.3, 0.2, 0.4])

@@ -7,16 +7,16 @@ import pytest
 from qorbits.errors import DegenerateChartError, ResonanceError
 from qorbits.hamiltonian import (
     BRANCH_SNAP,
+    ID2,
     PSI3,
     PSI4,
+    SIGMA_1,
     analytic_spectrum,
     branch_sign,
     build_hamiltonian,
-    couplings,
     eigenbases,
     eigvec_pair,
     first_order_rows,
-    half_angles,
     match_states,
     numeric_spectrum,
     perturbation_denominators,
@@ -237,15 +237,17 @@ def test_match_states_energies_on_random_degenerate_spectra(rng):
 def test_first_order_rows_over_the_frame(rng, beta):
     # rows @ e against the normalized first-order vectors
     # (psi1 + beta k1 PSI3, psi2 + beta k2 PSI3, PSI3 - beta(k1 psi1 + k2 psi2), PSI4)
-    # built one point at a time from eigvec_pair and couplings
+    # built one point at a time from eigvec_pair and the couplings
+    # k_l = <PSI3|V|psi_l>/den_l of the x-field V = s1 x 1 + 1 x s1
     omega, phi, c3, c_plus = rng.uniform(-3, 3, size=(4, 40))
     rows = first_order_rows(omega, phi, c3, c_plus, beta)[0]
     assert rows.dtype == float and rows.shape == (40, 4, 4)
     got = rows @ eigenbases(phi)
+    v = np.kron(SIGMA_1, ID2) + np.kron(ID2, SIGMA_1)
     for k in range(len(phi)):
         psi1, psi2 = eigvec_pair(phi[k])
-        k1, k2 = couplings(*perturbation_denominators(omega[k], c3[k], c_plus[k]),
-                           *half_angles(phi[k]))
+        den = perturbation_denominators(omega[k], c3[k], c_plus[k])
+        k1, k2 = ((PSI3.conj() @ v @ psi) / d for psi, d in zip((psi1, psi2), den))
         want = np.array([psi1 + beta * k1 * PSI3, psi2 + beta * k2 * PSI3,
                          PSI3 - beta * (k1 * psi1 + k2 * psi2), PSI4])
         want /= np.linalg.norm(want, axis=1, keepdims=True)

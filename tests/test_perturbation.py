@@ -305,9 +305,20 @@ def test_audit_with_no_admissible_point_raises():
         audit_metric_correction(eta, np.full((4, 3), 0.5))
 
 
-@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("gamma", [1e-7, 1e-10, 1e-100])
+def test_audit_flags_the_refuted_components_at_small_scale(gamma, rng):
+    # the metrics scale as gamma^2, and so does the floor of their maxima:
+    # an absolute floor let both refuted components agree at small gamma
+    eta = random_eta(rng, "C7")
+    pts = [resonance_free_point(rng) for _ in range(10)]
+    audit = audit_metric_correction(eta, pts, gamma=gamma)
+    assert set(audit.disagreeing) == {"omega-phi", "c3-c_plus"}
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, 1e-200, 1e160])
 def test_audit_refuses_metric_scale(gamma, rng):
-    # at gamma = 0 both sides were zero and the refuted components agreed
+    # at gamma = 0, and at gamma = 1e-200 whose square is 0, both sides were
+    # zero and the refuted components agreed; 1e160 squares to infinity
     eta = random_eta(rng)
     pts = [resonance_free_point(rng) for _ in range(4)]
     with pytest.raises(ValueError, match="gamma"):

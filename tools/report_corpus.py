@@ -11,6 +11,10 @@ The corpus runs through qorbits.cli.main, in this order:
   the default options, --h-metric 1e-4 and --gamma 0.7; metric on the
   generic C7 set at --beta 1e-3, and at a resonant point of it (a
   refusal); perturb on the generic C7 set;
+- concurrence scans of the perturbed (beta != 0) families: the generic C7
+  set, and the C6 and C1 default sets of qorbits.verify, as CSV;
+- verify --suite perturbation at --gamma 1e-7, where the refuted
+  components must stay flagged, and at --gamma 1e-200 (a refusal);
 - every qorbits example line of the README's CLI section.
 
 Each report prints one tab-separated line: the arguments, the exit code,
@@ -51,6 +55,16 @@ METRIC_EXTRAS = (
     ["metric", "--eta", GENERIC_ETA, "--beta", "1e-3", "--point", "0.9,0.3,0.4,1.7"],
     ["perturb", "--eta", GENERIC_ETA, "--point", "0.8,0.3,0.25,0.45", "--beta", "1e-4"],
 )
+SCAN_AND_SCALE_EXTRAS = (
+    ["concurrence", "--eta", GENERIC_ETA, "--beta", "1e-3", "--grid",
+     "omega=0.2:1:4,phi=-3:3:7,c3=1.6:2.4:3,c_plus=-1:-0.4:3", "--format", "csv"],
+    ["concurrence", "--eta", "0.6,0,0.565685424949238,0.565685424949238", "--beta", "1e-3",
+     "--grid", "phi=-3:3:7,c=-2:2:5,c_plus=-1:1:4", "--format", "csv"],
+    ["concurrence", "--eta", "0,0,0.8,0.6", "--beta", "1e-3", "--grid", "c_plus=-3:3:7",
+     "--format", "csv"],
+    ["verify", "--suite", "perturbation", "--gamma", "1e-7"],
+    ["verify", "--suite", "perturbation", "--gamma", "1e-200"],
+)
 
 
 def readme_examples(readme: Path = ROOT / "README.md") -> list[list[str]]:
@@ -83,7 +97,7 @@ def corpus() -> list[list[str]]:
         for options, seeds in OPTION_SETS
         for seed in seeds
     ]
-    return runs + metric_runs() + readme_examples()
+    return runs + metric_runs() + [list(run) for run in SCAN_AND_SCALE_EXTRAS] + readme_examples()
 
 
 def fingerprint(argv: list[str]) -> str:
